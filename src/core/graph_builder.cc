@@ -260,9 +260,11 @@ class GraphBuilder {
     if (options_.constraints) MarkCoAuthorConstraints(first_new_ref);
     WireAssociations(start_node);
 
-    // Re-pack the pools: extension appends fragment the shared buffers
-    // (relocations leave garbage) and a flush is the natural boundary.
-    graph_->Compact();
+    // Extension appends fragment the shared buffers (relocations leave
+    // garbage). Repack a pool only once its garbage outweighs its live
+    // data, and keep every capacity: a full Compact() per flush would cost
+    // the whole graph, twice over with the regrowth the next flush pays.
+    graph_->CompactFragmented();
 
     std::vector<NodeId> new_queue;
     BuildInitialQueue(start_node, &new_queue);

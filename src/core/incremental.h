@@ -4,10 +4,24 @@
 //
 // The incremental reconciler owns a growing dataset and keeps the
 // dependency graph, the blocking index, and the fixed-point solver alive
-// across batches. Adding a batch of references costs work proportional to
-// the candidate pairs the batch introduces, not to the dataset size;
-// decisions made for earlier batches stand (merges are monotone, exactly
-// as in the batch algorithm).
+// across batches; decisions made for earlier batches stand (merges are
+// monotone, exactly as in the batch algorithm).
+//
+// What a Flush() costs (DESIGN.md §17):
+//  - Proportional to the batch's neighborhood: interning and analyzing its
+//    values, candidate lookup, staging and applying its candidate pairs,
+//    wiring their associations, the solve drain (the nodes the batch
+//    activates and whatever their merges propagate to), and negative
+//    propagation, which examines only the triangles that contain a pair
+//    changed since the previous pass. (Each pass's demotions are the next
+//    pass's sources, so the non-merge pairs in that neighborhood keep
+//    accumulating over a long ingest.)
+//  - Amortized O(1) per graph mutation: capacity grows geometrically, and
+//    a CSR pool is repacked only once its garbage exceeds its live data.
+//  - Not part of Flush(), and proportional to the dataset: clusters()
+//    recomputes the transitive closure over every merged pair after each
+//    flush, and the service rebuilds its whole snapshot on every publish
+//    (service/snapshot.h).
 
 #ifndef RECON_CORE_INCREMENTAL_H_
 #define RECON_CORE_INCREMENTAL_H_
@@ -55,8 +69,16 @@ class IncrementalReconciler {
   /// reports how the latest flush ended.
   void Flush();
 
-  /// Current partition (flushes first).
+  /// Current partition (flushes first). Recomputes the closure over the
+  /// whole graph after each flush.
   const std::vector<int>& clusters();
+
+  /// Flushes, then re-runs the latest flush's negative propagation over
+  /// every reference (FixedPointSolver::RecheckNegativeEvidence) and
+  /// returns how many node states that changed. Zero means the dirty-set
+  /// pass left the graph exactly where a full pass would have (DESIGN.md
+  /// §17). Costs a full pass.
+  int64_t RecheckNegativeEvidence();
 
   /// Current result snapshot: clusters + cumulative stats (flushes first).
   ReconcileResult result();

@@ -101,6 +101,11 @@ struct Node {
   /// User feedback: this pair is a confirmed match; its similarity
   /// computes to 1 regardless of evidence.
   bool forced_merge = false;
+  /// Low byte of the change epoch in which DependencyGraph::MarkDirty last
+  /// recorded this node (negative propagation's change record, DESIGN.md
+  /// §17). Sits in what was padding; an alias 256 epochs back only makes
+  /// the pass re-examine a source it did not need to.
+  uint8_t mark_epoch = 0;
 
   /// Count of identical shared association targets acting as merged
   /// strong-/weak-boolean neighbors (paper: the self node (a, a)).

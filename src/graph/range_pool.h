@@ -17,10 +17,16 @@
 //
 // Spans returned by span()/mutable_span() are invalidated by any Append
 // or Compact on the same pool, like vector iterators on push_back.
+//
+// The pool tracks its live element count and the garbage its relocations
+// and clears left behind, so an incremental owner can repack only when
+// garbage outweighs live data (amortized O(1) per mutation) instead of on
+// every batch.
 
 #ifndef RECON_GRAPH_RANGE_POOL_H_
 #define RECON_GRAPH_RANGE_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,6 +34,14 @@
 #include "util/logging.h"
 
 namespace recon {
+
+/// Reserves room for `n` elements, at least doubling the capacity whenever
+/// it has to grow: a sequence of slightly larger reserves then reallocates
+/// O(log n) times, where plain reserve(n) would reallocate on every call.
+template <typename Vector>
+void ReserveGeometric(Vector& v, size_t n) {
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+}
 
 template <typename T>
 class RangePool {
@@ -54,6 +68,7 @@ class RangePool {
     if (r.count == r.cap) Grow(r);
     data_[r.begin + r.count] = value;
     ++r.count;
+    ++live_;
   }
 
   /// Swap-deletes the first element matching `pred`; returns whether one
@@ -66,6 +81,7 @@ class RangePool {
       if (pred(base[i])) {
         base[i] = base[r.count - 1];
         --r.count;
+        --live_;
         return true;
       }
     }
@@ -75,38 +91,54 @@ class RangePool {
   /// Empties a slot. Its buffer range becomes garbage until Compact().
   void Clear(size_t slot) {
     Range& r = slots_[slot];
+    live_ -= r.count;
+    reserved_ -= r.cap;
     r.count = 0;
     r.cap = 0;
     r.begin = 0;
   }
 
-  /// Rebuilds the buffer as tight CSR: ranges back to back in slot order,
-  /// cap == count, no garbage. O(live elements).
-  void Compact() {
+  /// Rebuilds the buffer with ranges back to back in slot order and no
+  /// garbage, in O(live capacity). Tight CSR (cap == count) by default.
+  /// With `keep_capacity` every range keeps its slack, so a range that is
+  /// still growing does not relocate again on its next append — the
+  /// incremental repack, which would otherwise refill with garbage at once.
+  void Compact(bool keep_capacity = false) {
     std::vector<T> packed;
-    packed.reserve(TotalCount());
+    packed.reserve(keep_capacity ? reserved_ : live_);
     for (Range& r : slots_) {
       const uint32_t begin = static_cast<uint32_t>(packed.size());
       packed.insert(packed.end(), data_.begin() + r.begin,
                     data_.begin() + r.begin + r.count);
+      if (keep_capacity) {
+        packed.resize(packed.size() + (r.cap - r.count));
+      } else {
+        r.cap = r.count;
+      }
       r.begin = begin;
-      r.cap = r.count;
     }
     data_ = std::move(packed);
+    reserved_ = data_.size();
+    if (keep_capacity) return;
     // ReserveSlots sizes the range table from a pair-count estimate; now
     // that the true slot count is known, release the over-estimate slack
     // (the data buffer is already exact — `packed` was reserved to count).
     slots_.shrink_to_fit();
   }
 
-  void ReserveSlots(size_t n) { slots_.reserve(n); }
-  void ReserveData(size_t n) { data_.reserve(n); }
-
-  size_t TotalCount() const {
-    size_t total = 0;
-    for (const Range& r : slots_) total += r.count;
-    return total;
+  /// Capacity for `n` slots / `extra` more buffer elements, grown
+  /// geometrically (see ReserveGeometric).
+  void ReserveSlots(size_t n) { ReserveGeometric(slots_, n); }
+  void ReserveAppend(size_t extra) {
+    ReserveGeometric(data_, data_.size() + extra);
   }
+
+  /// Live elements across all slots.
+  size_t TotalCount() const { return live_; }
+  /// Buffer elements owned by no range: space left behind by relocations
+  /// and clears, reclaimed only by Compact(). (Slack inside a range's
+  /// capacity is not garbage: its next appends land there.)
+  size_t garbage() const { return data_.size() - reserved_; }
   /// Heap bytes held by the shared buffer.
   size_t data_bytes() const { return data_.capacity() * sizeof(T); }
   /// Heap bytes held by the per-slot range table.
@@ -124,6 +156,7 @@ class RangePool {
     // A range already at the buffer's end extends in place.
     if (r.begin + r.cap == data_.size()) {
       data_.resize(data_.size() + (new_cap - r.cap));
+      reserved_ += new_cap - r.cap;
       r.cap = new_cap;
       return;
     }
@@ -134,12 +167,16 @@ class RangePool {
     for (uint32_t i = 0; i < r.count; ++i) {
       data_[new_begin + i] = data_[r.begin + i];
     }
+    reserved_ += new_cap - r.cap;
     r.begin = new_begin;
     r.cap = new_cap;
   }
 
   std::vector<Range> slots_;
   std::vector<T> data_;
+  /// Sum of range counts (live elements) and of range capacities.
+  size_t live_ = 0;
+  size_t reserved_ = 0;
 };
 
 }  // namespace recon

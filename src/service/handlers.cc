@@ -436,6 +436,8 @@ HttpResponse ServiceHandler::Stats() const {
   c.Set("candidates_scored", counters.candidates_scored.load());
   c.Set("ingested_references", counters.ingested_references.load());
   c.Set("flushes", counters.flushes.load());
+  c.Set("negprop_sources", counters.negprop_sources.load());
+  c.Set("graph_compactions", counters.graph_compactions.load());
   doc.Set("counters", std::move(c));
   const DurabilityStats durability = service_->durability_stats();
   json::Value d = json::Value::Object();

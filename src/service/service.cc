@@ -463,6 +463,10 @@ uint64_t ReconService::PublishLocked() {
   snapshot_.Store(BuildSnapshot(reconciler_.dataset(), clusters,
                                 options_.reconciler, generation_));
   counters_.flushes.fetch_add(1, std::memory_order_relaxed);
+  counters_.negprop_sources.store(reconciler_.stats().negprop_sources,
+                                  std::memory_order_relaxed);
+  counters_.graph_compactions.store(reconciler_.stats().graph_compactions,
+                                    std::memory_order_relaxed);
 
   if (wal_ != nullptr && !wal_failed_ &&
       options_.durability.checkpoint_every > 0 &&

@@ -76,6 +76,10 @@ struct ServiceCounters {
   std::atomic<int64_t> candidates_scored{0};
   std::atomic<int64_t> ingested_references{0};
   std::atomic<int64_t> flushes{0};
+  /// The reconciler's ReconcileStats::negprop_sources (latest flush) and
+  /// graph_compactions (cumulative), as of the latest ingest flush.
+  std::atomic<int64_t> negprop_sources{0};
+  std::atomic<int64_t> graph_compactions{0};
 };
 
 /// Result of answering one query batch against one pinned snapshot.

@@ -152,6 +152,12 @@ TEST_F(ServiceSmokeTest, IngestBumpsGenerationAndServesNewEntity) {
   EXPECT_EQ(doc.at("q").at("result").items()[0].at("name").AsString(),
             "Radia Perlman");
   EXPECT_EQ(doc.at("_snapshot").AsInt(), generation + 1);
+
+  // The flush's graph upkeep counters reach /stats: the reconciler's graph
+  // was built (and its four pools packed) before the first flush.
+  const json::Value stats = FetchJson("GET", "/stats", "", 200);
+  EXPECT_GE(stats.at("counters").at("negprop_sources").AsInt(), 0);
+  EXPECT_GE(stats.at("counters").at("graph_compactions").AsInt(), 4);
 }
 
 TEST_F(ServiceSmokeTest, EntityLookup) {

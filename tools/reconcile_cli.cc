@@ -425,6 +425,10 @@ int main(int argc, char** argv) {
               << " B (nodes " << result.stats.graph_node_bytes
               << " B, edges " << result.stats.graph_edge_bytes
               << " B, indices " << result.stats.graph_index_bytes << " B)\n";
+    std::cout << "Graph upkeep: negative propagation examined "
+              << result.stats.negprop_sources << " of "
+              << result.stats.num_non_merge_pairs << " non-merge pairs; "
+              << result.stats.graph_compactions << " pool compactions\n";
   }
   if (algo == "depgraph" && result.stats.num_pair_comparisons > 0) {
     std::cout << "Scoring: " << result.stats.num_pair_comparisons
