@@ -3,6 +3,7 @@
 // sequences, the graph's pair index, per-reference node lists, and edge
 // symmetry must all remain coherent.
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -63,6 +64,20 @@ void CheckInvariants(const DependencyGraph& graph, int num_refs) {
       EXPECT_TRUE(node.a == r || node.b == r);
     }
   }
+  // InRefList answers list membership for every live pair and endpoint,
+  // including the merged pairs enrichment drops from a merged-away list.
+  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
+    const Node& node = graph.node(id);
+    if (node.dead || !node.IsRefPair()) continue;
+    for (const RefId r : {static_cast<RefId>(node.a),
+                          static_cast<RefId>(node.b)}) {
+      const auto list = graph.NodesOfRef(r);
+      const bool listed = std::find(list.begin(), list.end(), id) != list.end();
+      EXPECT_EQ(graph.InRefList(r, id), listed)
+          << "pair " << id << " (" << node.a << "," << node.b << ") ref "
+          << r;
+    }
+  }
 }
 
 TEST(GraphFuzzTest, RandomMergeSequencesKeepInvariants) {
@@ -116,6 +131,20 @@ TEST(GraphFuzzTest, RandomMergeSequencesKeepInvariants) {
       const NodeId pair = graph.FindRefPair(a, b);
       if (pair != kInvalidNode) {
         graph.mutable_node(pair).state = NodeState::kMerged;
+      }
+      // Demote a merged pair now and then, as negative propagation does:
+      // enrichment has left it out of a merged-away reference's list, and
+      // a later merge renames it back into lists.
+      std::vector<NodeId> merged;
+      for (const NodeId id : ref_nodes) {
+        if (!graph.node(id).dead &&
+            graph.node(id).state == NodeState::kMerged) {
+          merged.push_back(id);
+        }
+      }
+      if (!merged.empty() && rng.NextBool(0.5)) {
+        graph.SetNodeState(merged[rng.NextBounded(merged.size())],
+                           NodeState::kNonMerge);
       }
       const int keep = refs.Union(a, b);
       const RefId gone = (keep == a) ? b : a;
