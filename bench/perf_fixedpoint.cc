@@ -137,13 +137,9 @@ int main(int argc, char** argv) {
     json.Add("cache_rebuilds", s_on.num_cache_rebuilds);
     json.Add("solve_seconds_off", off.solve_seconds);
     json.Add("solve_seconds_on", on.solve_seconds);
-    // Wavefront-drain breakdown (nonzero only when --threads resolves > 1;
-    // see perf_scaling for the thread sweep itself).
-    json.Add("solve_score_seconds_on", s_on.solve_score_seconds);
+    // The queue drain's share of the solve (the rest is constraint
+    // propagation and the closure).
     json.Add("solve_commit_seconds_on", s_on.solve_commit_seconds);
-    json.Add("solver_rounds_on", s_on.num_solver_rounds);
-    json.Add("score_hits_on", s_on.num_score_hits);
-    json.Add("serial_rescores_on", s_on.num_serial_rescores);
     json.Add("identical", identical ? std::string("true")
                                     : std::string("false"));
   }

@@ -61,8 +61,7 @@ void BM_DepGraphReconcile(benchmark::State& state) {
   // to the pairs/sec column of bench/perf_scaling.
   state.counters["pairs/s"] = benchmark::Counter(
       static_cast<double>(pairs_scored), benchmark::Counter::kIsRate);
-  // End-to-end throughput in input references per second — the headline
-  // number bench/perf_shard gates at the million-reference scale.
+  // End-to-end throughput in input references per second.
   state.counters["references_per_sec"] = benchmark::Counter(
       static_cast<double>(refs_processed), benchmark::Counter::kIsRate);
 }

@@ -1,192 +1,85 @@
-// Thread-scaling of the parallel phases at 1 / 2 / 4 / 8 threads.
+// Thread-scaling of the graph build at 1 / 2 / 4 / 8 threads: candidate
+// generation plus dependency-graph construction (which contains the
+// initial pairwise similarity scoring) on a Table-1-scale PIM A dataset.
+// Reports wall time, speedup over the serial path, and candidate pairs
+// scored per second. The fixed-point solve is sequential and is timed by
+// perf_fixedpoint instead.
 //
-// Section 1 — graph build: candidate generation plus dependency-graph
-// construction (which contains the initial pairwise similarity scoring)
-// on a Table-1-scale PIM A dataset. Reports wall time, speedup over the
-// serial path, and candidate pairs scored per second.
-//
-// Section 2 — fixed-point solve: the deterministic wavefront drain
-// (ReconcilerOptions::parallel_fixed_point, DESIGN.md §9) on PIM B. The
-// graph is built untimed per rep; the solve is timed best-of-three and
-// broken down into the parallel score phase and the region-partitioned
-// commit phase (DESIGN.md §13). commit_speedup in the JSON rows is the
-// gate tools/run_benches.sh --gate-speedup checks.
-//
-// At every thread count both sections check the output against the
-// one-thread run — partitions, merged pairs, merge and fold counts — and
-// the binary exits non-zero on any difference: parallelism must never
-// change the output.
+// At every thread count the partition is checked against the one-thread
+// run, and the binary exits non-zero on any difference: parallelism must
+// never change the output.
 
 #include <iostream>
 #include <string>
-#include <utility>
 
 #include "bench_common.h"
 #include "runtime/thread_pool.h"
 #include "util/timer.h"
 
-namespace {
-
-using namespace recon;
-
-/// True when `a` and `b` are the byte-identical reconciliation outcome.
-bool SameOutput(const ReconcileResult& a, const ReconcileResult& b) {
-  return a.cluster == b.cluster && a.merged_pairs == b.merged_pairs &&
-         a.stats.num_merges == b.stats.num_merges &&
-         a.stats.num_folds == b.stats.num_folds;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace recon;
   bench::ParseArgs(argc, argv);
-  bench::PrintHeader("Perf: thread scaling of graph build and solve",
+  bench::PrintHeader("Perf: thread scaling of the graph build",
                      "runtime/ subsystem (beyond the paper)");
   std::cout << "hardware threads: "
             << runtime::ThreadPool::HardwareConcurrency() << "\n";
 
   bench::JsonLog json;
 
-  // ---- Section 1: graph build scaling (PIM A) --------------------------
-  {
-    datagen::PimConfig config = datagen::PimConfigA();
-    const double scale = bench::BenchScale();
-    if (scale < 1.0) config = datagen::ScaleConfig(config, scale);
-    const Dataset dataset = datagen::GeneratePim(config);
-    std::cout << "\nGraph build, PIM A: " << dataset.num_references()
-              << " references\n\n";
+  datagen::PimConfig config = datagen::PimConfigA();
+  const double scale = bench::BenchScale();
+  if (scale < 1.0) config = datagen::ScaleConfig(config, scale);
+  const Dataset dataset = datagen::GeneratePim(config);
+  std::cout << "\nGraph build, PIM A: " << dataset.num_references()
+            << " references\n\n";
 
-    ReconcilerOptions options = ReconcilerOptions::DepGraph();
-    options.num_threads = 1;
-    const std::vector<int> serial_cluster =
-        Reconciler(options).Run(dataset).cluster;
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  options.num_threads = 1;
+  const std::vector<int> serial_cluster =
+      Reconciler(options).Run(dataset).cluster;
 
-    TablePrinter table({"Threads", "Build s", "Speedup", "Pairs/s", "Output"});
-    double serial_seconds = 0;
-    for (const int threads : {1, 2, 4, 8}) {
-      options.num_threads = threads;
-      // Best of three: thread-scaling numbers are noisy on shared machines.
-      double best_seconds = 0;
-      int num_candidates = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        Timer timer;
-        const BuiltGraph built = BuildDependencyGraph(dataset, options);
-        const double seconds = timer.ElapsedSeconds();
-        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-        num_candidates = built.num_candidates;
-      }
-      if (threads == 1) serial_seconds = best_seconds;
-      const bool identical =
-          Reconciler(options).Run(dataset).cluster == serial_cluster;
-      table.AddRow(
-          {std::to_string(threads), TablePrinter::Num(best_seconds, 3),
-           TablePrinter::Num(serial_seconds / best_seconds, 2) + "x",
-           TablePrinter::Num(num_candidates / best_seconds, 0),
-           identical ? "identical" : "MISMATCH"});
-      json.BeginRow();
-      json.Add("section", std::string("build"));
-      json.Add("threads", threads);
-      json.Add("build_seconds", best_seconds);
-      json.Add("speedup", serial_seconds / best_seconds);
-      json.Add("candidates_per_sec", num_candidates / best_seconds);
-      json.Add("references_per_sec", dataset.num_references() / best_seconds);
-      json.Add("identical",
-               identical ? std::string("true") : std::string("false"));
-      if (!identical) {
-        std::cerr << "FATAL: build output at " << threads
-                  << " threads differs from serial\n";
-        return 1;
-      }
+  TablePrinter table({"Threads", "Build s", "Speedup", "Pairs/s", "Output"});
+  double serial_seconds = 0;
+  for (const int threads : {1, 2, 4, 8}) {
+    options.num_threads = threads;
+    // Best of three: thread-scaling numbers are noisy on shared machines.
+    double best_seconds = 0;
+    int num_candidates = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      Timer timer;
+      const BuiltGraph built = BuildDependencyGraph(dataset, options);
+      const double seconds = timer.ElapsedSeconds();
+      if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+      num_candidates = built.num_candidates;
     }
-    table.Print(std::cout);
-  }
-
-  // ---- Section 2: fixed-point solve scaling (PIM B) --------------------
-  {
-    datagen::PimConfig config = datagen::PimConfigB();
-    const double scale = bench::BenchScale();
-    if (scale < 1.0) config = datagen::ScaleConfig(config, scale);
-    const Dataset dataset = datagen::GeneratePim(config);
-    std::cout << "\nFixed-point solve (wavefront rounds), PIM B: "
-              << dataset.num_references() << " references\n\n";
-
-    TablePrinter table({"Threads", "Solve s", "Score s", "Commit s",
-                        "Rounds", "Waves", "Regions", "Speedup", "Output"});
-    ReconcileResult serial_result;
-    double serial_seconds = 0;
-    double serial_commit_seconds = 0;
-    for (const int threads : {1, 2, 4, 8}) {
-      ReconcilerOptions options = ReconcilerOptions::DepGraph();
-      options.num_threads = threads;
-      const Reconciler reconciler(options);
-      ReconcileResult result;
-      double best_seconds = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        BuiltGraph built = BuildDependencyGraph(dataset, options);
-        Timer timer;
-        ReconcileResult r = reconciler.RunOnGraph(dataset, built);
-        const double seconds = timer.ElapsedSeconds();
-        if (rep == 0 || seconds < best_seconds) {
-          best_seconds = seconds;
-          result = std::move(r);
-        }
-      }
-      if (threads == 1) {
-        serial_seconds = best_seconds;
-        serial_commit_seconds = result.stats.solve_commit_seconds;
-        serial_result = result;
-      }
-      const bool identical = SameOutput(serial_result, result);
-      const ReconcileStats& s = result.stats;
-      table.AddRow({std::to_string(threads),
-                    TablePrinter::Num(best_seconds, 3),
-                    TablePrinter::Num(s.solve_score_seconds, 3),
-                    TablePrinter::Num(s.solve_commit_seconds, 3),
-                    std::to_string(s.num_solver_rounds),
-                    std::to_string(s.num_commit_waves),
-                    std::to_string(s.num_commit_regions),
-                    TablePrinter::Num(serial_seconds / best_seconds, 2) + "x",
-                    identical ? "identical" : "MISMATCH"});
-      json.BeginRow();
-      json.Add("section", std::string("solve"));
-      json.Add("threads", threads);
-      json.Add("solve_seconds", best_seconds);
-      json.Add("solve_score_seconds", s.solve_score_seconds);
-      json.Add("solve_commit_seconds", s.solve_commit_seconds);
-      json.Add("solver_rounds", s.num_solver_rounds);
-      json.Add("parallel_scored", s.num_parallel_scored);
-      json.Add("score_hits", s.num_score_hits);
-      json.Add("serial_rescores", s.num_serial_rescores);
-      json.Add("score_discards", s.num_score_discards);
-      json.Add("commit_waves", s.num_commit_waves);
-      json.Add("commit_regions", s.num_commit_regions);
-      json.Add("wave_commits", s.num_wave_commits);
-      json.Add("commit_deferrals", s.num_commit_deferrals);
-      json.Add("graph_bytes", s.graph_bytes);
-      json.Add("speedup", serial_seconds / best_seconds);
-      json.Add("commit_speedup",
-               serial_commit_seconds / s.solve_commit_seconds);
-      json.Add("references_per_sec", dataset.num_references() / best_seconds);
-      json.Add("identical",
-               identical ? std::string("true") : std::string("false"));
-      if (!identical) {
-        std::cerr << "FATAL: solve output at " << threads
-                  << " threads differs from one thread\n";
-        return 1;
-      }
+    if (threads == 1) serial_seconds = best_seconds;
+    const bool identical =
+        Reconciler(options).Run(dataset).cluster == serial_cluster;
+    table.AddRow(
+        {std::to_string(threads), TablePrinter::Num(best_seconds, 3),
+         TablePrinter::Num(serial_seconds / best_seconds, 2) + "x",
+         TablePrinter::Num(num_candidates / best_seconds, 0),
+         identical ? "identical" : "MISMATCH"});
+    json.BeginRow();
+    json.Add("section", std::string("build"));
+    json.Add("threads", threads);
+    json.Add("build_seconds", best_seconds);
+    json.Add("speedup", serial_seconds / best_seconds);
+    json.Add("candidates_per_sec", num_candidates / best_seconds);
+    json.Add("references_per_sec", dataset.num_references() / best_seconds);
+    json.Add("identical",
+             identical ? std::string("true") : std::string("false"));
+    if (!identical) {
+      std::cerr << "FATAL: build output at " << threads
+                << " threads differs from serial\n";
+      return 1;
     }
-    table.Print(std::cout);
   }
+  table.Print(std::cout);
 
   json.Write(bench::JsonPathFromArgs(argc, argv));
-  std::cout << "\nSpeedup is bounded by the hardware thread count above. "
-               "The commit phase\nnow partitions each wave by connected "
-               "region and commits disjoint regions\nin parallel "
-               "(DESIGN.md §13); output stays byte-identical at every "
-               "thread\ncount, checked above. On a 1-CPU container every "
-               "speedup is ~1x by\nconstruction; tools/run_benches.sh "
-               "--gate-speedup applies the scaling gate\nonly when the "
-               "hardware can express it.\n";
+  std::cout << "\nSpeedup is bounded by the hardware thread count above; "
+               "output stays\nbyte-identical at every thread count, checked "
+               "above.\n";
   return 0;
 }

@@ -16,7 +16,6 @@
 #include "strsim/simd_dispatch.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace recon {
 
@@ -202,7 +201,7 @@ class GraphBuilder {
     SeedPairs(candidates);
     // Constraint 1: authors of one article are distinct persons. Creates
     // non-merge nodes even where no atomic similarity exists (§3.4).
-    if (options_.constraints && overrides_.mark_coauthor_constraints) {
+    if (options_.constraints) {
       MarkCoAuthorConstraints(/*first_ref=*/0);
     }
 
@@ -303,20 +302,11 @@ class GraphBuilder {
   /// the resulting graph is identical to seeding one pair at a time. A
   /// budget stop truncates the apply loop at a chunk boundary: the graph
   /// then holds a prefix of the canonical pair order, which is
-  /// structurally consistent (every applied pair is complete). With a
-  /// shard plan (DESIGN.md §14) the staging order changes — shard-major,
-  /// per-shard budget epochs, then the cross-shard boundary pass — but
-  /// staging is pure and the apply order is unchanged, so the graph stays
-  /// byte-identical to the monolithic build's.
+  /// structurally consistent (every applied pair is complete).
   void SeedPairs(const std::vector<std::pair<RefId, RefId>>& pairs) {
     const int64_t n = static_cast<int64_t>(pairs.size());
     std::vector<StagedPair> staged(pairs.size());
-    if (overrides_.shard_plan != nullptr &&
-        overrides_.shard_plan->num_shards > 1) {
-      StageSharded(pairs, *overrides_.shard_plan, &staged);
-    } else {
-      StageBlocked(pairs, &staged);
-    }
+    StageBlocked(pairs, &staged);
     if (store_ != nullptr) {
       built_->num_value_analyses = store_->num_analyses();
     }
@@ -330,7 +320,7 @@ class GraphBuilder {
     ReportGraphMemory();
   }
 
-  /// Monolithic staging: blocked lanes over the candidate order.
+  /// Blocked lanes over the candidate order.
   void StageBlocked(const std::vector<std::pair<RefId, RefId>>& pairs,
                     std::vector<StagedPair>* staged) {
     const int64_t n = static_cast<int64_t>(pairs.size());
@@ -343,11 +333,8 @@ class GraphBuilder {
         [&](const runtime::Block& block) {
           StageScratch& lane_scratch = scratch[block.lane];
           if (store_ != nullptr) {
-            StageSpanBatched(
-                pairs, block.end - block.begin,
-                [&](int64_t t) { return block.begin + t; },
-                [&] { return budget_->ShouldAbandonParallelWork(); },
-                lane_scratch, batch[block.lane], staged);
+            StageSpanBatched(pairs, block.begin, block.end, lane_scratch,
+                             batch[block.lane], staged);
             return;
           }
           for (int64_t i = block.begin; i < block.end; ++i) {
@@ -367,133 +354,12 @@ class GraphBuilder {
     // the store on, analyses happen in Sync (one per distinct value), so
     // the cumulative store count is authoritative instead of the lanes.
     for (const StageScratch& lane : scratch) {
-      AccumulateScratch(lane);
-    }
-  }
-
-  /// Lane counters roll into the build totals serially, in lane order.
-  void AccumulateScratch(const StageScratch& lane) {
-    built_->num_pair_comparisons += lane.pair_comparisons;
-    built_->num_value_analyses += lane.value_analyses;
-    built_->num_sim_memo_hits += lane.memo_hits;
-    built_->num_sim_memo_misses += lane.memo_misses;
-    built_->num_prefilter_skips += lane.prefilter_skips;
-    built_->num_prefilter_exact += lane.prefilter_exact;
-  }
-
-  /// Shard-major staging: every intra-shard pair is staged on its shard's
-  /// lane under that shard's budget epoch (one lane per shard, shards in
-  /// parallel on the pool), then the cross-shard boundary pairs are staged
-  /// blocked under the build's own budget. Pure staging in a different
-  /// grouping; the staged array is indexed by candidate position either
-  /// way.
-  void StageSharded(const std::vector<std::pair<RefId, RefId>>& pairs,
-                    const ShardStagePlan& plan,
-                    std::vector<StagedPair>* staged) {
-    const int64_t n = static_cast<int64_t>(pairs.size());
-    const int k = plan.num_shards;
-    const std::vector<int>& shard_of = *plan.shard_of;
-    // Bucket candidate positions: shard s for intra pairs, slot k for the
-    // boundary.
-    std::vector<std::vector<int64_t>> bucket(k + 1);
-    for (int64_t i = 0; i < n; ++i) {
-      const int s1 = shard_of[pairs[i].first];
-      const int s2 = shard_of[pairs[i].second];
-      bucket[s1 == s2 ? s1 : k].push_back(i);
-    }
-
-    std::vector<StageScratch> shard_scratch(k);
-    std::vector<BatchLane> shard_batch(store_ != nullptr ? k : 0);
-    std::vector<double> lane_seconds(k, 0);
-    Timer phase_timer;
-    runtime::ParallelFor(
-        options_.num_threads, 0, k, /*grain=*/1, [&](int64_t s) {
-          Timer lane_timer;
-          BudgetTracker* epoch =
-              s < static_cast<int64_t>(plan.shard_budgets.size())
-                  ? plan.shard_budgets[s]
-                  : nullptr;
-          StageScratch& scratch = shard_scratch[s];
-          const std::vector<int64_t>& mine = bucket[s];
-          auto abandon = [&] {
-            return (epoch != nullptr && epoch->ShouldAbandonParallelWork()) ||
-                   budget_->ShouldAbandonParallelWork();
-          };
-          if (store_ != nullptr) {
-            StageSpanBatched(pairs, static_cast<int64_t>(mine.size()),
-                             [&](int64_t t) { return mine[t]; }, abandon,
-                             scratch, shard_batch[s], staged);
-            lane_seconds[s] = lane_timer.ElapsedSeconds();
-            return;
-          }
-          for (size_t j = 0; j < mine.size(); ++j) {
-            if (j % 64 == 0 && abandon()) {
-              return;
-            }
-            const int64_t i = mine[j];
-            StagePair(pairs[i].first, pairs[i].second, scratch,
-                      &(*staged)[i]);
-          }
-          lane_seconds[s] = lane_timer.ElapsedSeconds();
-        });
-    for (BudgetTracker* epoch : plan.shard_budgets) {
-      if (epoch != nullptr) epoch->ResolveAsyncStop();
-    }
-    const double shard_phase_seconds = phase_timer.ElapsedSeconds();
-
-    // Boundary pass: the pairs whose members landed in different shards,
-    // staged blocked across the full pool under the build's budget.
-    const std::vector<int64_t>& boundary = bucket[k];
-    const int64_t nb = static_cast<int64_t>(boundary.size());
-    const runtime::BlockPlan bplan =
-        runtime::PlanBlocks(options_.num_threads, 0, nb, /*grain=*/0);
-    std::vector<StageScratch> boundary_scratch(bplan.num_lanes);
-    std::vector<BatchLane> boundary_batch(store_ != nullptr ? bplan.num_lanes
-                                                            : 0);
-    Timer boundary_timer;
-    runtime::ParallelForBlocked(
-        options_.num_threads, 0, nb, bplan.grain,
-        [&](const runtime::Block& block) {
-          StageScratch& lane_scratch = boundary_scratch[block.lane];
-          if (store_ != nullptr) {
-            StageSpanBatched(
-                pairs, block.end - block.begin,
-                [&](int64_t t) { return boundary[block.begin + t]; },
-                [&] { return budget_->ShouldAbandonParallelWork(); },
-                lane_scratch, boundary_batch[block.lane], staged);
-            return;
-          }
-          for (int64_t j = block.begin; j < block.end; ++j) {
-            if ((j - block.begin) % 64 == 0 &&
-                budget_->ShouldAbandonParallelWork()) {
-              return;
-            }
-            const int64_t i = boundary[j];
-            StagePair(pairs[i].first, pairs[i].second, lane_scratch,
-                      &(*staged)[i]);
-          }
-        });
-    budget_->ResolveAsyncStop();
-    const double boundary_seconds = boundary_timer.ElapsedSeconds();
-
-    // Shard order then boundary lane order: deterministic totals.
-    for (const StageScratch& scratch : shard_scratch) {
-      AccumulateScratch(scratch);
-    }
-    for (const StageScratch& scratch : boundary_scratch) {
-      AccumulateScratch(scratch);
-    }
-
-    if (plan.stats != nullptr) {
-      plan.stats->shard_pairs.assign(k, 0);
-      for (int s = 0; s < k; ++s) {
-        plan.stats->shard_pairs[s] =
-            static_cast<int64_t>(bucket[s].size());
-      }
-      plan.stats->shard_lane_seconds = lane_seconds;
-      plan.stats->shard_phase_seconds = shard_phase_seconds;
-      plan.stats->boundary_pairs = nb;
-      plan.stats->boundary_seconds = boundary_seconds;
+      built_->num_pair_comparisons += lane.pair_comparisons;
+      built_->num_value_analyses += lane.value_analyses;
+      built_->num_sim_memo_hits += lane.memo_hits;
+      built_->num_sim_memo_misses += lane.memo_misses;
+      built_->num_prefilter_skips += lane.prefilter_skips;
+      built_->num_prefilter_exact += lane.prefilter_exact;
     }
   }
 
@@ -1062,31 +928,28 @@ class GraphBuilder {
     }
   }
 
-  /// Stages `count` candidate pairs — positions `index(t)` for t in
-  /// [0, count) — through the blocked batch path. `abandon()` is the
-  /// lane's composite budget probe, checked every 64 gathered pairs just
-  /// like the per-pair loops; an abandon truncates the gather but the
-  /// pairs already gathered still sweep and assemble (both paths leave
-  /// "some prefix staged, the rest default no-ops").
-  template <typename IndexFn, typename AbandonFn>
+  /// Stages candidate positions [begin, end) through the blocked batch
+  /// path. The budget is checked every 64 gathered pairs just like the
+  /// per-pair loop; an abandon truncates the gather but the pairs already
+  /// gathered still sweep and assemble (both paths leave "some prefix
+  /// staged, the rest default no-ops").
   void StageSpanBatched(const std::vector<std::pair<RefId, RefId>>& pairs,
-                        int64_t count, IndexFn index, AbandonFn abandon,
-                        StageScratch& scratch, BatchLane& lane,
+                        int64_t begin, int64_t end, StageScratch& scratch,
+                        BatchLane& lane,
                         std::vector<StagedPair>* staged) const {
-    for (int64_t base = 0; base < count; base += kScoreBlock) {
-      const int64_t block_end = std::min(count, base + kScoreBlock);
+    for (int64_t base = begin; base < end; base += kScoreBlock) {
+      const int64_t block_end = std::min(end, base + kScoreBlock);
       for (auto& tasks : lane.tasks) tasks.clear();
       lane.plan.clear();
       bool abandoned = false;
 
       // Wave 1: gather the channels every pair stages unconditionally —
       // all four person channels, article titles, venue names.
-      for (int64_t t = base; t < block_end; ++t) {
-        if ((t - base) % 64 == 0 && abandon()) {
+      for (int64_t i = base; i < block_end; ++i) {
+        if ((i - base) % 64 == 0 && budget_->ShouldAbandonParallelWork()) {
           abandoned = true;
           break;
         }
-        const int64_t i = index(t);
         StagedPair* out = &(*staged)[i];
         out->r1 = pairs[i].first;
         out->r2 = pairs[i].second;

@@ -63,62 +63,13 @@ struct BuiltGraph {
 void InternReferenceValues(const Dataset& dataset, RefId first_ref,
                            BuiltGraph& built);
 
-/// Per-phase observability of a shard-staged build (filled by the builder
-/// when BuildOverrides::shard_plan is set).
-struct ShardStageStats {
-  /// Intra-shard candidate pairs staged, per shard.
-  std::vector<int64_t> shard_pairs;
-  /// Wall-clock seconds each shard's staging lane spent.
-  std::vector<double> shard_lane_seconds;
-  /// Wall-clock seconds of the whole parallel shard staging phase.
-  double shard_phase_seconds = 0;
-  /// Cross-shard ("boundary") candidate pairs staged.
-  int64_t boundary_pairs = 0;
-  /// Wall-clock seconds of the boundary staging pass.
-  double boundary_seconds = 0;
-};
-
-/// Shard-major staging plan (src/shard/, DESIGN.md §14). Staging a
-/// candidate pair — the string comparisons and evidence analysis — is a
-/// pure function of the two references, so it can run in any grouping; the
-/// staged mutations are applied serially in candidate order either way.
-/// When a plan is set, SeedPairs stages every pair whose members share a
-/// shard on that shard's lane under that shard's budget epoch, then stages
-/// the cross-shard (boundary) pairs under the build's own budget, and only
-/// then applies — producing a graph byte-identical to the monolithic
-/// build's while the expensive staging work runs shard-parallel with
-/// shard-local reference access.
-struct ShardStagePlan {
-  /// Per RefId: owning shard in [0, num_shards).
-  const std::vector<int>* shard_of = nullptr;
-  int num_shards = 1;
-  /// Per shard: the budget epoch its staging runs under (entries may be
-  /// null; only ShouldAbandonParallelWork / ResolveAsyncStop are used, so
-  /// the epochs are safe to probe from pool lanes).
-  std::vector<BudgetTracker*> shard_budgets;
-  /// Optional out-param for per-phase staging stats.
-  ShardStageStats* stats = nullptr;
-};
-
-/// Build-time hooks for callers that orchestrate a build over a partition
-/// of one logical dataset (the sharded reconciler, src/shard/). All
-/// default to the ordinary monolithic build.
+/// Build-time hooks. The default is the ordinary build.
 struct BuildOverrides {
   /// Candidate pairs to seed instead of running candidate generation
   /// (must be deduplicated, first < second, sorted — the contract of
-  /// GenerateCandidates). The sharded reconciler generates candidates once
-  /// globally so it can split them by shard before the build.
+  /// GenerateCandidates). Lets a caller time or reuse candidate generation
+  /// separately from the build.
   const CandidateList* candidates = nullptr;
-  /// Apply the builder's own co-author constraint marking. Callers that
-  /// reconcile condensed datasets disable it — a condensed reference's
-  /// association list is the union over its members, so marking all author
-  /// pairs of a condensed article would forbid pairs no original article
-  /// constrains — and inject constraint pairs computed on the original
-  /// dataset via feedback.distinct instead (the identical graph effect).
-  bool mark_coauthor_constraints = true;
-  /// Stage candidate pairs shard-by-shard (see ShardStagePlan). Null means
-  /// the ordinary blocked parallel staging.
-  const ShardStagePlan* shard_plan = nullptr;
 };
 
 /// Builds the dependency graph for `dataset` under `options`. `budget`

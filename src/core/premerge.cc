@@ -8,29 +8,16 @@
 #include "util/union_find.h"
 
 namespace recon {
+namespace {
 
-PremergeResult PremergeEqualEmails(const Dataset& dataset,
-                                   const SchemaBinding& binding) {
-  const int n = dataset.num_references();
-  UnionFind groups(n);
-
-  if (binding.person >= 0 && binding.person_email >= 0) {
-    std::unordered_map<std::string, RefId> first_with_email;
-    for (RefId id = 0; id < n; ++id) {
-      const Reference& ref = dataset.reference(id);
-      if (ref.class_id() != binding.person) continue;
-      for (const std::string& email :
-           ref.atomic_values(binding.person_email)) {
-        auto [it, inserted] =
-            first_with_email.try_emplace(ToLower(email), id);
-        if (!inserted) groups.Union(it->second, id);
-      }
-    }
-  }
-
-  return CondenseByGroups(dataset, groups);
-}
-
+/// Condenses `dataset` by the disjoint sets of `groups` (a union-find over
+/// its reference ids): each set becomes one enriched reference with unioned
+/// atomic values and associations remapped to condensed ids (self-links
+/// dropped). Condensed ids are assigned in ascending order of each set's
+/// smallest member, so original_rep is strictly increasing — a clustering of
+/// the condensed dataset whose representatives are smallest condensed
+/// members therefore expands (ExpandClusters) to smallest-original-member
+/// representatives.
 PremergeResult CondenseByGroups(const Dataset& dataset, UnionFind& groups) {
   const int n = dataset.num_references();
   RECON_CHECK_EQ(groups.size(), n);
@@ -68,6 +55,30 @@ PremergeResult CondenseByGroups(const Dataset& dataset, UnionFind& groups) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+PremergeResult PremergeEqualEmails(const Dataset& dataset,
+                                   const SchemaBinding& binding) {
+  const int n = dataset.num_references();
+  UnionFind groups(n);
+
+  if (binding.person >= 0 && binding.person_email >= 0) {
+    std::unordered_map<std::string, RefId> first_with_email;
+    for (RefId id = 0; id < n; ++id) {
+      const Reference& ref = dataset.reference(id);
+      if (ref.class_id() != binding.person) continue;
+      for (const std::string& email :
+           ref.atomic_values(binding.person_email)) {
+        auto [it, inserted] =
+            first_with_email.try_emplace(ToLower(email), id);
+        if (!inserted) groups.Union(it->second, id);
+      }
+    }
+  }
+
+  return CondenseByGroups(dataset, groups);
 }
 
 std::vector<int> ExpandClusters(const PremergeResult& premerge,

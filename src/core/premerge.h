@@ -16,7 +16,6 @@
 
 #include "core/schema_binding.h"
 #include "model/dataset.h"
-#include "util/union_find.h"
 
 namespace recon {
 
@@ -36,17 +35,6 @@ struct PremergeResult {
 /// label and provenance are kept.
 PremergeResult PremergeEqualEmails(const Dataset& dataset,
                                    const SchemaBinding& binding);
-
-/// Condenses `dataset` by the disjoint sets of `groups` (a union-find over
-/// its reference ids): each set becomes one enriched reference with unioned
-/// atomic values and associations remapped to condensed ids (self-links
-/// dropped). Condensed ids are assigned in ascending order of each set's
-/// smallest member, so original_rep is strictly increasing — a clustering of
-/// the condensed dataset whose representatives are smallest condensed
-/// members therefore expands (ExpandClusters) to smallest-original-member
-/// representatives. The email premerge and the sharded reconciler's
-/// fold-and-residual pass (src/shard/) are both built on this.
-PremergeResult CondenseByGroups(const Dataset& dataset, UnionFind& groups);
 
 /// Lifts a clustering of the condensed dataset back to the original
 /// references, with canonical representatives drawn from the original ids.

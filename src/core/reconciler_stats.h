@@ -4,27 +4,10 @@
 #define RECON_CORE_RECONCILER_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/budget.h"
 
 namespace recon {
-
-/// One parallel wavefront round of the fixed-point solve (DESIGN.md §9):
-/// how large the snapshotted frontier was, how many parallel scores were
-/// committed as-is vs. re-scored serially after a generation mismatch, and
-/// the wall time of each phase.
-struct SolveRoundStat {
-  int64_t frontier = 0;
-  int64_t score_hits = 0;
-  int64_t serial_rescores = 0;
-  /// Frontier scores dropped because the node was dead (folded away) or
-  /// demoted to non-merge by the time it was popped. frontier =
-  /// score_hits + serial_rescores + score_discards.
-  int64_t score_discards = 0;
-  double score_seconds = 0;
-  double commit_seconds = 0;
-};
 
 /// Counters for one reconciliation run (graph size feeds Table 6; timings
 /// feed the perf bench). 64-bit throughout: the solver's iteration cap is
@@ -87,55 +70,9 @@ struct ReconcileStats {
   /// (strsim::SimdLevelName: "scalar", "generic", "sse42", "avx2").
   const char* simd_dispatch = "scalar";
 
-  // Parallel wavefront counters (ReconcilerOptions::parallel_fixed_point).
-  // Deterministic for a given input at every thread count > 1; all zero on
-  // the sequential drain. Like the cache counters, they are observational:
-  // everything above is byte-identical in either mode.
-  /// Wavefront rounds executed (frontier snapshots that went parallel).
-  int64_t num_solver_rounds = 0;
-  /// Frontier nodes scored during parallel phases.
+  // Always 0 (no parallel solve); perfbench/src/batch.cc reads them.
   int64_t num_parallel_scored = 0;
-  /// Parallel scores committed as-is (generation stamp still matched).
-  int64_t num_score_hits = 0;
-  /// Frontier nodes re-scored serially at commit because an earlier commit
-  /// in the same round mutated one of their inputs.
-  int64_t num_serial_rescores = 0;
-  /// Frontier scores dropped at commit: the node had been folded away or
-  /// demoted mid-round (the serial drain skips such pops identically).
   int64_t num_score_discards = 0;
-
-  // Region-partitioned commit counters (DESIGN.md §13). Deterministic at
-  // every thread count: the wave schedule is a pure function of each
-  // round's snapshot.
-  /// Multi-pop waves whose disjoint regions committed concurrently.
-  int64_t num_commit_waves = 0;
-  /// Disjoint regions executed across those waves.
-  int64_t num_commit_regions = 0;
-  /// Frontier commits that ran inside waves (the parallelized share of
-  /// the commit phase; the rest committed serially in place).
-  int64_t num_wave_commits = 0;
-  /// Wave members rolled back because an in-wave re-score unpredictedly
-  /// crossed the merge threshold: the crossing member and everything at
-  /// or after its wave position restore their pre-images from the undo
-  /// logs and replay serially at their exact canonical positions.
-  int64_t num_commit_deferrals = 0;
-
-  // Canopy-sharded reconciliation counters (src/shard/, DESIGN.md §14).
-  // All zero on the monolithic solve.
-  /// Shards the references were partitioned into (0 = not sharded).
-  int64_t num_shards = 0;
-  /// Candidate pairs whose members landed in different shards; their
-  /// nodes are built only in the residual boundary pass.
-  int64_t num_boundary_pairs = 0;
-  /// Merges committed inside the per-shard solves.
-  int64_t num_shard_merges = 0;
-  /// Merges committed by the residual boundary pass (cross-shard entity
-  /// repairs the per-shard solves could not see).
-  int64_t num_boundary_merges = 0;
-  /// Wall time of the parallel per-shard solves and of the residual
-  /// boundary pass (both included in build/solve_seconds' totals).
-  double shard_seconds = 0;
-  double boundary_seconds = 0;
 
   /// Heap footprint of the dependency graph's CSR storage
   /// (DependencyGraph::bytes), split by pool family: node array + static
@@ -172,18 +109,11 @@ struct ReconcileStats {
   int64_t num_budget_probes = 0;
 
   double build_seconds = 0;
-  /// Total solve wall time (rounds + serial segments + constraint
-  /// propagation + closure). build/solve are lump phase timers; the solve
-  /// drain itself is broken down below.
+  /// Total solve wall time (queue drain + constraint propagation +
+  /// closure). build/solve are lump phase timers.
   double solve_seconds = 0;
-  /// Wall time of the parallel score phases (sum over rounds; 0 when the
-  /// drain ran sequentially).
-  double solve_score_seconds = 0;
-  /// Wall time of the serial commit phases plus sequential drain segments.
-  /// On a fully sequential solve this is the entire queue drain.
+  /// Wall time of the queue drain alone (part of solve_seconds).
   double solve_commit_seconds = 0;
-  /// Per-round breakdown, one entry per wavefront round.
-  std::vector<SolveRoundStat> solve_rounds;
 };
 
 }  // namespace recon

@@ -85,7 +85,7 @@ PimConfig PimConfigD();
 
 /// Returns `config` with every population count scaled by `factor`:
 /// `factor` < 1 shrinks it for tests, `factor` > 1 grows it past the
-/// paper's corpus (bench/perf_shard reaches 1M+ references this way).
+/// paper's corpus (the 1M-reference benchmark workload is 26x PIM B).
 PimConfig ScaleConfig(PimConfig config, double factor);
 
 /// Generates the dataset (references + gold labels + provenance).

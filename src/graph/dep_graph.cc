@@ -162,7 +162,6 @@ void DependencyGraph::AddEdge(NodeId from, NodeId to, DependencyKind kind,
   in_pool_.Append(to, Edge{from, kind, ev});
   const Node& src = nodes_[from];
   Node& dst = nodes_[to];
-  ++dst.gen;  // New input: any in-flight parallel score of `to` is stale.
   // Push the new source's current contribution so `to`'s evidence cache
   // stays valid: this is exactly what a rescan would read for this edge
   // right now, and later source changes arrive as solver deltas (sim
@@ -187,10 +186,8 @@ void DependencyGraph::AddEdge(NodeId from, NodeId to, DependencyKind kind,
 
 void DependencyGraph::AddStaticReal(NodeId id, int evidence, double sim) {
   // Statics feed the cached summary through the same max, so the cache
-  // absorbs the new value directly and stays valid. The node's own score
-  // inputs changed, so its generation moves.
+  // absorbs the new value directly and stays valid.
   Node& node = nodes_[id];
-  ++node.gen;
   node.cache.Offer(evidence, static_cast<float>(sim));
   const int16_t ev = static_cast<int16_t>(evidence);
   for (StaticReal& entry : static_pool_.mutable_span(id)) {
@@ -218,7 +215,6 @@ bool DependencyGraph::SetNodeState(NodeId id, NodeState state) {
   const bool is_merged = state == NodeState::kMerged;
   const float node_sim = node.sim;
   for (const Edge& e : out_pool_.span(id)) {
-    ++nodes_[e.node].gen;  // A source's state is a score input.
     EvidenceCache& cache = nodes_[e.node].cache;
     if (!cache.valid) continue;
     if (e.kind == DependencyKind::kRealValued) {
@@ -250,7 +246,6 @@ bool DependencyGraph::SetNodeState(NodeId id, NodeState state) {
 void DependencyGraph::InvalidateDependentCaches(NodeId id) {
   for (const Edge& e : out_pool_.span(id)) {
     nodes_[e.node].cache.valid = false;
-    ++nodes_[e.node].gen;
   }
 }
 
@@ -284,9 +279,6 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   MarkDirty(from);
   MarkDirty(into);
   const float old_sim = nodes_[into].sim;
-  // The fold rewrites dst's inputs wholesale (in-edges, statics, sim);
-  // one conservative bump covers every mutation below that targets dst.
-  ++nodes_[into].gen;
 
   bool gained = false;
   // Reconnect incoming dependencies: x -> from becomes x -> into. The
@@ -324,7 +316,6 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
                  back.evidence == e.evidence;
         })) {
       --num_edges_;
-      ++nodes_[e.node].gen;  // Lost an input.
     }
     if (e.node == into) {
       // dst loses src's own real-valued contribution; its cached channel
@@ -397,7 +388,6 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
     const float dst_sim = dst.sim;
     for (const Edge& e : out_pool_.span(into)) {
       if (e.kind != DependencyKind::kRealValued) continue;
-      ++nodes_[e.node].gen;
       EvidenceCache& cache = nodes_[e.node].cache;
       if (cache.valid) cache.Offer(e.evidence, dst_sim);
     }

@@ -119,18 +119,6 @@ struct Node {
   /// it; graph surgery and the mutators below keep `valid` honest.
   EvidenceCache cache;
 
-  /// Input generation: bumped by every mutation that can change what this
-  /// node's similarity computation would return — a source's sim raise or
-  /// state change, an in-edge added or lost, static evidence gained, a fold
-  /// into this node, a cache invalidation. The parallel wavefront solver
-  /// stamps it when scoring a frontier node in parallel and discards the
-  /// score at commit time if the stamp no longer matches (an earlier commit
-  /// in the same round mutated an input), re-scoring serially instead.
-  /// Over-bumping is safe (it only forces a serial re-score); missing a
-  /// bump would silently commit a stale score, so every dep_graph.cc
-  /// mutation site and solver commit bumps conservatively.
-  uint32_t gen = 0;
-
   bool IsRefPair() const { return kind == NodeKind::kReferencePair; }
   int32_t Other(int32_t element) const { return element == a ? b : a; }
 };

@@ -8,7 +8,7 @@
 // iterations, merges, soft memory estimate) and a CancellationToken lets
 // another thread request a stop; both are observed cooperatively at cheap,
 // deterministic probe points (candidate batches, canopy centers,
-// graph-builder staging chunks, solver round/commit boundaries). On
+// graph-builder staging chunks, the solver drain and each queue pop). On
 // exhaustion the pipeline never aborts: it finishes the current
 // deterministic unit, freezes the solve, and degrades gracefully,
 // reporting a StopReason in ReconcileStats.
@@ -43,7 +43,7 @@ enum class ProbePoint {
   kCandidates = 0,  ///< Candidate-generation batch boundaries.
   kCanopy,          ///< Canopy-sweep center boundaries.
   kBuild,           ///< Graph-builder staging chunk boundaries.
-  kSolveRound,      ///< Solver round / serial-segment boundaries.
+  kSolveRound,      ///< Start of each solver drain (one per Run()).
   kSolveCommit,     ///< Solver commit boundaries (one per queue pop).
 };
 inline constexpr int kNumProbePoints = 5;
@@ -192,8 +192,8 @@ class BudgetTracker {
     return stop_reason_.load(std::memory_order_acquire);
   }
 
-  /// Read-only check for code running on pool threads (the wavefront's
-  /// parallel score phase, staging blocks): whether in-flight speculative
+  /// Read-only check for code running on pool threads (candidate and
+  /// canopy sweeps, staging blocks): whether in-flight speculative
   /// work has become pointless. Never mutates probe counters or the stop
   /// reason — the owning serial code re-checks at its next probe, so
   /// abandoning here affects wall time only, never output.

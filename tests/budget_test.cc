@@ -254,8 +254,6 @@ TEST(BudgetDeterminismTest, IterationAndMergeStopsAreThreadInvariant) {
   for (const bool use_merge_budget : {false, true}) {
     for (const int64_t limit : {int64_t{1}, int64_t{7}, int64_t{60}}) {
       ReconcilerOptions options = ReconcilerOptions::DepGraph();
-      // Force wavefront rounds even on this deliberately small graph.
-      options.parallel_frontier_min = 4;
       if (use_merge_budget) {
         options.budget.max_merges = limit;
       } else {
@@ -287,7 +285,6 @@ TEST(BudgetDeterminismTest, SolveCommitInjectionIsThreadInvariant) {
   // thread count.
   const Dataset dataset = SmallPim();
   ReconcilerOptions options = ReconcilerOptions::DepGraph();
-  options.parallel_frontier_min = 4;
   options.num_threads = 1;
   options.probe_hook = std::make_shared<FaultInjector>(
       ProbePoint::kSolveCommit, 25, StopReason::kIterationBudget);

@@ -400,8 +400,6 @@ void FlushSweep(const Dataset& full, const std::string& name) {
     ReconcilerOptions options = ReconcilerOptions::DepGraph();
     options.premerge_equal_emails = false;
     options.constraints = constraints;
-    // Force wavefront rounds even on these deliberately small graphs.
-    options.parallel_frontier_min = 4;
     FlushFingerprint first;
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(name + " constraints=" + std::to_string(constraints) +
@@ -458,7 +456,6 @@ TEST(IncrementalGoldenTest, CoraFlushSweep) {
 void ExpectNegativeFixpoint(const Dataset& full, const std::string& name) {
   ReconcilerOptions options = ReconcilerOptions::DepGraph();
   options.premerge_equal_emails = false;
-  options.parallel_frontier_min = 4;
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(name + " threads=" + std::to_string(threads));
     options.num_threads = threads;

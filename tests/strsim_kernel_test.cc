@@ -8,7 +8,7 @@
 //     directly and through a ~10^6-pair title-prefilter sweep with zero
 //     divergence;
 //   - full reconciliation output is byte-identical with kernels on vs
-//     forced to the scalar reference, across threads and shards, on PIM
+//     forced to the scalar reference, at one and four threads, on PIM
 //     and Cora shapes;
 //   - the widened SimMemo key keeps triples distinct that the old packed
 //     key collided (ValueId >= 2^26 bleeding into the evidence bits).
@@ -28,7 +28,6 @@
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
 #include "model/dataset.h"
-#include "shard/sharded_reconciler.h"
 #include "sim/comparators.h"
 #include "sim/evidence.h"
 #include "sim/value_store.h"
@@ -435,30 +434,26 @@ Dataset SmallCora() {
 void SweepKernelIdentity(const Dataset& dataset, const std::string& name) {
   ScopedSimdLevel restore;
   const strsim::SimdLevel detected = strsim::DetectedSimdLevel();
-  for (const int shards : {1, 4}) {
-    for (const int threads : {1, 2, 4, 8}) {
-      ReconcilerOptions options;
-      options.num_shards = shards;
-      options.num_threads = threads;
-      strsim::SetSimdLevel(detected);
-      const ReconcileResult on = shard::ShardedReconcile(dataset, options);
-      strsim::SetSimdLevel(strsim::SimdLevel::kScalar);
-      const ReconcileResult off = shard::ShardedReconcile(dataset, options);
-      const std::string what = name + " shards=" + std::to_string(shards) +
-                               " threads=" + std::to_string(threads);
-      EXPECT_EQ(off.cluster, on.cluster) << what;
-      EXPECT_EQ(off.merged_pairs, on.merged_pairs) << what;
-      EXPECT_EQ(off.stats.num_merges, on.stats.num_merges) << what;
-      EXPECT_EQ(off.stats.num_folds, on.stats.num_folds) << what;
-    }
+  for (const int threads : {1, 4}) {
+    ReconcilerOptions options;
+    options.num_threads = threads;
+    strsim::SetSimdLevel(detected);
+    const ReconcileResult on = Reconciler(options).Run(dataset);
+    strsim::SetSimdLevel(strsim::SimdLevel::kScalar);
+    const ReconcileResult off = Reconciler(options).Run(dataset);
+    const std::string what = name + " threads=" + std::to_string(threads);
+    EXPECT_EQ(off.cluster, on.cluster) << what;
+    EXPECT_EQ(off.merged_pairs, on.merged_pairs) << what;
+    EXPECT_EQ(off.stats.num_merges, on.stats.num_merges) << what;
+    EXPECT_EQ(off.stats.num_folds, on.stats.num_folds) << what;
   }
 }
 
-TEST(KernelIdentityTest, PimBByteIdenticalAcrossThreadsAndShards) {
+TEST(KernelIdentityTest, PimBByteIdenticalAcrossThreads) {
   SweepKernelIdentity(SmallPimB(), "pim-b");
 }
 
-TEST(KernelIdentityTest, CoraByteIdenticalAcrossThreadsAndShards) {
+TEST(KernelIdentityTest, CoraByteIdenticalAcrossThreads) {
   SweepKernelIdentity(SmallCora(), "cora");
 }
 

@@ -5,11 +5,10 @@
 # NUL-ridden CSV), the value-store / similarity-memo degradation modes
 # (shard eviction and bypass under tiny byte bounds), the CSR-graph
 # determinism sweep (datasets × threads × cache/constraints/budgets
-# against committed golden fingerprints, rollback-and-replay and frozen
-# budget stops included), the incremental flush sweep (per-flush goldens,
-# the dirty-set negative-propagation fixpoint check, and amortized pool
-# repacks that move storage under enrichment folds), the canopy-shard layer (shard-vs-monolithic
-# byte-identity across shards × threads, DESIGN.md §14), the service smoke
+# against committed golden fingerprints, frozen budget stops included),
+# the incremental flush sweep (per-flush goldens, the dirty-set
+# negative-propagation fixpoint check, and amortized pool repacks that
+# move storage under enrichment folds), the service smoke
 # test (a live daemon on an ephemeral loopback port serving query, ingest,
 # malformed-request, and overload traffic end-to-end over HTTP, plus a
 # SIGTERM drain of the real binary), and the crash-recovery sweep (WAL +

@@ -16,10 +16,13 @@
 //   7  email (mbox) parse failure
 // Every failure prints a one-line diagnostic to stderr.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -32,7 +35,6 @@
 #include "extract/csv_import.h"
 #include "extract/extractor.h"
 #include "model/text_io.h"
-#include "shard/sharded_reconciler.h"
 #include "strsim/simd_dispatch.h"
 #include "util/string_util.h"
 #include "util/version.h"
@@ -46,6 +48,9 @@ constexpr int kExitDatasetParse = 4;
 constexpr int kExitCsvImport = 5;
 constexpr int kExitBibtexParse = 6;
 constexpr int kExitEmailParse = 7;
+
+constexpr int64_t kMaxThreads = 1024;
+constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
 
 void PrintUsage(std::ostream& out) {
   out << "usage: reconcile_cli [options] <input file>\n"
@@ -80,13 +85,10 @@ void PrintUsage(std::ostream& out) {
          "                          byte-identical either way. RECON_SIMD\n"
          "                          =scalar|generic|sse42|avx2 also clamps\n"
          "                          the dispatch level\n"
-         "  --threads N             worker threads (0 = all hardware "
-         "threads);\n"
-         "                          output is byte-identical for every N\n"
-         "  --shards N              canopy-sharded staging (depgraph only,\n"
-         "                          DESIGN.md §14): stage evidence in N\n"
-         "                          shards + a boundary pass, then solve\n"
-         "                          canonically; byte-identical for every N\n"
+         "  --threads N             graph-build worker threads, 0..1024\n"
+         "                          (0 = all hardware threads); the solve\n"
+         "                          runs on one thread. Output is\n"
+         "                          byte-identical for every N\n"
          "\n"
          "execution budget (DESIGN.md §10) — on exhaustion the run "
          "never aborts;\n"
@@ -224,6 +226,24 @@ bool ParsePositive(const char* flag, const char* value, double* out) {
   return true;
 }
 
+/// Parses an integer flag value in [min, max]; false prints the
+/// diagnostic. Fractions, exponents and out-of-range values are rejected
+/// rather than truncated or wrapped.
+bool ParseInt(const char* flag, const char* value, int64_t min, int64_t max,
+              int64_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || parsed < min ||
+      parsed > max) {
+    std::cerr << flag << " needs an integer in [" << min << ", " << max
+              << "], got \"" << value << "\"\n";
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,14 +271,6 @@ int main(int argc, char** argv) {
       if (!ParsePositive("--scale", argv[++i], &demo_scale)) {
         return kExitUsage;
       }
-    } else if (arg == "--shards" && i + 1 < argc) {
-      char* end = nullptr;
-      options.num_shards = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0' || options.num_shards < 1) {
-        std::cerr << "--shards needs a count >= 1, got \"" << argv[i]
-                  << "\"\n";
-        return kExitUsage;
-      }
     } else if (arg == "--algo" && i + 1 < argc) {
       algo = argv[++i];
     } else if (arg == "--no-constraints") {
@@ -278,30 +290,26 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (arg == "--threads" && i + 1 < argc) {
-      char* end = nullptr;
-      options.num_threads = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0' || options.num_threads < 0) {
-        std::cerr << "--threads needs a count >= 0 (0 = all hardware "
-                     "threads), got \"" << argv[i] << "\"\n";
+      int64_t threads = 0;
+      if (!ParseInt("--threads", argv[++i], 0, kMaxThreads, &threads)) {
         return kExitUsage;
       }
+      options.num_threads = static_cast<int>(threads);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       if (!ParsePositive("--deadline-ms", argv[++i],
                          &options.budget.deadline_ms)) {
         return kExitUsage;
       }
     } else if (arg == "--max-solver-iterations" && i + 1 < argc) {
-      double value = 0;
-      if (!ParsePositive("--max-solver-iterations", argv[++i], &value)) {
+      if (!ParseInt("--max-solver-iterations", argv[++i], 1, kMaxCount,
+                    &options.budget.max_solver_iterations)) {
         return kExitUsage;
       }
-      options.budget.max_solver_iterations = static_cast<int64_t>(value);
     } else if (arg == "--max-merges" && i + 1 < argc) {
-      double value = 0;
-      if (!ParsePositive("--max-merges", argv[++i], &value)) {
+      if (!ParseInt("--max-merges", argv[++i], 1, kMaxCount,
+                    &options.budget.max_merges)) {
         return kExitUsage;
       }
-      options.budget.max_merges = static_cast<int64_t>(value);
     } else if (arg == "--evidence" && i + 1 < argc) {
       const std::string level = argv[++i];
       if (level == "attr") options.evidence_level = EvidenceLevel::kAttrWise;
@@ -363,12 +371,8 @@ int main(int argc, char** argv) {
     const IndepDec reconciler(options);
     result = reconciler.Run(data);
   } else if (algo == "depgraph") {
-    if (options.num_shards > 1) {
-      result = shard::ShardedReconcile(data, options);
-    } else {
-      const Reconciler reconciler(options);
-      result = reconciler.Run(data);
-    }
+    const Reconciler reconciler(options);
+    result = reconciler.Run(data);
   } else if (algo == "fs") {
     FellegiSunterOptions fs_options;
     fs_options.blocking = options;
@@ -397,29 +401,6 @@ int main(int argc, char** argv) {
             << result.stats.num_merges << " merges; build "
             << result.stats.build_seconds << "s solve "
             << result.stats.solve_seconds << "s\n";
-  if (result.stats.num_shards > 1) {
-    std::cout << "Shards: " << result.stats.num_shards << " shards, "
-              << result.stats.num_boundary_pairs << " boundary pairs; "
-              << result.stats.num_shard_merges << " shard merges + "
-              << result.stats.num_boundary_merges
-              << " boundary merges; staging "
-              << result.stats.shard_seconds << "s + boundary "
-              << result.stats.boundary_seconds << "s\n";
-  }
-  if (result.stats.num_solver_rounds > 0) {
-    std::cout << "Solve: " << result.stats.num_solver_rounds
-              << " wavefront rounds; score "
-              << result.stats.solve_score_seconds << "s (parallel) commit "
-              << result.stats.solve_commit_seconds << "s; "
-              << result.stats.num_score_hits << " hits / "
-              << result.stats.num_serial_rescores << " re-scored\n";
-    std::cout << "Commit: " << result.stats.num_wave_commits
-              << " of " << result.stats.num_parallel_scored
-              << " commits in " << result.stats.num_commit_waves
-              << " parallel waves (" << result.stats.num_commit_regions
-              << " regions, " << result.stats.num_commit_deferrals
-              << " deferrals)\n";
-  }
   if (result.stats.graph_bytes > 0) {
     std::cout << "Graph memory: " << result.stats.graph_bytes
               << " B (nodes " << result.stats.graph_node_bytes

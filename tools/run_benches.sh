@@ -2,45 +2,26 @@
 # Runs every perf_* bench with --json and collects BENCH_<name>.json files
 # so perf trajectories can be tracked across commits.
 #
-# Usage: tools/run_benches.sh [--gate-speedup] [--gate-shard]
-#        [--gate-kernels] [build_dir] [out_dir]
+# Usage: tools/run_benches.sh [--gate-kernels] [build_dir] [out_dir]
 #   build_dir  defaults to build (must already be built)
 #   out_dir    defaults to the current directory
-#
-# --gate-speedup: after the run, assert from BENCH_scaling.json that the
-#   solve commit phase speeds up by more than 1.3x at 4 threads. The gate
-#   auto-skips when the hardware-metadata row the benches emit reports
-#   nprocs_online <= 2 (e.g. the 1-CPU container the committed baselines
-#   were recorded on) — a machine that cannot run 4 threads concurrently
-#   cannot express the speedup, and a failure there would only measure
-#   scheduler noise.
-#
-# --gate-shard: after the run, assert from BENCH_shard.json that (a) every
-#   sharded run's output was byte-identical to the monolithic run — checked
-#   on every machine, no exceptions — and (b) the 4-shard run at 4 threads
-#   beat the monolithic run by more than 1.3x. The speedup half follows the
-#   same convention as --gate-speedup: it auto-skips when nprocs_online <= 2.
 #
 # --gate-kernels: after the run, assert from BENCH_strsim.json that the
 #   Myers bit-parallel Levenshtein kernel is at least 2x faster than the
 #   scalar row DP on the recorded title-length workload. Auto-skips when
 #   the bench's simd_dispatch context reports "scalar" (the kernels are
 #   compiled out or forced off there, so the rows measure the same code).
-#   Unlike the thread gates this one is single-threaded, so it runs fine
-#   on 1-CPU machines.
+#   The gate is single-threaded, so it runs fine on 1-CPU machines.
 #
 # Honors RECON_BENCH_SCALE / RECON_BENCH_THREADS like the benches do.
 
 set -euo pipefail
 
-GATE_SPEEDUP=0
-GATE_SHARD=0
 GATE_KERNELS=0
 while [[ "${1:-}" == --gate-* ]]; do
   case "$1" in
-    --gate-speedup) GATE_SPEEDUP=1 ;;
-    --gate-shard) GATE_SHARD=1 ;;
     --gate-kernels) GATE_KERNELS=1 ;;
+    *) echo "error: unknown gate $1" >&2; exit 2 ;;
   esac
   shift
 done
@@ -76,84 +57,6 @@ for bench in "${BENCH_DIR}"/perf_*; do
     status=1
   fi
 done
-
-if [[ ${GATE_SPEEDUP} -eq 1 && ${status} -eq 0 ]]; then
-  scaling="${OUT_DIR}/BENCH_scaling.json"
-  echo "== gate: commit speedup > 1.3x at 4 threads (${scaling})"
-  if ! python3 - "${scaling}" <<'PYEOF'
-import json, sys
-
-rows = json.load(open(sys.argv[1]))
-meta = next((r for r in rows if "nprocs_online" in r), None)
-if meta is None:
-    sys.exit("gate: no hardware-metadata row in BENCH_scaling.json")
-nprocs = int(meta["nprocs_online"])
-if nprocs <= 2:
-    print(f"gate: SKIPPED — nprocs_online={nprocs}; a machine with <= 2 "
-          "online CPUs cannot run the 4-thread commit concurrently, so the "
-          "speedup gate would only measure scheduler noise")
-    sys.exit(0)
-solve4 = [r for r in rows
-          if r.get("section") == "solve" and r.get("threads") == 4]
-if not solve4:
-    sys.exit("gate: no threads=4 solve row in BENCH_scaling.json")
-worst = min(float(r["commit_speedup"]) for r in solve4)
-if worst > 1.3:
-    print(f"gate: PASS — commit speedup {worst:.2f}x > 1.3x at 4 threads "
-          f"(nprocs_online={nprocs})")
-else:
-    sys.exit(f"gate: FAIL — commit speedup {worst:.2f}x <= 1.3x at 4 "
-             f"threads (nprocs_online={nprocs})")
-PYEOF
-  then
-    status=1
-  fi
-fi
-
-if [[ ${GATE_SHARD} -eq 1 && ${status} -eq 0 ]]; then
-  shard="${OUT_DIR}/BENCH_shard.json"
-  echo "== gate: shard identity (always) + speedup > 1.3x at 4 shards (${shard})"
-  if ! python3 - "${shard}" <<'PYEOF'
-import json, sys
-
-rows = json.load(open(sys.argv[1]))
-shard_rows = [r for r in rows if r.get("section") == "shard"]
-if not shard_rows:
-    sys.exit("gate: no shard rows in BENCH_shard.json")
-
-# Identity is unconditional: a machine that cannot express the speedup can
-# still (and must) produce the byte-identical output.
-broken = [r for r in shard_rows if r.get("identical") != "true"]
-if broken:
-    sys.exit("gate: FAIL — sharded output differed from the monolithic run "
-             f"at shards={[r.get('shards') for r in broken]}")
-print(f"gate: identity PASS — {len(shard_rows)} sharded runs byte-identical")
-
-meta = next((r for r in rows if "nprocs_online" in r), None)
-if meta is None:
-    sys.exit("gate: no hardware-metadata row in BENCH_shard.json")
-nprocs = int(meta["nprocs_online"])
-if nprocs <= 2:
-    print(f"gate: speedup SKIPPED — nprocs_online={nprocs}; a machine with "
-          "<= 2 online CPUs cannot run the shard lanes concurrently, so the "
-          "speedup gate would only measure scheduler noise")
-    sys.exit(0)
-four = [r for r in shard_rows
-        if r.get("shards") == 4 and r.get("threads") == 4]
-if not four:
-    sys.exit("gate: no shards=4 threads=4 row in BENCH_shard.json")
-worst = min(float(r["shard_speedup"]) for r in four)
-if worst > 1.3:
-    print(f"gate: speedup PASS — shard speedup {worst:.2f}x > 1.3x at 4 "
-          f"shards (nprocs_online={nprocs})")
-else:
-    sys.exit(f"gate: FAIL — shard speedup {worst:.2f}x <= 1.3x at 4 shards "
-             f"(nprocs_online={nprocs})")
-PYEOF
-  then
-    status=1
-  fi
-fi
 
 if [[ ${GATE_KERNELS} -eq 1 && ${status} -eq 0 ]]; then
   strsim="${OUT_DIR}/BENCH_strsim.json"
