@@ -221,6 +221,26 @@ TEST_F(SolverTest, SolverIsReentrantAfterManualEnqueue) {
   EXPECT_EQ(clusters[p1], clusters[p2]);
 }
 
+TEST_F(SolverTest, ParallelScoreCountersStayZeroAtAnyThreadCount) {
+  // The solve is one sequential drain; the benchmark driver still reads
+  // num_parallel_scored and num_score_discards, which must report 0 while
+  // the drain does real work at every thread count.
+  const RefId p1 = Person("Robert S. Epstein");
+  const RefId p2 = Person("Epstein, R.S.");
+  Article("Distributed query processing", {p1}, kInvalidRef);
+  Article("Distributed query processing", {p2}, kInvalidRef);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    const ReconcileResult result = Reconciler(options).Run(data_);
+    EXPECT_GT(result.stats.num_recomputations, 0);
+    EXPECT_GT(result.stats.num_merges, 0);
+    EXPECT_EQ(result.stats.num_parallel_scored, 0);
+    EXPECT_EQ(result.stats.num_score_discards, 0);
+  }
+}
+
 // ---- Soundex ------------------------------------------------------------------
 
 TEST(SoundexTest, ClassicCodes) {
