@@ -51,15 +51,17 @@ std::string StripAccountCore(const std::string& account) {
   return core;
 }
 
-void AppendPersonKeys(const Dataset& dataset, RefId ref,
-                      const SchemaBinding& binding, const ValuePool* pool,
-                      const ValueStore* store,
-                      std::vector<std::string>& keys) {
-  const Reference& r = dataset.reference(ref);
+// Each Append*Keys reads value features through `find(attr, index, raw)`:
+// the analysis of r.atomic_values(attr)[index], or null to parse `raw`.
+template <typename Find>
+void AppendPersonKeys(const Reference& r, const SchemaBinding& binding,
+                      const Find& find, std::vector<std::string>& keys) {
   if (binding.person_name >= 0) {
-    const ValueDomain name_domain{binding.person, binding.person_name};
-    for (const std::string& raw : r.atomic_values(binding.person_name)) {
-      const ValueFeatures* f = FindFeatures(pool, store, name_domain, raw);
+    const std::vector<std::string>& names =
+        r.atomic_values(binding.person_name);
+    for (size_t i = 0; i < names.size(); ++i) {
+      const std::string& raw = names[i];
+      const ValueFeatures* f = find(binding.person_name, i, raw);
       strsim::PersonName parsed;
       if (f == nullptr) parsed = strsim::ParsePersonName(raw);
       const strsim::PersonName& name = (f != nullptr) ? f->name : parsed;
@@ -82,9 +84,11 @@ void AppendPersonKeys(const Dataset& dataset, RefId ref,
     }
   }
   if (binding.person_email >= 0) {
-    const ValueDomain email_domain{binding.person, binding.person_email};
-    for (const std::string& raw : r.atomic_values(binding.person_email)) {
-      const ValueFeatures* f = FindFeatures(pool, store, email_domain, raw);
+    const std::vector<std::string>& emails =
+        r.atomic_values(binding.person_email);
+    for (size_t i = 0; i < emails.size(); ++i) {
+      const std::string& raw = emails[i];
+      const ValueFeatures* f = find(binding.person_email, i, raw);
       strsim::EmailAddress parsed;
       if (f == nullptr) parsed = strsim::ParseEmail(raw);
       const strsim::EmailAddress& email = (f != nullptr) ? f->email : parsed;
@@ -125,15 +129,15 @@ void AppendPersonKeys(const Dataset& dataset, RefId ref,
   }
 }
 
-void AppendArticleKeys(const Dataset& dataset, RefId ref,
-                       const SchemaBinding& binding, const ValuePool* pool,
-                       const ValueStore* store,
-                       std::vector<std::string>& keys) {
+template <typename Find>
+void AppendArticleKeys(const Reference& r, const SchemaBinding& binding,
+                       const Find& find, std::vector<std::string>& keys) {
   if (binding.article_title < 0) return;
-  const Reference& r = dataset.reference(ref);
-  const ValueDomain title_domain{binding.article, binding.article_title};
-  for (const std::string& title : r.atomic_values(binding.article_title)) {
-    const ValueFeatures* f = FindFeatures(pool, store, title_domain, title);
+  const std::vector<std::string>& titles =
+      r.atomic_values(binding.article_title);
+  for (size_t i = 0; i < titles.size(); ++i) {
+    const std::string& title = titles[i];
+    const ValueFeatures* f = find(binding.article_title, i, title);
     std::vector<std::string> tokenized;
     if (f == nullptr) tokenized = Tokenize(title);
     const std::vector<std::string>& tokens =
@@ -145,15 +149,14 @@ void AppendArticleKeys(const Dataset& dataset, RefId ref,
   }
 }
 
-void AppendVenueKeys(const Dataset& dataset, RefId ref,
-                     const SchemaBinding& binding, const ValuePool* pool,
-                     const ValueStore* store,
-                     std::vector<std::string>& keys) {
+template <typename Find>
+void AppendVenueKeys(const Reference& r, const SchemaBinding& binding,
+                     const Find& find, std::vector<std::string>& keys) {
   if (binding.venue_name < 0) return;
-  const Reference& r = dataset.reference(ref);
-  const ValueDomain name_domain{binding.venue, binding.venue_name};
-  for (const std::string& name : r.atomic_values(binding.venue_name)) {
-    const ValueFeatures* f = FindFeatures(pool, store, name_domain, name);
+  const std::vector<std::string>& names = r.atomic_values(binding.venue_name);
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::string& name = names[i];
+    const ValueFeatures* f = find(binding.venue_name, i, name);
     std::vector<std::string> expanded_local;
     if (f == nullptr) expanded_local = strsim::VenueContentTokens(name);
     const std::vector<std::string>& content =
@@ -167,24 +170,49 @@ void AppendVenueKeys(const Dataset& dataset, RefId ref,
   }
 }
 
+template <typename Find>
+std::vector<std::string> KeysOf(const Reference& r,
+                                const SchemaBinding& binding,
+                                const Find& find) {
+  std::vector<std::string> keys;
+  const int class_id = r.class_id();
+  if (class_id == binding.person) {
+    AppendPersonKeys(r, binding, find, keys);
+  } else if (class_id == binding.article) {
+    AppendArticleKeys(r, binding, find, keys);
+  } else if (class_id == binding.venue) {
+    AppendVenueKeys(r, binding, find, keys);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
 }  // namespace
 
 std::vector<std::string> BlockingKeys(const Dataset& dataset, RefId ref,
                                       const SchemaBinding& binding,
                                       const ValuePool* pool,
                                       const ValueStore* store) {
-  std::vector<std::string> keys;
-  const int class_id = dataset.reference(ref).class_id();
-  if (class_id == binding.person) {
-    AppendPersonKeys(dataset, ref, binding, pool, store, keys);
-  } else if (class_id == binding.article) {
-    AppendArticleKeys(dataset, ref, binding, pool, store, keys);
-  } else if (class_id == binding.venue) {
-    AppendVenueKeys(dataset, ref, binding, pool, store, keys);
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  const Reference& r = dataset.reference(ref);
+  return KeysOf(r, binding,
+                [&](int attr, size_t, const std::string& raw) {
+                  return FindFeatures(pool, store,
+                                      ValueDomain{r.class_id(), attr}, raw);
+                });
+}
+
+std::vector<std::string> BlockingKeys(
+    const Reference& ref, const SchemaBinding& binding,
+    const std::vector<std::vector<ValueFeatures>>& features) {
+  return KeysOf(ref, binding,
+                [&](int attr, size_t index,
+                    const std::string&) -> const ValueFeatures* {
+                  const size_t a = static_cast<size_t>(attr);
+                  return a < features.size() && index < features[a].size()
+                             ? &features[a][index]
+                             : nullptr;
+                });
 }
 
 CandidateList GenerateCandidates(const Dataset& dataset,

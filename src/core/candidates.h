@@ -20,6 +20,7 @@ namespace recon {
 
 class ValuePool;
 class ValueStore;
+struct ValueFeatures;
 
 /// Same-class reference pairs worth comparing, deduplicated, each with
 /// first < second.
@@ -48,6 +49,13 @@ std::vector<std::string> BlockingKeys(const Dataset& dataset, RefId ref,
                                       const SchemaBinding& binding,
                                       const ValuePool* pool = nullptr,
                                       const ValueStore* store = nullptr);
+
+/// The same keys for a reference whose values are analyzed already:
+/// `features[attr][i]` is the analysis of `ref.atomic_values(attr)[i]`
+/// (values without an analysis, `features` empty included, are parsed).
+std::vector<std::string> BlockingKeys(
+    const Reference& ref, const SchemaBinding& binding,
+    const std::vector<std::vector<ValueFeatures>>& features);
 
 /// Incrementally maintained blocking index: add batches of references and
 /// get back the candidate pairs each batch introduces. Used by the

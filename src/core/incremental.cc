@@ -1,5 +1,8 @@
 #include "core/incremental.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "strsim/simd_dispatch.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -68,6 +71,7 @@ void IncrementalReconciler::Flush() {
   stats_.solve_seconds += timer.ElapsedSeconds();
   stats_.graph_compactions = built_.graph->num_compactions();
   stats_.num_non_merge_pairs = built_.graph->num_non_merge_pairs();
+  stats_.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
   stats_.stop_reason = tracker.stop_reason();
   stats_.num_budget_probes += tracker.num_probes();
 
@@ -88,18 +92,105 @@ int64_t IncrementalReconciler::RecheckNegativeEvidence() {
 const std::vector<int>& IncrementalReconciler::clusters() {
   Flush();
   if (!closure_valid_) {
-    merged_pairs_.clear();
-    clusters_ = solver_->Closure(&merged_pairs_);
+    UpdateClosure();
     closure_valid_ = true;
   }
   return clusters_;
 }
 
+void IncrementalReconciler::UpdateClosure() {
+  const DependencyGraph& graph = *built_.graph;
+  for (RefId r = static_cast<RefId>(clusters_.size());
+       r < dataset_.num_references(); ++r) {
+    clusters_.push_back(r);
+    members_.push_back({r});
+    closure_pairs_.emplace_back();
+  }
+  closure_end_.resize(static_cast<size_t>(graph.num_nodes()), -1);
+  auto live_merged = [&graph](NodeId id) {
+    const Node& node = graph.node(id);
+    return !node.dead && node.state == NodeState::kMerged;
+  };
+
+  // The node states are the final word: a pair listed as unmerged may have
+  // merged again since, and one listed as merged may have left already.
+  FixedPointSolver::MergeChanges changes = solver_->TakeMergeChanges();
+  std::vector<int> split;
+  for (const NodeId id : changes.unmerged) {
+    if (closure_end_[id] < 0 || live_merged(id)) continue;
+    split.push_back(clusters_[closure_end_[id]]);
+    closure_end_[id] = -1;
+  }
+  std::sort(split.begin(), split.end());
+  split.erase(std::unique(split.begin(), split.end()), split.end());
+  for (const int label : split) SplitCluster(label);
+
+  for (const NodeId id : changes.merged) {
+    if (closure_end_[id] >= 0 || !live_merged(id)) continue;
+    const Node& node = graph.node(id);
+    closure_end_[id] = static_cast<RefId>(node.a);
+    Union(id, static_cast<RefId>(node.a), static_cast<RefId>(node.b));
+  }
+}
+
+void IncrementalReconciler::Union(NodeId id, RefId a, RefId b) {
+  int keep = clusters_[a];
+  int gone = clusters_[b];
+  if (keep > gone) std::swap(keep, gone);
+  if (keep != gone) {
+    // The cluster labeled `gone` takes the smaller label `keep`.
+    for (const RefId r : members_[gone]) clusters_[r] = keep;
+    members_[keep].insert(members_[keep].end(), members_[gone].begin(),
+                          members_[gone].end());
+    closure_pairs_[keep].insert(closure_pairs_[keep].end(),
+                                closure_pairs_[gone].begin(),
+                                closure_pairs_[gone].end());
+    members_[gone] = {};
+    closure_pairs_[gone] = {};
+  }
+  closure_pairs_[keep].push_back(id);
+}
+
+void IncrementalReconciler::SplitCluster(int label) {
+  const DependencyGraph& graph = *built_.graph;
+  std::vector<RefId> members = std::exchange(members_[label], {});
+  std::vector<NodeId> pairs = std::exchange(closure_pairs_[label], {});
+  std::erase_if(pairs, [this](NodeId id) { return closure_end_[id] < 0; });
+  std::sort(members.begin(), members.end());
+  auto local = [&members](int r) {
+    return static_cast<int>(
+        std::lower_bound(members.begin(), members.end(), r) -
+        members.begin());
+  };
+  UnionFind pieces(static_cast<int>(members.size()));
+  for (const NodeId id : pairs) {
+    pieces.Union(local(graph.node(id).a), local(graph.node(id).b));
+  }
+  // Ascending members: the first one seen in a piece is its smallest.
+  std::vector<int> piece_label(members.size(), -1);
+  for (size_t i = 0; i < members.size(); ++i) {
+    int& piece = piece_label[pieces.Find(static_cast<int>(i))];
+    if (piece < 0) piece = members[i];
+    clusters_[members[i]] = piece;
+    members_[piece].push_back(members[i]);
+  }
+  for (const NodeId id : pairs) {
+    closure_pairs_[clusters_[graph.node(id).a]].push_back(id);
+  }
+}
+
 ReconcileResult IncrementalReconciler::result() {
   ReconcileResult out;
   out.cluster = clusters();  // Flushes and refreshes the closure.
-  out.merged_pairs = merged_pairs_;
+  // Node order, as FixedPointSolver::Closure reports them.
+  for (NodeId id = 0; id < static_cast<NodeId>(closure_end_.size()); ++id) {
+    if (closure_end_[id] < 0) continue;
+    const Node& node = built_.graph->node(id);
+    out.merged_pairs.emplace_back(static_cast<RefId>(node.a),
+                                  static_cast<RefId>(node.b));
+  }
   out.stats = stats_;
+  out.stats.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
   out.stats.num_candidates = built_.num_candidates;
   out.stats.num_nodes = built_.graph->num_nodes();
   out.stats.num_live_nodes = built_.graph->num_live_nodes();

@@ -3,9 +3,13 @@
 // when new references are inserted to an already-reconciled dataset."
 //
 // The incremental reconciler owns a growing dataset and keeps the
-// dependency graph, the blocking index, and the fixed-point solver alive
-// across batches; decisions made for earlier batches stand (merges are
-// monotone, exactly as in the batch algorithm).
+// dependency graph, the blocking index, the fixed-point solver and the
+// transitive closure alive across batches. Similarities only rise, but a
+// merge is not final: negative evidence that a later batch brings (a new
+// co-author constraint, or a new triangle whose weaker side is an earlier
+// merge) demotes pairs that earlier flushes merged, which splits clusters
+// those flushes published. ReconcileStats::num_unmerged_pairs counts these
+// demotions.
 //
 // What a Flush() costs (DESIGN.md §17):
 //  - Proportional to the batch's neighborhood: interning and analyzing its
@@ -18,10 +22,14 @@
 //    accumulating over a long ingest.)
 //  - Amortized O(1) per graph mutation: capacity grows geometrically, and
 //    a CSR pool is repacked only once its garbage exceeds its live data.
-//  - Not part of Flush(), and proportional to the dataset: clusters()
-//    recomputes the transitive closure over every merged pair after each
-//    flush, and the service rebuilds its whole snapshot on every publish
-//    (service/snapshot.h).
+//  - Not part of Flush(): clusters() brings the kept closure up to date
+//    from the pairs the flush merged and unmerged. A new merge unions two
+//    clusters and relabels the one whose smallest member is no longer the
+//    smallest; a merged pair that left kMerged rebuilds its old cluster
+//    from the merged pairs still inside it. Clusters the flush did not
+//    touch cost nothing. The service then builds the next snapshot from
+//    the previous one and rebuilds only the entities whose member set
+//    changed (service/snapshot.h).
 
 #ifndef RECON_CORE_INCREMENTAL_H_
 #define RECON_CORE_INCREMENTAL_H_
@@ -69,8 +77,10 @@ class IncrementalReconciler {
   /// reports how the latest flush ended.
   void Flush();
 
-  /// Current partition (flushes first). Recomputes the closure over the
-  /// whole graph after each flush.
+  /// Current partition (flushes first): clusters()[ref] is the smallest
+  /// member of ref's cluster, exactly as FixedPointSolver::Closure labels
+  /// it. Updates the kept closure with the latest flush's merges and
+  /// unmerges.
   const std::vector<int>& clusters();
 
   /// Flushes, then re-runs the latest flush's negative propagation over
@@ -96,6 +106,9 @@ class IncrementalReconciler {
   int num_staged() const { return dataset_.num_references() - flushed_until_; }
   /// Cumulative stats of the flushes so far.
   const ReconcileStats& stats() const { return stats_; }
+  /// The solver over the current graph (its Closure() recomputes from
+  /// scratch what clusters() keeps).
+  const FixedPointSolver& solver() const { return *solver_; }
   /// The cached partition, or nullptr when it is stale (staged references
   /// or an invalidated closure). Unlike clusters(), never flushes.
   const std::vector<int>* clusters_if_current() const {
@@ -111,9 +124,26 @@ class IncrementalReconciler {
   std::unique_ptr<FixedPointSolver> solver_;
   /// First reference id not yet reconciled.
   RefId flushed_until_ = 0;
-  /// Cached closure; invalidated by Flush().
+  /// Applies the solver's merge changes to the kept closure.
+  void UpdateClosure();
+  /// Merges the clusters of `a` and `b` through merged pair `id`.
+  void Union(NodeId id, RefId a, RefId b);
+  /// Rebuilds the cluster labeled `label` from the merged pairs still in
+  /// the closure, which may leave it in pieces.
+  void SplitCluster(int label);
+
+  // The kept closure. clusters_[ref] is the smallest member of ref's
+  // cluster; for a cluster labeled L, members_[L] lists its references and
+  // closure_pairs_[L] the merged pairs inside it (both empty for a
+  // reference that labels no cluster).
   std::vector<int> clusters_;
-  std::vector<std::pair<RefId, RefId>> merged_pairs_;
+  std::vector<std::vector<RefId>> members_;
+  std::vector<std::vector<NodeId>> closure_pairs_;
+  /// Per node: one endpoint of the pair while it is in the closure, else
+  /// -1. Recorded at the merge: a pair demoted out of kMerged can be
+  /// re-keyed by enrichment before the closure hears of the demotion.
+  std::vector<RefId> closure_end_;
+  /// False once Flush() or a recheck may have changed merged pairs.
   bool closure_valid_ = false;
 };
 

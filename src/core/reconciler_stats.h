@@ -93,6 +93,11 @@ struct ReconcileStats {
   /// ... out of this many live non-merge reference pairs (what a full pass
   /// examines).
   int64_t num_non_merge_pairs = 0;
+  /// Merged reference pairs that later left kMerged, cumulative: negative
+  /// propagation demotes the weaker side of a triangle even when that side
+  /// was merged, and on an incremental ingest that can split a cluster an
+  /// earlier flush published (DESIGN.md §17).
+  int64_t num_unmerged_pairs = 0;
 
   // Budget / graceful-degradation accounting (ReconcilerOptions::budget,
   // DESIGN.md §10).

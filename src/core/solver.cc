@@ -113,6 +113,7 @@ void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
                                : options_.params.value_merge_threshold;
   if (node.sim >= threshold && node.state != NodeState::kMerged) {
     node.state = NodeState::kMerged;
+    if (node.IsRefPair()) merged_log_.push_back(id);
     ++stats_->num_merges;
     ++merges_this_run_;
     if (merge_cap_ > 0 && merges_this_run_ >= merge_cap_) {

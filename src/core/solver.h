@@ -101,6 +101,19 @@ class FixedPointSolver {
   std::vector<int> Closure(
       std::vector<std::pair<RefId, RefId>>* merged_pairs) const;
 
+  /// What changed the closure's input since the previous call: the
+  /// reference pairs that entered kMerged, and the merged reference pairs
+  /// that left it — demoted by negative evidence or a later batch's
+  /// constraints, or folded away. A pair may appear in both lists, and
+  /// more than once; the node's current state is the final word.
+  struct MergeChanges {
+    std::vector<NodeId> merged;
+    std::vector<NodeId> unmerged;
+  };
+  MergeChanges TakeMergeChanges() {
+    return {std::exchange(merged_log_, {}), graph_.TakeUnmerged()};
+  }
+
   /// Grows the reference universe (call after Dataset/graph grew).
   void GrowReferences(int count) { refs_.Grow(count); }
 
@@ -171,6 +184,8 @@ class FixedPointSolver {
   RingDeque<NodeId> queue_;
   /// Nodes the latest PropagateNegativeEvidence() demoted.
   std::vector<NodeId> last_demoted_;
+  /// Reference pairs merged since the last TakeMergeChanges().
+  std::vector<NodeId> merged_log_;
 };
 
 }  // namespace recon

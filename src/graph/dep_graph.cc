@@ -207,6 +207,7 @@ bool DependencyGraph::SetNodeState(NodeId id, NodeState state) {
   MarkDirty(id);
   if (state == NodeState::kNonMerge) NoteNonMerge(id);
   if (old == NodeState::kNonMerge && node.IsRefPair()) --num_non_merge_pairs_;
+  if (old == NodeState::kMerged) NoteUnmerged(id);
   // Keep dependent evidence caches honest. Additions (a restored or newly
   // merged contribution) are monotone and can be pushed; removals (a
   // demoted contribution) invalidate only the caches whose summary may
@@ -370,6 +371,7 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
     dst.sim = std::max(dst.sim, src.sim);
   }
 
+  if (src.state == NodeState::kMerged) NoteUnmerged(from);
   src.dead = true;
   --num_live_nodes_;
   if (src.state == NodeState::kNonMerge) --num_non_merge_pairs_;

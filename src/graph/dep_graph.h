@@ -154,6 +154,12 @@ class DependencyGraph {
   /// propagation pass would examine.
   int num_non_merge_pairs() const { return num_non_merge_pairs_; }
 
+  /// Reference pairs that left kMerged so far (demoted, or folded away).
+  int64_t num_unmerged_pairs() const { return num_unmerged_pairs_; }
+  /// The reference pairs that left kMerged since the previous call, in
+  /// order (a pair that did so twice is listed twice).
+  std::vector<NodeId> TakeUnmerged() { return std::exchange(unmerged_, {}); }
+
   /// Current heap footprint of the CSR storage, by pool family.
   GraphBytes bytes() const;
 
@@ -261,6 +267,13 @@ class DependencyGraph {
     ++num_non_merge_pairs_;
   }
 
+  /// Records reference pair `id` leaving kMerged.
+  void NoteUnmerged(NodeId id) {
+    if (!nodes_[id].IsRefPair()) return;
+    unmerged_.push_back(id);
+    ++num_unmerged_pairs_;
+  }
+
   std::vector<Node> nodes_;
   RangePool<Edge> in_pool_;
   RangePool<Edge> out_pool_;
@@ -299,6 +312,9 @@ class DependencyGraph {
   int num_edges_ = 0;
   int num_non_merge_pairs_ = 0;
   int64_t num_compactions_ = 0;
+  /// Reference pairs that left kMerged since the last TakeUnmerged().
+  std::vector<NodeId> unmerged_;
+  int64_t num_unmerged_pairs_ = 0;
 };
 
 }  // namespace recon

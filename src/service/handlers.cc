@@ -384,9 +384,10 @@ HttpResponse ServiceHandler::Entity(const std::string& id_text) const {
       for (const std::string& v : profile.atomic_values(attr)) list.Append(v);
       values.Set(class_def.attributes[attr].name, std::move(list));
     } else {
-      if (info.linked[attr].empty()) continue;
+      const std::vector<EntityId> linked = snapshot->linked(id, attr);
+      if (linked.empty()) continue;
       json::Value list = json::Value::Array();
-      for (const EntityId target : info.linked[attr]) {
+      for (const EntityId target : linked) {
         list.Append("e" + std::to_string(target));
       }
       links.Set(class_def.attributes[attr].name, std::move(list));
@@ -438,6 +439,9 @@ HttpResponse ServiceHandler::Stats() const {
   c.Set("flushes", counters.flushes.load());
   c.Set("negprop_sources", counters.negprop_sources.load());
   c.Set("graph_compactions", counters.graph_compactions.load());
+  c.Set("unmerged_pairs", counters.unmerged_pairs.load());
+  c.Set("publish_ms", counters.publish_ms.load());
+  c.Set("snapshot_entities_rebuilt", counters.snapshot_entities_rebuilt.load());
   doc.Set("counters", std::move(c));
   const DurabilityStats durability = service_->durability_stats();
   json::Value d = json::Value::Object();

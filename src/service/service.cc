@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "model/text_io.h"
+#include "util/timer.h"
 
 namespace recon::service {
 namespace {
@@ -453,20 +454,31 @@ void ReconService::ReplayEpochLocked() {
 }
 
 uint64_t ReconService::PublishLocked() {
-  // clusters() flushes implicitly (one PR-4 budget epoch) and returns the
-  // post-closure partition. The snapshot is built here on the ingesting
-  // thread; readers keep serving the old snapshot until the single
-  // atomic store below, and keep the old one alive through their pins.
+  // One budget epoch, then the closure update and the snapshot build, on
+  // the ingesting thread. The next snapshot shares every entity the flush
+  // left alone with the current one, which readers may still hold: it is
+  // only read. Readers keep serving the current snapshot until the single
+  // atomic store below, and keep it alive through their pins.
+  reconciler_.Flush();
+  const Timer publish_timer;
   const std::vector<int>& clusters = reconciler_.clusters();
   ++generation_;
   epoch_refs_.push_back(reconciler_.flushed_until());
-  snapshot_.Store(BuildSnapshot(reconciler_.dataset(), clusters,
-                                options_.reconciler, generation_));
+  std::shared_ptr<const Snapshot> next =
+      BuildSnapshot(reconciler_.dataset(), clusters, options_.reconciler,
+                    generation_, snapshot_.Load().get());
+  counters_.publish_ms.store(publish_timer.ElapsedMillis(),
+                             std::memory_order_relaxed);
+  counters_.snapshot_entities_rebuilt.store(next->entities_rebuilt(),
+                                            std::memory_order_relaxed);
+  snapshot_.Store(std::move(next));
   counters_.flushes.fetch_add(1, std::memory_order_relaxed);
   counters_.negprop_sources.store(reconciler_.stats().negprop_sources,
                                   std::memory_order_relaxed);
   counters_.graph_compactions.store(reconciler_.stats().graph_compactions,
                                     std::memory_order_relaxed);
+  counters_.unmerged_pairs.store(reconciler_.stats().num_unmerged_pairs,
+                                 std::memory_order_relaxed);
 
   if (wal_ != nullptr && !wal_failed_ &&
       options_.durability.checkpoint_every > 0 &&

@@ -40,8 +40,6 @@ struct ServiceOptions {
   /// Overloaded queries degrade to partial candidate lists (DESIGN.md §10
   /// semantics applied per request), never to stalls.
   double query_deadline_ms = 0;
-  /// Default result-list bound when a query does not give one.
-  int default_limit = 10;
   /// WAL + checkpoint configuration (DESIGN.md §15). Only honored through
   /// ReconService::Open(); the plain constructor requires it unset.
   DurabilityOptions durability;
@@ -80,6 +78,14 @@ struct ServiceCounters {
   /// graph_compactions (cumulative), as of the latest ingest flush.
   std::atomic<int64_t> negprop_sources{0};
   std::atomic<int64_t> graph_compactions{0};
+  /// The reconciler's ReconcileStats::num_unmerged_pairs (cumulative):
+  /// merged pairs a later flush demoted, splitting a published cluster.
+  std::atomic<int64_t> unmerged_pairs{0};
+  /// The latest publish: wall time of its closure update plus snapshot
+  /// build, and the entities whose EntityInfo it built rather than shared
+  /// with the previous snapshot.
+  std::atomic<double> publish_ms{0};
+  std::atomic<int64_t> snapshot_entities_rebuilt{0};
 };
 
 /// Result of answering one query batch against one pinned snapshot.
@@ -168,9 +174,10 @@ class ReconService {
   DurabilityStats durability_stats() const;
 
  private:
-  /// Rebuilds + publishes a snapshot from the reconciler's current state,
-  /// then writes a checkpoint + rotates the WAL every checkpoint_every
-  /// generations. Caller must hold ingest_mu_.
+  /// Flushes, builds the next snapshot from the current one (rebuilding
+  /// only the entities the flush changed) and publishes it, then writes a
+  /// checkpoint + rotates the WAL every checkpoint_every generations.
+  /// Caller must hold ingest_mu_.
   uint64_t PublishLocked();
   /// One flush epoch without a snapshot build or checkpoint — the replay
   /// fast path. Caller must hold ingest_mu_.

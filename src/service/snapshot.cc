@@ -1,7 +1,7 @@
 #include "service/snapshot.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <utility>
 
 #include "core/candidates.h"
@@ -87,25 +87,59 @@ void AddQueryValues(AtomicChannel* channel, FeatureKind kind,
 
 }  // namespace
 
-std::vector<EntityId> Snapshot::CandidateEntities(const Dataset& probe_holder,
-                                                  RefId probe,
+std::vector<EntityId> Snapshot::CandidateEntities(const Reference& probe,
                                                   int class_id) const {
   std::vector<EntityId> out;
-  for (const std::string& key :
-       BlockingKeys(probe_holder, probe, binding_)) {
-    const auto it = blocks_.find(QualifiedKey(class_id, key));
-    if (it == blocks_.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  for (const std::string& key : BlockingKeys(probe, binding_, {})) {
+    const std::string qualified = QualifiedKey(class_id, key);
+    const BlockShard& shard = ShardOf(qualified);
+    const auto it = shard.blocks.find(qualified);
+    if (it == shard.blocks.end() ||
+        static_cast<int>(it->second.size()) > max_block_size_) {
+      continue;
+    }
+    for (const RefId smallest : it->second) {
+      out.push_back(ref_to_entity_[smallest]);
+    }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
+std::vector<EntityId> Snapshot::linked(EntityId id, int attr) const {
+  std::vector<EntityId> out;
+  const EntityInfo& info = *entities_[id];
+  if (attr < 0 || attr >= static_cast<int>(info.link_refs.size())) return out;
+  // Links to references past the dataset are dropped.
+  for (const RefId target : info.link_refs[attr]) {
+    if (target >= 0 && target < num_references_) {
+      out.push_back(ref_to_entity_[target]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::map<std::string, std::vector<EntityId>> Snapshot::Blocks() const {
+  std::map<std::string, std::vector<EntityId>> out;
+  for (const std::shared_ptr<const BlockShard>& shard : shards_) {
+    for (const auto& [key, block] : shard->blocks) {
+      if (static_cast<int>(block.size()) > max_block_size_) continue;
+      std::vector<EntityId>& ids = out[key];
+      for (const RefId smallest : block) {
+        ids.push_back(ref_to_entity_[smallest]);
+      }
+    }
+  }
+  return out;
+}
+
 QueryResult Snapshot::Query(const ReconQuery& query,
                             BudgetTracker* budget) const {
   QueryResult result;
-  const Schema& schema = profiles_->schema();
+  const Schema& schema = *schema_;
 
   std::vector<int> class_ids;
   if (!query.type.empty()) {
@@ -125,9 +159,7 @@ QueryResult Snapshot::Query(const ReconQuery& query,
     if (name_attr < 0) continue;
 
     // Probe reference: main text lands on the name-like attribute,
-    // properties on their named attributes. Held in a one-reference
-    // dataset so blocking-key extraction can run unchanged.
-    Dataset probe_holder(schema);
+    // properties on their named attributes.
     Reference probe(class_id, cls.num_attributes());
     if (!query.text.empty()) probe.AddAtomicValue(name_attr, query.text);
     for (const auto& [attr_name, value] : query.properties) {
@@ -220,9 +252,8 @@ QueryResult Snapshot::Query(const ReconQuery& query,
       plan.assoc_channels.push_back(std::move(assoc));
     }
 
-    const RefId probe_id = probe_holder.AddReference(probe, /*gold_entity=*/-1);
     const std::vector<EntityId> candidates =
-        CandidateEntities(probe_holder, probe_id, class_id);
+        CandidateEntities(probe, class_id);
 
     for (const EntityId candidate : candidates) {
       if (budget != nullptr && budget->Probe(ProbePoint::kCandidates)) {
@@ -230,15 +261,18 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         break;
       }
       EvidenceSummary summary;
+      const EntityInfo& info = *entities_[candidate];
       for (const AtomicChannel& channel : plan.channels) {
-        const std::vector<ValueId>& profile_values =
-            value_ids_[candidate][channel.attr];
+        const std::vector<std::string>& profile_values =
+            info.profile.atomic_values(channel.attr);
+        const std::vector<ValueFeatures>& profile_features =
+            info.features[channel.attr];
         bool offered = false;
         for (size_t q = 0; q < channel.features.size(); ++q) {
-          for (const ValueId pv : profile_values) {
-            const ValueFeatures& pf = features_->features(pv);
+          for (size_t v = 0; v < profile_values.size(); ++v) {
+            const ValueFeatures& pf = profile_features[v];
             double sim;
-            if (channel.raw[q] == values_.StringOf(pv)) {
+            if (channel.raw[q] == profile_values[v]) {
               // Equal values are one graph element: full double precision.
               sim = FeaturePairSimilarity(channel.evidence,
                                           channel.features[q], pf);
@@ -259,9 +293,9 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         }
       }
       for (const AssocChannel& assoc : plan.assoc_channels) {
-        for (const EntityId target : entities_[candidate].linked[assoc.assoc_attr]) {
-          for (const ValueId pv : value_ids_[target][assoc.target_name_attr]) {
-            const ValueFeatures& pf = features_->features(pv);
+        for (const EntityId target : linked(candidate, assoc.assoc_attr)) {
+          for (const ValueFeatures& pf :
+               entities_[target]->features[assoc.target_name_attr]) {
             for (const ValueFeatures& qf : assoc.features) {
               const double sim = static_cast<float>(
                   FeaturePairSimilarity(assoc.evidence == kEvArticleAuthors
@@ -304,125 +338,253 @@ QueryResult Snapshot::Query(const ReconQuery& query,
   return result;
 }
 
+
+namespace {
+
+/// Builds the EntityInfo of one cluster (`members` ascending).
+std::shared_ptr<const EntityInfo> BuildEntity(const Dataset& dataset,
+                                              std::vector<RefId> members,
+                                              const SchemaBinding& binding,
+                                              const ValueKindSchema& kinds) {
+  const int class_id = dataset.reference(members.front()).class_id();
+  const ClassDef& cls = dataset.schema().class_def(class_id);
+  const int num_attrs = cls.num_attributes();
+  auto info = std::make_shared<EntityInfo>(class_id, num_attrs);
+  info->members = std::move(members);
+  info->link_refs.resize(num_attrs);
+  for (const RefId member : info->members) {
+    const Reference& ref = dataset.reference(member);
+    for (int attr = 0; attr < num_attrs; ++attr) {
+      if (cls.attributes[attr].kind == AttrKind::kAtomic) {
+        for (const std::string& value : ref.atomic_values(attr)) {
+          info->profile.AddAtomicValue(attr, value);  // Dedups.
+        }
+      } else {
+        const std::vector<RefId>& targets = ref.associations(attr);
+        info->link_refs[attr].insert(info->link_refs[attr].end(),
+                                     targets.begin(), targets.end());
+      }
+    }
+  }
+  for (std::vector<RefId>& targets : info->link_refs) {
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  }
+
+  const Reference& profile = info->profile;
+  const int name_attr = NameAttribute(binding, class_id);
+  if (name_attr >= 0) info->display_name = profile.FirstValue(name_attr);
+  for (int attr = 0; attr < num_attrs && info->display_name.empty(); ++attr) {
+    if (cls.attributes[attr].kind == AttrKind::kAtomic) {
+      info->display_name = profile.FirstValue(attr);
+    }
+  }
+
+  // Values are analyzed exactly as the graph builder analyzes them; only
+  // the attributes queries and blocking read have a feature kind.
+  int64_t bytes = static_cast<int64_t>(
+      sizeof(EntityInfo) + info->members.size() * sizeof(RefId) +
+      info->display_name.size());
+  info->features.resize(num_attrs);
+  for (int attr = 0; attr < num_attrs; ++attr) {
+    bytes += static_cast<int64_t>(info->link_refs[attr].size() * sizeof(RefId));
+    if (cls.attributes[attr].kind != AttrKind::kAtomic) continue;
+    const FeatureKind kind = kinds.KindOf(ValueDomain{class_id, attr});
+    for (const std::string& value : profile.atomic_values(attr)) {
+      bytes += static_cast<int64_t>(sizeof(std::string) + value.size());
+      if (kind == FeatureKind::kGeneric) continue;
+      info->features[attr].push_back(AnalyzeValue(value, kind));
+      bytes += info->features[attr].back().ApproximateBytes();
+    }
+  }
+  for (const std::string& key :
+       BlockingKeys(profile, binding, info->features)) {
+    info->blocking_keys.push_back(QualifiedKey(class_id, key));
+    bytes += static_cast<int64_t>(sizeof(std::string) +
+                                  info->blocking_keys.back().size());
+  }
+  info->approximate_bytes = bytes;
+  return info;
+}
+
+/// Estimated heap cost of one index key beside its block entries.
+constexpr int64_t kIndexKeyBytes = 64;
+
+}  // namespace
+
 std::shared_ptr<const Snapshot> BuildSnapshot(
     const Dataset& dataset, const std::vector<int>& clusters,
-    const ReconcilerOptions& options, uint64_t generation) {
+    const ReconcilerOptions& options, uint64_t generation,
+    const Snapshot* previous) {
   const int n = dataset.num_references();
   RECON_CHECK(static_cast<int>(clusters.size()) == n)
       << "clusters/dataset size mismatch";
+  const int prev_n = previous != nullptr ? previous->num_references_ : 0;
+  RECON_CHECK(prev_n <= n) << "previous snapshot is not of a dataset prefix";
 
   auto snap = std::make_shared<Snapshot>();
   snap->generation_ = generation;
   snap->num_references_ = n;
   snap->params_ = options.params;
   snap->max_block_size_ = options.max_block_size;
+  snap->schema_ = previous != nullptr
+                      ? previous->schema_
+                      : std::make_shared<const Schema>(dataset.schema());
   snap->binding_ = SchemaBinding::Resolve(dataset.schema());
+  const Schema& schema = *snap->schema_;
 
-  // Group references by cluster representative; entity order is the order
-  // of each cluster's smallest member, so ids are deterministic.
-  std::map<int, std::vector<RefId>> groups;
-  for (RefId r = 0; r < n; ++r) groups[clusters[r]].push_back(r);
-  std::vector<std::vector<RefId>> ordered;
-  ordered.reserve(groups.size());
-  for (auto& [rep, members] : groups) ordered.push_back(std::move(members));
-  std::sort(ordered.begin(), ordered.end(),
-            [](const std::vector<RefId>& a, const std::vector<RefId>& b) {
-              return a.front() < b.front();
-            });
-
-  snap->ref_to_entity_.assign(n, -1);
-  snap->profiles_ = std::make_unique<Dataset>(dataset.schema());
-  const Schema& schema = snap->profiles_->schema();
-  snap->entities_.reserve(ordered.size());
-
-  for (EntityId e = 0; e < static_cast<EntityId>(ordered.size()); ++e) {
-    const std::vector<RefId>& members = ordered[e];
-    EntityInfo info;
-    info.class_id = dataset.reference(members.front()).class_id();
-    info.members = members;
-    const ClassDef& cls = schema.class_def(info.class_id);
-    Reference profile(info.class_id, cls.num_attributes());
-    for (const RefId member : members) {
-      snap->ref_to_entity_[member] = e;
-      const Reference& ref = dataset.reference(member);
-      for (int attr = 0; attr < cls.num_attributes(); ++attr) {
-        if (cls.attributes[attr].kind != AttrKind::kAtomic) continue;
-        for (const std::string& value : ref.atomic_values(attr)) {
-          profile.AddAtomicValue(attr, value);  // Dedups.
-        }
-      }
-    }
-    const int name_attr = NameAttribute(snap->binding_, info.class_id);
-    if (name_attr >= 0) info.display_name = profile.FirstValue(name_attr);
-    if (info.display_name.empty()) {
-      for (int attr = 0;
-           attr < cls.num_attributes() && info.display_name.empty(); ++attr) {
-        if (cls.attributes[attr].kind == AttrKind::kAtomic) {
-          info.display_name = profile.FirstValue(attr);
-        }
-      }
-    }
-    snap->profiles_->AddReference(std::move(profile), /*gold_entity=*/-1);
-    snap->entities_.push_back(std::move(info));
-  }
-
-  // Entity-level association links (member links mapped through the
-  // cluster assignment, deduplicated).
-  for (EntityId e = 0; e < snap->num_entities(); ++e) {
-    EntityInfo& info = snap->entities_[e];
-    const ClassDef& cls = schema.class_def(info.class_id);
-    info.linked.resize(cls.num_attributes());
-    for (int attr = 0; attr < cls.num_attributes(); ++attr) {
-      if (cls.attributes[attr].kind != AttrKind::kAssociation) continue;
-      std::vector<EntityId>& targets = info.linked[attr];
-      for (const RefId member : info.members) {
-        for (const RefId target :
-             dataset.reference(member).associations(attr)) {
-          if (target >= 0 && target < n) {
-            targets.push_back(snap->ref_to_entity_[target]);
-          }
-        }
-      }
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-    }
-  }
-
-  // Intern profile values (PR-5 read-only store) and remember each
-  // entity's ValueIds so query scoring never re-parses profile strings.
-  snap->features_ =
-      std::make_unique<ValueStore>(MakeValueKindSchema(snap->binding_));
-  snap->value_ids_.resize(snap->num_entities());
-  for (EntityId e = 0; e < snap->num_entities(); ++e) {
-    const Reference& profile = snap->profiles_->reference(e);
-    const ClassDef& cls = schema.class_def(profile.class_id());
-    snap->value_ids_[e].resize(cls.num_attributes());
-    for (int attr = 0; attr < cls.num_attributes(); ++attr) {
-      if (cls.attributes[attr].kind != AttrKind::kAtomic) continue;
-      for (const std::string& value : profile.atomic_values(attr)) {
-        snap->value_ids_[e][attr].push_back(snap->values_.Intern(
-            ValueDomain{profile.class_id(), attr}, value));
-      }
-    }
-  }
-  snap->features_->Sync(snap->values_);
-
-  // Candidate index over the profiles, with the same keys candidate
-  // generation blocks on; over-large blocks are dropped, as there.
-  for (EntityId e = 0; e < snap->num_entities(); ++e) {
-    const int class_id = snap->entities_[e].class_id;
-    for (const std::string& key :
-         BlockingKeys(*snap->profiles_, e, snap->binding_, &snap->values_,
-                      snap->features_.get())) {
-      snap->blocks_[QualifiedKey(class_id, key)].push_back(e);
-    }
-  }
-  for (auto it = snap->blocks_.begin(); it != snap->blocks_.end();) {
-    if (static_cast<int>(it->second.size()) > snap->max_block_size_) {
-      it = snap->blocks_.erase(it);
+  // One entity per cluster, in the order of the clusters' smallest
+  // members, so ids are deterministic.
+  std::vector<EntityId>& entity_of = snap->ref_to_entity_;
+  entity_of.resize(n);
+  std::vector<RefId> smallest;
+  for (RefId r = 0; r < n; ++r) {
+    const int label = clusters[r];
+    RECON_CHECK(label >= 0 && label <= r && clusters[label] == label)
+        << "clusters must label each reference with its cluster's smallest "
+           "member";
+    if (label == r) {
+      entity_of[r] = static_cast<EntityId>(smallest.size());
+      smallest.push_back(r);
     } else {
-      ++it;
+      entity_of[r] = entity_of[label];
+    }
+  }
+  const int num_entities = static_cast<int>(smallest.size());
+
+  // An entity keeps its previous EntityInfo when its member set is
+  // unchanged: every member was in the previous snapshot, in the entity
+  // named by the same smallest member, and the sizes agree.
+  std::vector<int32_t> size(num_entities, 0);
+  std::vector<char> same(num_entities, previous != nullptr);
+  for (RefId r = 0; r < n; ++r) {
+    const EntityId e = entity_of[r];
+    ++size[e];
+    if (same[e] && (r >= prev_n || previous->ref_to_entity_[r] !=
+                                       previous->ref_to_entity_[clusters[r]])) {
+      same[e] = 0;
+    }
+  }
+  std::vector<char> prev_kept(
+      previous != nullptr ? previous->entities_.size() : 0, 0);
+  snap->entities_.resize(num_entities);
+  std::vector<EntityId> rebuilt;
+  for (EntityId e = 0; e < num_entities; ++e) {
+    if (same[e]) {
+      const EntityId p = previous->ref_to_entity_[smallest[e]];
+      if (static_cast<int>(previous->entities_[p]->members.size()) ==
+          size[e]) {
+        snap->entities_[e] = previous->entities_[p];
+        prev_kept[p] = 1;
+        continue;
+      }
+    }
+    rebuilt.push_back(e);
+  }
+  snap->entities_rebuilt_ = static_cast<int>(rebuilt.size());
+
+  // Build the changed entities.
+  std::vector<std::vector<RefId>> members(rebuilt.size());
+  {
+    std::vector<int32_t> slot(num_entities, -1);
+    for (size_t i = 0; i < rebuilt.size(); ++i) {
+      slot[rebuilt[i]] = static_cast<int32_t>(i);
+      members[i].reserve(size[rebuilt[i]]);
+    }
+    for (RefId r = 0; r < n; ++r) {
+      const int32_t i = slot[entity_of[r]];
+      if (i >= 0) members[i].push_back(r);
+    }
+  }
+  const ValueKindSchema kinds = MakeValueKindSchema(snap->binding_);
+  for (size_t i = 0; i < rebuilt.size(); ++i) {
+    snap->entities_[rebuilt[i]] =
+        BuildEntity(dataset, std::move(members[i]), snap->binding_, kinds);
+  }
+
+  // Candidate index. Start from the previous generation's shards and
+  // apply the entities that left and the ones built, copying each shard on
+  // its first write. Without a usable previous index (none, another block
+  // cap, or a corpus that outgrew the shard count) start from empty shards
+  // with every entity added.
+  std::vector<const EntityInfo*> removed;
+  std::vector<const EntityInfo*> added;
+  int64_t key_entries = 0;
+  for (const EntityId e : rebuilt) {
+    added.push_back(snap->entities_[e].get());
+    key_entries += static_cast<int64_t>(added.back()->blocking_keys.size());
+  }
+  const bool reuse_index =
+      previous != nullptr &&
+      previous->max_block_size_ == snap->max_block_size_ &&
+      previous->num_index_keys_ + key_entries <=
+          8 * static_cast<int64_t>(previous->shards_.size());
+  if (reuse_index) {
+    for (size_t p = 0; p < prev_kept.size(); ++p) {
+      if (!prev_kept[p]) removed.push_back(previous->entities_[p].get());
+    }
+    snap->shards_ = previous->shards_;
+    snap->num_index_keys_ = previous->num_index_keys_;
+    snap->num_blocking_keys_ = previous->num_blocking_keys_;
+    snap->index_bytes_ = previous->index_bytes_;
+  } else {
+    added.clear();
+    key_entries = 0;
+    for (const std::shared_ptr<const EntityInfo>& info : snap->entities_) {
+      added.push_back(info.get());
+      key_entries += static_cast<int64_t>(info->blocking_keys.size());
+    }
+    // About two keys per shard at first; reused until eight.
+    const size_t num_shards = std::bit_ceil(
+        static_cast<size_t>(std::max<int64_t>(64, key_entries / 2)));
+    snap->shards_.assign(num_shards,
+                         std::make_shared<const Snapshot::BlockShard>());
+  }
+  std::vector<Snapshot::BlockShard*> writable(snap->shards_.size(), nullptr);
+  const size_t shard_mask = snap->shards_.size() - 1;
+  const int64_t cap = snap->max_block_size_;
+  auto update_block = [&](const std::string& key, RefId name, bool add) {
+    const size_t s = std::hash<std::string>{}(key) & shard_mask;
+    if (writable[s] == nullptr) {
+      auto copy = std::make_shared<Snapshot::BlockShard>(*snap->shards_[s]);
+      writable[s] = copy.get();
+      snap->shards_[s] = std::move(copy);
+    }
+    auto& blocks = writable[s]->blocks;
+    auto [it, inserted] = blocks.try_emplace(key);
+    std::vector<RefId>& block = it->second;
+    auto live = [cap](const std::vector<RefId>& b) {
+      return !b.empty() && static_cast<int64_t>(b.size()) <= cap;
+    };
+    snap->num_blocking_keys_ -= live(block);
+    const auto pos = std::lower_bound(block.begin(), block.end(), name);
+    if (add) {
+      block.insert(pos, name);
+    } else {
+      RECON_CHECK(pos != block.end() && *pos == name)
+          << "index lost an entity";
+      block.erase(pos);
+    }
+    const int64_t entry_bytes = sizeof(RefId);
+    snap->index_bytes_ += add ? entry_bytes : -entry_bytes;
+    snap->num_blocking_keys_ += live(block);
+    if (inserted) {
+      ++snap->num_index_keys_;
+      snap->index_bytes_ += kIndexKeyBytes + static_cast<int64_t>(key.size());
+    } else if (block.empty()) {
+      blocks.erase(it);
+      --snap->num_index_keys_;
+      snap->index_bytes_ -= kIndexKeyBytes + static_cast<int64_t>(key.size());
+    }
+  };
+  for (const EntityInfo* info : removed) {
+    for (const std::string& key : info->blocking_keys) {
+      update_block(key, info->members.front(), /*add=*/false);
+    }
+  }
+  for (const EntityInfo* info : added) {
+    for (const std::string& key : info->blocking_keys) {
+      update_block(key, info->members.front(), /*add=*/true);
     }
   }
 
@@ -436,17 +598,13 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
     }
   }
 
-  // Rough footprint for /stats: feature table + index keys + entity lists.
-  int64_t bytes = snap->features_->approximate_bytes();
-  for (const auto& [key, block] : snap->blocks_) {
-    bytes += static_cast<int64_t>(key.capacity() + 64 +
-                                  block.capacity() * sizeof(EntityId));
+  // Rough footprint for /stats: entity records, index, dense tables.
+  int64_t bytes = snap->index_bytes_;
+  for (const std::shared_ptr<const EntityInfo>& info : snap->entities_) {
+    bytes += info->approximate_bytes;
   }
-  for (const EntityInfo& info : snap->entities_) {
-    bytes += static_cast<int64_t>(sizeof(EntityInfo) +
-                                  info.members.capacity() * sizeof(RefId) +
-                                  info.display_name.capacity());
-  }
+  bytes += static_cast<int64_t>(snap->ref_to_entity_.size() *
+                                sizeof(EntityId));
   snap->approximate_bytes_ = bytes;
   return snap;
 }

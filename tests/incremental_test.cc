@@ -24,10 +24,17 @@
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
+#include "ingest_replay.h"
 #include "model/subset.h"
 
 namespace recon {
 namespace {
+
+using replay::kFlushBatch;
+using replay::ReplayIngest;
+using replay::Shuffled;
+using replay::ShuffledCora;
+using replay::ShuffledPimB;
 
 datagen::PimConfig SmallPim(uint64_t seed) {
   datagen::PimConfig config = datagen::PimConfigA();
@@ -263,86 +270,6 @@ TEST(IncrementalTest, StatsAccumulate) {
 
 // ---- Flush-by-flush goldens ---------------------------------------------------
 
-/// `data` with its reference order shuffled by `seed` (associations
-/// remapped), so every batch mixes classes and extraction units.
-Dataset Shuffled(const Dataset& data, uint64_t seed) {
-  const int n = data.num_references();
-  std::vector<RefId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::mt19937_64 rng(seed);
-  std::shuffle(order.begin(), order.end(), rng);
-  std::vector<RefId> new_id(n);
-  for (int i = 0; i < n; ++i) new_id[order[i]] = i;
-  Dataset out(data.schema());
-  for (const RefId old_id : order) {
-    const Reference& src = data.reference(old_id);
-    Reference ref(src.class_id(), src.num_attributes());
-    for (int attr = 0; attr < src.num_attributes(); ++attr) {
-      for (const std::string& v : src.atomic_values(attr)) {
-        ref.AddAtomicValue(attr, v);
-      }
-      for (const RefId target : src.associations(attr)) {
-        ref.AddAssociation(attr, new_id[target]);
-      }
-    }
-    out.AddReference(std::move(ref), data.gold_entity(old_id),
-                     data.provenance(old_id));
-  }
-  return out;
-}
-
-Dataset ShuffledPimB() {
-  return Shuffled(datagen::GeneratePim(
-                      datagen::ScaleConfig(datagen::PimConfigB(), 0.025)),
-                  /*seed=*/13);
-}
-
-Dataset ShuffledCora() {
-  datagen::CoraConfig config;
-  config.num_papers = 30;
-  config.num_citations = 300;
-  config.num_authors = 60;
-  config.num_venue_series = 12;
-  return Shuffled(datagen::GenerateCora(config), /*seed=*/17);
-}
-
-constexpr int kFlushBatch = 16;
-
-/// Replays `full` as an incremental ingest: the references before the
-/// last `flushes` batches form the initial dataset, then each batch of
-/// kFlushBatch references is added (keeping only associations to
-/// references that already exist) and flushed. `after_flush` runs after
-/// the initial reconcile (flush 0) and after every batch.
-template <typename AfterFlush>
-void ReplayIngest(const Dataset& full, const ReconcilerOptions& options,
-                  int flushes, AfterFlush after_flush) {
-  const RefId split = full.num_references() - flushes * kFlushBatch;
-  RECON_CHECK_GT(split, 0);
-  IncrementalReconciler reconciler(
-      FilterDataset(full, [&](RefId id) { return id < split; }), options);
-  reconciler.Flush();
-  after_flush(reconciler, 0);
-  for (int f = 0; f < flushes; ++f) {
-    for (int i = 0; i < kFlushBatch; ++i) {
-      const RefId id = split + f * kFlushBatch + i;
-      const Reference& src = full.reference(id);
-      Reference ref(src.class_id(), src.num_attributes());
-      for (int attr = 0; attr < src.num_attributes(); ++attr) {
-        for (const std::string& v : src.atomic_values(attr)) {
-          ref.AddAtomicValue(attr, v);
-        }
-        for (const RefId target : src.associations(attr)) {
-          if (target < id) ref.AddAssociation(attr, target);
-        }
-      }
-      reconciler.AddReference(std::move(ref), full.gold_entity(id),
-                              full.provenance(id));
-    }
-    reconciler.Flush();
-    after_flush(reconciler, f + 1);
-  }
-}
-
 uint64_t Fnv1a(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
@@ -446,6 +373,66 @@ TEST(IncrementalGoldenTest, PimBFlushSweep) {
 
 TEST(IncrementalGoldenTest, CoraFlushSweep) {
   FlushSweep(ShuffledCora(), "Cora");
+}
+
+// ---- Kept closure -------------------------------------------------------------
+
+// Flushes whose partition split a cluster the previous flush published:
+// some reference left the cluster of the smallest member it had before.
+bool SplitsACluster(const std::vector<int>& before,
+                    const std::vector<int>& after) {
+  for (size_t r = 0; r < before.size(); ++r) {
+    if (after[r] != after[static_cast<size_t>(before[r])]) return true;
+  }
+  return false;
+}
+
+// After every flush — splitting flushes included — the kept closure must
+// equal a from-scratch closure over the same graph, partition and merged
+// pairs alike. On the PIM B ingest negative propagation demotes merged
+// pairs, so a flush splits a published cluster, and the unmerge counter
+// says so. (The Cora ingest never demotes a merged pair.)
+void ExpectKeptClosureExact(const Dataset& full, const std::string& name,
+                            bool expect_split) {
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  options.premerge_equal_emails = false;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    int splitting_flushes = 0;
+    int64_t unmerged_pairs = 0;
+    std::vector<int> before;
+    ReplayIngest(full, options, kGoldenFlushes,
+                 [&](IncrementalReconciler& reconciler, int flush) {
+                   const ReconcileResult result = reconciler.result();
+                   std::vector<std::pair<RefId, RefId>> fresh_pairs;
+                   const std::vector<int> fresh =
+                       reconciler.solver().Closure(&fresh_pairs);
+                   EXPECT_EQ(result.cluster, fresh) << "flush " << flush;
+                   EXPECT_EQ(result.merged_pairs, fresh_pairs)
+                       << "flush " << flush;
+                   if (SplitsACluster(before, result.cluster)) {
+                     ++splitting_flushes;
+                   }
+                   before = result.cluster;
+                   unmerged_pairs = result.stats.num_unmerged_pairs;
+                 });
+    if (expect_split) {
+      EXPECT_GT(splitting_flushes, 0);
+      EXPECT_GT(unmerged_pairs, 0);
+    }
+  }
+}
+
+TEST(IncrementalClosureTest, PimBKeptClosureMatchesFreshAfterEveryFlush) {
+  // Shuffles 4 and 10 are the ones among 1-14 whose 16 flushes split a
+  // cluster.
+  ExpectKeptClosureExact(ShuffledPimB(/*seed=*/4), "PIM-B",
+                         /*expect_split=*/true);
+}
+
+TEST(IncrementalClosureTest, CoraKeptClosureMatchesFreshAfterEveryFlush) {
+  ExpectKeptClosureExact(ShuffledCora(), "Cora", /*expect_split=*/false);
 }
 
 // ---- Dirty-set negative propagation ---------------------------------------

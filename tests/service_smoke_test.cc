@@ -158,6 +158,15 @@ TEST_F(ServiceSmokeTest, IngestBumpsGenerationAndServesNewEntity) {
   const json::Value stats = FetchJson("GET", "/stats", "", 200);
   EXPECT_GE(stats.at("counters").at("negprop_sources").AsInt(), 0);
   EXPECT_GE(stats.at("counters").at("graph_compactions").AsInt(), 4);
+  EXPECT_GE(stats.at("counters").at("unmerged_pairs").AsInt(), 0);
+  // The publish built the new entity and shared the others with the
+  // previous snapshot.
+  EXPECT_GE(stats.at("counters").at("publish_ms").AsDouble(), 0.0);
+  const int64_t rebuilt =
+      stats.at("counters").at("snapshot_entities_rebuilt").AsInt();
+  const int64_t entities = stats.at("snapshot").at("entities").AsInt();
+  EXPECT_EQ(rebuilt, 1);
+  EXPECT_LT(2 * rebuilt, entities);
 }
 
 TEST_F(ServiceSmokeTest, EntityLookup) {

@@ -8,7 +8,10 @@
 # against committed golden fingerprints, frozen budget stops included),
 # the incremental flush sweep (per-flush goldens, the dirty-set
 # negative-propagation fixpoint check, and amortized pool repacks that
-# move storage under enrichment folds), the service smoke
+# move storage under enrichment folds), the snapshot publish sweep
+# (each generation built from the previous one, sharing its entity records
+# and index shards, equals a from-scratch build after every flush), the
+# service smoke
 # test (a live daemon on an ephemeral loopback port serving query, ingest,
 # malformed-request, and overload traffic end-to-end over HTTP, plus a
 # SIGTERM drain of the real binary), and the crash-recovery sweep (WAL +

@@ -8,7 +8,9 @@
 #      similarity-memo sweep with the store on and off, the CSR-graph
 #      golden sweep that asserts byte-identical output at 1/2/4/8 threads,
 #      the service-layer sweep where query threads
-#      race a live ingest/flush loop against the snapshot swap, and the
+#      race a live ingest/flush loop against the snapshot swap, the
+#      snapshot publish sweep where a reader queries a generation while
+#      the next one is built from it, sharing its entity records, and the
 #      crash-recovery sweep whose replay must stay byte-identical across
 #      recovery thread counts, DESIGN.md §15),
 #   3. re-runs the determinism sweeps in the regular (uninstrumented) build
@@ -39,7 +41,7 @@ echo
 if [[ -d "${NATIVE_DIR}/tests" ]]; then
   echo "== [3/3] determinism sweeps in native build ${NATIVE_DIR}"
   ctest --test-dir "${NATIVE_DIR}" \
-    -R 'GraphCsrTest|ValueStoreTest|ServiceTest|RecoveryTest' \
+    -R 'GraphCsrTest|ValueStoreTest|ServiceTest|RecoveryTest|SnapshotIncrementalTest' \
     --output-on-failure
 else
   echo "== [3/3] skipped: ${NATIVE_DIR} not built"

@@ -409,6 +409,7 @@ int main(int argc, char** argv) {
     std::cout << "Graph upkeep: negative propagation examined "
               << result.stats.negprop_sources << " of "
               << result.stats.num_non_merge_pairs << " non-merge pairs; "
+              << result.stats.num_unmerged_pairs << " merged pairs unmerged; "
               << result.stats.graph_compactions << " pool compactions\n";
   }
   if (algo == "depgraph" && result.stats.num_pair_comparisons > 0) {
