@@ -71,6 +71,8 @@ void IncrementalReconciler::Flush() {
   stats_.solve_seconds += timer.ElapsedSeconds();
   stats_.graph_compactions = built_.graph->num_compactions();
   stats_.num_non_merge_pairs = built_.graph->num_non_merge_pairs();
+  stats_.num_derived_non_merge_pairs =
+      built_.graph->num_derived_non_merge_pairs();
   stats_.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
   stats_.stop_reason = tracker.stop_reason();
   stats_.num_budget_probes += tracker.num_probes();

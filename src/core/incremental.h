@@ -17,9 +17,10 @@
 //    wiring their associations, the solve drain (the nodes the batch
 //    activates and whatever their merges propagate to), and negative
 //    propagation, which examines only the triangles that contain a pair
-//    changed since the previous pass. (Each pass's demotions are the next
-//    pass's sources, so the non-merge pairs in that neighborhood keep
-//    accumulating over a long ingest.)
+//    changed since the previous pass. (Only constraint and "distinct"
+//    feedback pairs are sources; a pass's own demotions are derived and
+//    never propagate further, so that neighborhood does not keep growing
+//    over a long ingest.)
 //  - Amortized O(1) per graph mutation: capacity grows geometrically, and
 //    a CSR pool is repacked only once its garbage exceeds its live data.
 //  - Not part of Flush(): clusters() brings the kept closure up to date

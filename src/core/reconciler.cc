@@ -162,6 +162,8 @@ ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
   result.stats.graph_index_bytes = static_cast<int64_t>(gb.indices);
   result.stats.graph_compactions = built.graph->num_compactions();
   result.stats.num_non_merge_pairs = built.graph->num_non_merge_pairs();
+  result.stats.num_derived_non_merge_pairs =
+      built.graph->num_derived_non_merge_pairs();
   result.stats.num_unmerged_pairs = built.graph->num_unmerged_pairs();
   result.stats.stop_reason = budget->stop_reason();
   result.stats.num_budget_probes = budget->num_probes();

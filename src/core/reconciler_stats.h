@@ -90,9 +90,12 @@ struct ReconcileStats {
   /// every one on a batch run, those next to a change on an incremental
   /// flush (DESIGN.md §17) ...
   int64_t negprop_sources = 0;
-  /// ... out of this many live non-merge reference pairs (what a full pass
-  /// examines).
+  /// ... out of this many live non-merge reference pairs, of which the
+  /// derived ones are not sources: a full pass examines the difference.
   int64_t num_non_merge_pairs = 0;
+  /// Non-merge reference pairs the triangle rule demoted and no constraint
+  /// or "distinct" feedback has marked since (DESIGN.md §5).
+  int64_t num_derived_non_merge_pairs = 0;
   /// Merged reference pairs that later left kMerged, cumulative: negative
   /// propagation demotes the weaker side of a triangle even when that side
   /// was merged, and on an incremental ingest that can split a cluster an

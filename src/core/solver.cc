@@ -314,12 +314,14 @@ void FixedPointSolver::PushMergeDelta(NodeId id) {
 }
 
 void FixedPointSolver::PropagateNegativeEvidence(bool closure_only) {
-  // Only triangles that contain a node changed since the previous pass are
-  // examined. Any other triangle was examined by the previous pass with
-  // the same nodes and can only repeat a demotion, so the outcome is
-  // exactly the full pass's (DESIGN.md §17). Demotions made here are
-  // recorded in the next epoch: the next pass examines them as sources,
-  // just as a full pass would pick them up one pass later.
+  // Sources are the non-merge pairs a constraint or "distinct" feedback
+  // put there. The pairs this rule demotes are derived and never become
+  // sources, so negative evidence travels one triangle from a constraint,
+  // not one more triangle with every pass (DESIGN.md §5). Only triangles
+  // that contain a node changed since the previous pass are examined. Any
+  // other triangle was examined by the previous pass with the same nodes
+  // and can only repeat a demotion, so the outcome is exactly the full
+  // pass's (DESIGN.md §17).
   DependencyGraph::ChangeSet changes = graph_.CloseChangeEpoch();
   std::vector<NodeId>& sources = changes.sources;
   if (closure_only) {
@@ -342,7 +344,6 @@ void FixedPointSolver::PropagateNegativeEvidence(bool closure_only) {
     });
   }
   stats_->negprop_sources = static_cast<int64_t>(sources.size());
-  last_demoted_.clear();
 
   // The changed pairs by endpoint: an unchanged source (r1, r2) meets its
   // new triangles (r1, r2, r3) through a changed (r1, r3) or (r2, r3).
@@ -364,7 +365,7 @@ void FixedPointSolver::PropagateNegativeEvidence(bool closure_only) {
   for (const NodeId lid : sources) {
     if (changes.all_nodes || graph_.IsNodeDirty(lid)) {
       // A changed source forms new triangles with all its neighbors.
-      DemoteAcrossTriangles(lid, &last_demoted_);
+      DemoteAcrossTriangles(lid);
       continue;
     }
     const RefId r1 = static_cast<RefId>(graph_.node(lid).a);
@@ -372,7 +373,7 @@ void FixedPointSolver::PropagateNegativeEvidence(bool closure_only) {
     // The walked side (r1, r3) changed; the full pass walks it only if
     // r1's list holds it.
     for (const auto& [r, mid] : changed_pairs_at(r1)) {
-      if (graph_.InRefList(r1, mid)) DemoteInTriangle(lid, mid, &last_demoted_);
+      if (graph_.InRefList(r1, mid)) DemoteInTriangle(lid, mid);
     }
     // The looked-up side (r2, r3) changed; its walked partner (r1, r3)
     // must be in r1's list.
@@ -383,58 +384,54 @@ void FixedPointSolver::PropagateNegativeEvidence(bool closure_only) {
           !graph_.InRefList(r1, mid)) {
         continue;
       }
-      DemoteInTriangle(lid, mid, &last_demoted_);
+      DemoteInTriangle(lid, mid);
     }
   }
 }
 
 int64_t FixedPointSolver::RecheckNegativeEvidence() {
-  // Every source the latest pass started from: all non-merge pairs except
-  // the ones that pass demoted itself (the next pass's sources).
-  std::vector<char> excluded(static_cast<size_t>(graph_.num_nodes()), 0);
-  for (const NodeId id : last_demoted_) excluded[id] = 1;
-  std::vector<NodeId> demoted;
+  // Every source a full pass starts from: the live non-merge pairs that
+  // are not derived (the latest pass's own demotions among them).
+  int64_t changed = 0;
   for (NodeId id = 0; id < graph_.num_nodes(); ++id) {
     const Node& node = graph_.node(id);
     if (!node.dead && node.IsRefPair() &&
-        node.state == NodeState::kNonMerge && !excluded[id]) {
-      DemoteAcrossTriangles(id, &demoted);
+        node.state == NodeState::kNonMerge && !node.derived) {
+      changed += DemoteAcrossTriangles(id);
     }
   }
-  return static_cast<int64_t>(demoted.size());
+  return changed;
 }
 
-void FixedPointSolver::DemoteAcrossTriangles(NodeId lid,
-                                             std::vector<NodeId>* demoted) {
+int FixedPointSolver::DemoteAcrossTriangles(NodeId lid) {
   // Demotions leave the reference lists alone, so the span stays valid.
+  int demoted = 0;
   for (const NodeId mid : graph_.NodesOfRef(graph_.node(lid).a)) {
-    DemoteInTriangle(lid, mid, demoted);
+    demoted += DemoteInTriangle(lid, mid) ? 1 : 0;
   }
+  return demoted;
 }
 
-void FixedPointSolver::DemoteInTriangle(NodeId lid, NodeId mid,
-                                        std::vector<NodeId>* demoted) {
-  if (mid == lid) return;
+bool FixedPointSolver::DemoteInTriangle(NodeId lid, NodeId mid) {
+  if (mid == lid) return false;
   const Node& l = graph_.node(lid);
   const Node& m = graph_.node(mid);
-  if (m.dead || !m.IsRefPair()) return;
+  if (m.dead || !m.IsRefPair()) return false;
   const RefId r1 = static_cast<RefId>(l.a);
   const RefId r2 = static_cast<RefId>(l.b);
   const RefId r3 = static_cast<RefId>(m.Other(r1));
-  if (r3 == r2) return;
+  if (r3 == r2) return false;
   const NodeId nid = graph_.FindRefPair(r2, r3);
-  if (nid == kInvalidNode) return;
+  if (nid == kInvalidNode) return false;
   const Node& n = graph_.node(nid);
-  if (n.dead) return;
+  if (n.dead) return false;
   // Demote the weaker side so r1 and r2 cannot be glued through r3
-  // (deterministic tie-break on node id). SetNodeState invalidates
-  // dependent caches: a non-merge source no longer contributes
-  // real-valued evidence, which matters if the solver is re-entered.
+  // (deterministic tie-break on node id). The demotion invalidates
+  // dependent caches: a non-merge pair no longer contributes real-valued
+  // evidence, which matters if the solver is re-entered.
   const NodeId lower =
       (m.sim > n.sim || (m.sim == n.sim && mid < nid)) ? nid : mid;
-  if (graph_.SetNodeState(lower, NodeState::kNonMerge)) {
-    demoted->push_back(lower);
-  }
+  return graph_.DemoteDerived(lower);
 }
 
 std::vector<int> FixedPointSolver::Closure(

@@ -70,6 +70,11 @@ class FixedPointSolver {
   /// §3.4 step 3: post-fixpoint propagation of negative evidence. Called
   /// by the reconciler after Run() when constraints are enabled.
   ///
+  /// Sources are the non-merge pairs set by constraints and "distinct"
+  /// feedback. The pairs the pass demotes are marked derived and are never
+  /// sources of a later pass (DESIGN.md §5), so negative evidence does not
+  /// cascade one triangle further with every flush.
+  ///
   /// Examines only the triangles that contain a pair changed since the
   /// previous pass (DESIGN.md §17) — all of them on a fresh build — so an
   /// incremental flush pays for its batch's neighborhood, not the graph,
@@ -87,9 +92,8 @@ class FixedPointSolver {
   void PropagateNegativeEvidence(bool closure_only = false);
 
   /// The fixpoint invariant of the dirty-set pass: re-runs the triangle
-  /// sweep over every reference, from the sources the latest pass started
-  /// with (all non-merge pairs except the ones it demoted, which are the
-  /// next pass's sources), and returns the number of node states that
+  /// sweep over every reference, from every source (all non-merge pairs
+  /// that are not derived), and returns the number of node states that
   /// changed. Zero means the latest pass did everything a full pass would
   /// have. Costs a full pass; leaves the dirty record alone.
   int64_t RecheckNegativeEvidence();
@@ -126,12 +130,12 @@ class FixedPointSolver {
   bool StopBeforePop(int64_t* iterations, int64_t iteration_cap);
 
   /// §3.4's triangle rule for source `lid` = (r1, r2): DemoteInTriangle
-  /// for every pair (r1, r3) in NodesOfRef(r1).
-  void DemoteAcrossTriangles(NodeId lid, std::vector<NodeId>* demoted);
+  /// for every pair (r1, r3) in NodesOfRef(r1). Returns the demotions.
+  int DemoteAcrossTriangles(NodeId lid);
   /// One triangle: when `mid` = (r1, r3) is a live pair other than the
   /// source and the live pair (r2, r3) exists, demotes the weaker of the
-  /// two, appending it to `*demoted` when its state changed.
-  void DemoteInTriangle(NodeId lid, NodeId mid, std::vector<NodeId>* demoted);
+  /// two to a derived non-merge pair. Returns whether its state changed.
+  bool DemoteInTriangle(NodeId lid, NodeId mid);
 
   void Step(NodeId id);
   /// The write half of Step: state transition, merge, enrichment, delta
@@ -182,8 +186,6 @@ class FixedPointSolver {
   int64_t merges_this_run_ = 0;
   UnionFind refs_;
   RingDeque<NodeId> queue_;
-  /// Nodes the latest PropagateNegativeEvidence() demoted.
-  std::vector<NodeId> last_demoted_;
   /// Reference pairs merged since the last TakeMergeChanges().
   std::vector<NodeId> merged_log_;
 };

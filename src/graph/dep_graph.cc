@@ -75,7 +75,9 @@ DependencyGraph::ChangeSet DependencyGraph::CloseChangeEpoch() {
     if (ref_epoch_[static_cast<size_t>(entry.a)] == epoch_ ||
         ref_epoch_[static_cast<size_t>(entry.b)] == epoch_) {
       const Node& node = nodes_[entry.id];
-      if (node.dead || node.state != NodeState::kNonMerge) continue;
+      if (node.dead || node.state != NodeState::kNonMerge || node.derived) {
+        continue;
+      }
       // Re-keyed since registration: both the old and the new endpoints
       // were marked, so the refreshed entry is still a source.
       entry.a = node.a;
@@ -200,13 +202,25 @@ void DependencyGraph::AddStaticReal(NodeId id, int evidence, double sim) {
 }
 
 bool DependencyGraph::SetNodeState(NodeId id, NodeState state) {
+  const Node& node = nodes_[id];
+  if (state == NodeState::kNonMerge && node.state == state && node.derived) {
+    PromoteToSource(id);
+  }
+  return Transition(id, state, /*derived=*/false);
+}
+
+bool DependencyGraph::DemoteDerived(NodeId id) {
+  return Transition(id, NodeState::kNonMerge, /*derived=*/true);
+}
+
+bool DependencyGraph::Transition(NodeId id, NodeState state, bool derived) {
   Node& node = nodes_[id];
   const NodeState old = node.state;
   if (old == state) return false;
   node.state = state;
   MarkDirty(id);
-  if (state == NodeState::kNonMerge) NoteNonMerge(id);
-  if (old == NodeState::kNonMerge && node.IsRefPair()) --num_non_merge_pairs_;
+  if (state == NodeState::kNonMerge) NoteNonMerge(id, derived);
+  if (old == NodeState::kNonMerge) NoteLeftNonMerge(id);
   if (old == NodeState::kMerged) NoteUnmerged(id);
   // Keep dependent evidence caches honest. Additions (a restored or newly
   // merged contribution) are monotone and can be pushed; removals (a
@@ -276,9 +290,10 @@ void DependencyGraph::DetachEdge(NodeId source, NodeId target,
 bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   RECON_CHECK_NE(from, into);
   RECON_CHECK(!nodes_[from].dead && !nodes_[into].dead);
-  // `from` dies; `into` may gain a sim raise or the non-merge state.
+  // `from` dies. `into` keeps its key, and a sim raise changes no
+  // triangle's weaker side (DESIGN.md §17), so `into` is marked only if it
+  // takes on the non-merge state or becomes a source below.
   MarkDirty(from);
-  MarkDirty(into);
   const float old_sim = nodes_[into].sim;
 
   bool gained = false;
@@ -358,12 +373,15 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   // Negative evidence survives folding: a cluster may not merge with a
   // reference constrained apart from any of its members. An already-merged
   // destination is left merged (decisions are monotone; the §3.4
-  // post-fixpoint pass arbitrates genuine conflicts).
+  // post-fixpoint pass arbitrates genuine conflicts). The survivor is
+  // derived only if every non-merge side of the fold was.
   if (src.state == NodeState::kNonMerge) {
-    if (dst.state != NodeState::kMerged &&
-        dst.state != NodeState::kNonMerge) {
+    if (dst.state == NodeState::kNonMerge) {
+      if (dst.derived && !src.derived) PromoteToSource(into);
+    } else if (dst.state != NodeState::kMerged) {
       dst.state = NodeState::kNonMerge;
-      NoteNonMerge(into);
+      NoteNonMerge(into, src.derived);
+      MarkDirty(into);
     }
   } else if (dst.state != NodeState::kNonMerge) {
     // Evidence is now a superset of both nodes'; a monotone similarity
@@ -374,7 +392,7 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   if (src.state == NodeState::kMerged) NoteUnmerged(from);
   src.dead = true;
   --num_live_nodes_;
-  if (src.state == NodeState::kNonMerge) --num_non_merge_pairs_;
+  if (src.state == NodeState::kNonMerge) NoteLeftNonMerge(from);
   // Every dst mutation above was cache-maintained (AddEdge pushed gained
   // contributions, statics were offered / delta-bumped), except a direct
   // src -> dst input disappearing with the fold.

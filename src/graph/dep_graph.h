@@ -135,7 +135,18 @@ class DependencyGraph {
   /// must use this instead of writing `state` directly: Step() keeps the
   /// caches consistent itself via delta pushes. Returns whether the state
   /// changed.
+  ///
+  /// This is the path of constraints and user feedback: a reference pair
+  /// set to kNonMerge becomes a negative-propagation source, also when it
+  /// was already kNonMerge as a derived pair. Leaving kNonMerge clears the
+  /// derived bit.
   bool SetNodeState(NodeId id, NodeState state);
+
+  /// The §3.4 triangle rule's demotion: moves reference pair `id` into
+  /// kNonMerge as a derived pair, which is never a negative-propagation
+  /// source. A pair already in kNonMerge keeps its bit. Returns whether
+  /// the state changed.
+  bool DemoteDerived(NodeId id);
 
   /// Clears the cached evidence summaries of every node whose similarity
   /// depends on `id` (its out-edge targets).
@@ -150,9 +161,14 @@ class DependencyGraph {
   /// Nodes not yet folded away (Table 6 reports this).
   int num_live_nodes() const { return num_live_nodes_; }
   int num_edges() const { return num_edges_; }
-  /// Live reference pairs in kNonMerge: the sources a full negative
-  /// propagation pass would examine.
+  /// Live reference pairs in kNonMerge. Those not derived are the sources
+  /// a full negative-propagation pass examines.
   int num_non_merge_pairs() const { return num_non_merge_pairs_; }
+  /// The derived ones among them: demoted by the triangle rule, and
+  /// neither constrained nor marked distinct since.
+  int num_derived_non_merge_pairs() const {
+    return num_derived_non_merge_pairs_;
+  }
 
   /// Reference pairs that left kMerged so far (demoted, or folded away).
   int64_t num_unmerged_pairs() const { return num_unmerged_pairs_; }
@@ -172,17 +188,19 @@ class DependencyGraph {
   ///
   /// If a folded-away node was in state kNonMerge, the surviving node
   /// becomes kNonMerge (a cluster cannot merge with a reference that is
-  /// constrained apart from one of its members).
+  /// constrained apart from one of its members). It inherits the derived
+  /// bit, except that a source on either side makes the survivor a source.
   MergeRefsResult MergeReferences(RefId keep, RefId gone);
 
   // ---- Change record for negative propagation (DESIGN.md §17) ----------
-  // Negative propagation only revisits triangles that contain a change.
+  // Negative propagation only revisits triangles that contain a change,
+  // and only from sources: the non-merge pairs that are not derived.
   // Changes are recorded in epochs: the graph marks every reference-pair
-  // node it creates, kills, re-keys, or moves between states, and marking
-  // a node marks both its endpoints. Sim raises need no mark: sims only
-  // rise, and only outside kNonMerge, so a triangle's weaker side — already
-  // demoted — stays the weaker side. Each pass closes the current epoch
-  // with CloseChangeEpoch().
+  // node it creates, kills, re-keys, moves between states, or promotes to
+  // a source, and marking a node marks both its endpoints. Sim raises need
+  // no mark: sims only rise, and only outside kNonMerge, so a triangle's
+  // weaker side — already demoted — stays the weaker side. Each pass
+  // closes the current epoch with CloseChangeEpoch().
 
   /// Records reference pair `id` and its endpoints as changed; no-op for
   /// value pairs.
@@ -205,8 +223,8 @@ class DependencyGraph {
 
   /// What one change epoch touched.
   struct ChangeSet {
-    /// Live non-merge reference pairs with an endpoint marked, ascending:
-    /// every source whose triangles may contain a change.
+    /// Live non-derived non-merge reference pairs with an endpoint marked,
+    /// ascending: every source whose triangles may contain a change.
     std::vector<NodeId> sources;
     /// The reference pairs marked, ascending (some may be dead by now).
     std::vector<NodeId> nodes;
@@ -259,12 +277,40 @@ class DependencyGraph {
            static_cast<uint32_t>(id);
   }
 
-  /// Registers a reference pair that just entered kNonMerge.
-  void NoteNonMerge(NodeId id) {
-    const Node& node = nodes_[id];
+  /// The state transition behind SetNodeState and DemoteDerived.
+  bool Transition(NodeId id, NodeState state, bool derived);
+
+  /// Counts a reference pair that just entered kNonMerge, and registers it
+  /// as a source unless it is `derived`.
+  void NoteNonMerge(NodeId id, bool derived) {
+    Node& node = nodes_[id];
     if (!node.IsRefPair()) return;
-    non_merge_.push_back({id, node.a, node.b});
     ++num_non_merge_pairs_;
+    node.derived = derived;
+    if (derived) {
+      ++num_derived_non_merge_pairs_;
+    } else {
+      non_merge_.push_back({id, node.a, node.b});
+    }
+  }
+
+  /// Makes derived non-merge pair `id` a source, and marks it so that the
+  /// next pass examines all its triangles.
+  void PromoteToSource(NodeId id) {
+    Node& node = nodes_[id];
+    node.derived = false;
+    --num_derived_non_merge_pairs_;
+    non_merge_.push_back({id, node.a, node.b});
+    MarkDirty(id);
+  }
+
+  /// Uncounts a reference pair that left kNonMerge (or died in it).
+  void NoteLeftNonMerge(NodeId id) {
+    Node& node = nodes_[id];
+    if (!node.IsRefPair()) return;
+    --num_non_merge_pairs_;
+    if (node.derived) --num_derived_non_merge_pairs_;
+    node.derived = false;
   }
 
   /// Records reference pair `id` leaving kMerged.
@@ -290,10 +336,11 @@ class DependencyGraph {
   std::vector<uint32_t> ref_epoch_;
   uint32_t epoch_ = 1;
   uint32_t closed_epoch_ = 1;
-  /// Every reference pair that entered kNonMerge, with the key it had
-  /// then. An entry may go stale (the node re-keyed, died, or left the
-  /// state), but each of those changes marks the stored endpoints, so
-  /// CloseChangeEpoch() meets the entry and refreshes or drops it.
+  /// Every reference pair that became a source, with the key it had then.
+  /// An entry may go stale (the node re-keyed, died, or left the state,
+  /// and maybe re-entered it as a derived pair), but each of those changes
+  /// marks the stored endpoints, so CloseChangeEpoch() meets the entry and
+  /// refreshes or drops it.
   struct NonMergeEntry {
     NodeId id;
     RefId a;
@@ -311,6 +358,7 @@ class DependencyGraph {
   int num_live_nodes_ = 0;
   int num_edges_ = 0;
   int num_non_merge_pairs_ = 0;
+  int num_derived_non_merge_pairs_ = 0;
   int64_t num_compactions_ = 0;
   /// Reference pairs that left kMerged since the last TakeUnmerged().
   std::vector<NodeId> unmerged_;

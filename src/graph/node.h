@@ -95,12 +95,16 @@ struct Node {
   /// Class id for reference pairs; unused (-1) for value pairs.
   int16_t class_id = -1;
   /// True once the node has been folded away by reference enrichment.
-  bool dead = false;
+  bool dead : 1 = false;
   /// True while the node sits in the reconciler's active queue.
-  bool queued = false;
+  bool queued : 1 = false;
   /// User feedback: this pair is a confirmed match; its similarity
   /// computes to 1 regardless of evidence.
-  bool forced_merge = false;
+  bool forced_merge : 1 = false;
+  /// A kNonMerge reference pair put there by the §3.4 triangle rule rather
+  /// than by a constraint or "distinct" feedback. Derived pairs are never
+  /// negative-propagation sources (DESIGN.md §5, §17).
+  bool derived : 1 = false;
   /// Low byte of the change epoch in which DependencyGraph::MarkDirty last
   /// recorded this node (negative propagation's change record, DESIGN.md
   /// §17). Sits in what was padding; an alias 256 epochs back only makes
@@ -122,6 +126,10 @@ struct Node {
   bool IsRefPair() const { return kind == NodeKind::kReferencePair; }
   int32_t Other(int32_t element) const { return element == a ? b : a; }
 };
+
+// The node array is the graph's largest allocation: a new flag goes into
+// the bitfield above, not a byte of its own.
+static_assert(sizeof(Node) == 92, "Node grew");
 
 /// One static real-valued evidence entry (evidence type -> comparator
 /// score on a shared attribute value), pooled per node by the graph.

@@ -479,6 +479,9 @@ uint64_t ReconService::PublishLocked() {
                                     std::memory_order_relaxed);
   counters_.unmerged_pairs.store(reconciler_.stats().num_unmerged_pairs,
                                  std::memory_order_relaxed);
+  counters_.derived_non_merge_pairs.store(
+      reconciler_.stats().num_derived_non_merge_pairs,
+      std::memory_order_relaxed);
 
   if (wal_ != nullptr && !wal_failed_ &&
       options_.durability.checkpoint_every > 0 &&

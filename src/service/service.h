@@ -81,6 +81,9 @@ struct ServiceCounters {
   /// The reconciler's ReconcileStats::num_unmerged_pairs (cumulative):
   /// merged pairs a later flush demoted, splitting a published cluster.
   std::atomic<int64_t> unmerged_pairs{0};
+  /// The reconciler's ReconcileStats::num_derived_non_merge_pairs: pairs
+  /// the triangle rule demoted, which are not negative-evidence sources.
+  std::atomic<int64_t> derived_non_merge_pairs{0};
   /// The latest publish: wall time of its closure update plus snapshot
   /// build, and the entities whose EntityInfo it built rather than shared
   /// with the previous snapshot.

@@ -425,9 +425,9 @@ void ExpectKeptClosureExact(const Dataset& full, const std::string& name,
 }
 
 TEST(IncrementalClosureTest, PimBKeptClosureMatchesFreshAfterEveryFlush) {
-  // Shuffles 4 and 10 are the ones among 1-14 whose 16 flushes split a
-  // cluster.
-  ExpectKeptClosureExact(ShuffledPimB(/*seed=*/4), "PIM-B",
+  // Shuffle 10 is the one among 1-14 whose 16 flushes split a cluster: a
+  // later batch's constraint demotes a merged pair.
+  ExpectKeptClosureExact(ShuffledPimB(/*seed=*/10), "PIM-B",
                          /*expect_split=*/true);
 }
 
@@ -464,8 +464,8 @@ TEST(IncrementalNegativeTest, CoraFixpointAfterEveryFlush) {
 
 // What a flush costs must follow its batch, not the corpus. Over 64 flushes
 // of 16 references the corpus grows by half and its non-merge pairs (each
-// pass's demotions are the next pass's sources, so they keep accumulating)
-// several times over. A full pass examines every one of them; the
+// batch's constraints, and the derived pairs their triangles demote)
+// several times over. A full pass examines every source among them; the
 // dirty-set pass examines the ones next to a change, a share that must
 // shrink as the corpus grows. Pool repacks are amortized: a pool is
 // repacked only once its garbage outweighs its live data, so repacks stay

@@ -169,10 +169,10 @@ void ExpectPublishEqualsRebuild(const Dataset& full, const std::string& name,
   }
 }
 
-// Shuffle 4 of PIM B 0.025x splits a published cluster within 16 flushes
+// Shuffle 10 of PIM B 0.025x splits a published cluster within 16 flushes
 // (see IncrementalClosureTest).
 TEST(SnapshotIncrementalTest, PimBPublishEqualsRebuild) {
-  ExpectPublishEqualsRebuild(ShuffledPimB(/*seed=*/4), "PIM-B", 1000,
+  ExpectPublishEqualsRebuild(ShuffledPimB(/*seed=*/10), "PIM-B", 1000,
                              /*expect_split=*/true);
 }
 

@@ -3,6 +3,9 @@
 // folding behaviour, and negative-evidence propagation (the Figure 2/3/4
 // machinery at unit scale).
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/graph_builder.h"
@@ -239,6 +242,157 @@ TEST_F(SolverTest, ParallelScoreCountersStayZeroAtAnyThreadCount) {
     EXPECT_EQ(result.stats.num_parallel_scored, 0);
     EXPECT_EQ(result.stats.num_score_discards, 0);
   }
+}
+
+// ---- Derived non-merge pairs ------------------------------------------------
+
+// A hand-built graph over bare person references, with pair similarities
+// set directly, for the §3.4 triangle rule alone: which non-merge pairs are
+// negative-propagation sources, and which are derived.
+class DerivedNonMergeTest : public ::testing::Test {
+ protected:
+  DerivedNonMergeTest() : data_(BuildPimSchema()) {
+    person_ = data_.schema().RequireClass("Person");
+    for (int i = 0; i < 8; ++i) data_.NewReference(person_, -1);
+    options_.enrichment = false;
+    built_.graph = std::make_unique<DependencyGraph>(data_.num_references());
+    solver_ = std::make_unique<FixedPointSolver>(data_, built_, options_,
+                                                 &stats_);
+  }
+
+  DependencyGraph& graph() { return *built_.graph; }
+
+  NodeId Pair(RefId a, RefId b, float sim) {
+    const NodeId id = graph().AddRefPairNode(person_, a, b);
+    graph().mutable_node(id).sim = sim;
+    return id;
+  }
+
+  /// What a co-author constraint (or "distinct" feedback) does to a pair.
+  void Constrain(NodeId id) { graph().SetNodeState(id, NodeState::kNonMerge); }
+
+  bool IsDerived(NodeId id) {
+    return graph().node(id).state == NodeState::kNonMerge &&
+           graph().node(id).derived;
+  }
+  bool IsSource(NodeId id) {
+    return graph().node(id).state == NodeState::kNonMerge &&
+           !graph().node(id).derived;
+  }
+
+  /// One negative-propagation pass, which must leave nothing for a full
+  /// pass to demote. Returns the sources the graph reports for the epoch
+  /// the pass's own demotions fall in, checking that no derived pair is
+  /// among them.
+  std::vector<NodeId> Pass() {
+    solver_->PropagateNegativeEvidence();
+    EXPECT_EQ(solver_->RecheckNegativeEvidence(), 0);
+    std::vector<NodeId> sources = graph().CloseChangeEpoch().sources;
+    for (const NodeId id : sources) EXPECT_FALSE(IsDerived(id)) << id;
+    return sources;
+  }
+
+  Dataset data_;
+  int person_;
+  ReconcilerOptions options_ = ReconcilerOptions::DepGraph();
+  ReconcileStats stats_;
+  BuiltGraph built_;
+  std::unique_ptr<FixedPointSolver> solver_;
+};
+
+TEST_F(DerivedNonMergeTest, TriangleDemotionsAreNotSources) {
+  // (0,1) is constrained; its triangle through 2 demotes the weaker
+  // (1,2). Under a rule where every non-merge pair is a source, (1,2)
+  // would then demote the weaker side of its own triangle through 3,
+  // (2,3), one pass later.
+  const NodeId l = Pair(0, 1, 0.1f);
+  const NodeId a = Pair(0, 2, 0.9f);
+  const NodeId d = Pair(1, 2, 0.5f);
+  const NodeId e = Pair(1, 3, 0.8f);
+  const NodeId f = Pair(2, 3, 0.4f);
+  Constrain(l);
+
+  // (1,2)'s demotion marks endpoint 1, so the constraint is a source of
+  // the next epoch; the derived pair is not.
+  EXPECT_EQ(Pass(), std::vector<NodeId>{l});
+  EXPECT_TRUE(IsDerived(d));
+  EXPECT_NE(graph().node(f).state, NodeState::kNonMerge);
+  EXPECT_EQ(graph().num_non_merge_pairs(), 2);
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 1);
+  // Nothing changed, so a second pass must not reach (2,3) either.
+  EXPECT_TRUE(Pass().empty());
+  EXPECT_NE(graph().node(f).state, NodeState::kNonMerge);
+
+  // A co-author constraint on the derived pair makes it a source: the
+  // next pass demotes (2,3), derived in turn.
+  Constrain(d);
+  EXPECT_TRUE(IsSource(d));
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 0);
+  EXPECT_EQ(Pass(), std::vector<NodeId>{d});
+  EXPECT_TRUE(IsDerived(f));
+  EXPECT_NE(graph().node(e).state, NodeState::kNonMerge);
+  EXPECT_EQ(graph().num_non_merge_pairs(), 3);
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 1);
+
+  // feedback.same on the derived (2,3), as ApplyFeedback does it, clears
+  // the bit; the solve then merges the pair, which outweighs (1,3) in the
+  // constraint's triangle through 3.
+  graph().mutable_node(f).forced_merge = true;
+  graph().SetNodeState(f, NodeState::kInactive);
+  EXPECT_FALSE(graph().node(f).derived);
+  EXPECT_EQ(graph().num_non_merge_pairs(), 2);
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 0);
+  solver_->EnqueueNodes({f});
+  solver_->Run();
+  ASSERT_EQ(graph().node(f).state, NodeState::kMerged);
+  Pass();
+  EXPECT_FALSE(graph().node(f).derived);
+  EXPECT_EQ(graph().node(f).state, NodeState::kMerged);
+  EXPECT_TRUE(IsDerived(e));
+  EXPECT_TRUE(IsSource(l));
+  EXPECT_TRUE(IsSource(d));
+  EXPECT_EQ(graph().node(a).state, NodeState::kInactive);
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 1);
+}
+
+TEST_F(DerivedNonMergeTest, FoldLeavesASource) {
+  // Two constrained triangles demote (1,2) and (5,6).
+  const NodeId l1 = Pair(0, 1, 0.1f);
+  Pair(0, 2, 0.9f);
+  const NodeId d1 = Pair(1, 2, 0.5f);
+  const NodeId l2 = Pair(4, 5, 0.1f);
+  Pair(4, 6, 0.9f);
+  const NodeId d2 = Pair(5, 6, 0.5f);
+  Constrain(l1);
+  Constrain(l2);
+  Pass();
+  ASSERT_TRUE(IsDerived(d1));
+  ASSERT_TRUE(IsDerived(d2));
+
+  // Derived into constraint: merging 2 into 3 folds the derived (1,2)
+  // into the constrained (1,3), which stays a source.
+  const NodeId c1 = Pair(1, 3, 0.2f);
+  Constrain(c1);
+  graph().MergeReferences(/*keep=*/3, /*gone=*/2);
+  ASSERT_TRUE(graph().node(d1).dead);
+  EXPECT_TRUE(IsSource(c1));
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 1);
+  EXPECT_EQ(graph().CloseChangeEpoch().sources,
+            (std::vector<NodeId>{l1, c1}));
+  EXPECT_EQ(solver_->RecheckNegativeEvidence(), 0);
+
+  // Constraint into derived: merging 7 into 5 folds the constrained (6,7)
+  // into the derived (5,6), which becomes a source.
+  const NodeId c2 = Pair(6, 7, 0.2f);
+  Constrain(c2);
+  graph().MergeReferences(/*keep=*/5, /*gone=*/7);
+  ASSERT_TRUE(graph().node(c2).dead);
+  EXPECT_TRUE(IsSource(d2));
+  EXPECT_EQ(graph().num_derived_non_merge_pairs(), 0);
+  EXPECT_EQ(graph().CloseChangeEpoch().sources,
+            (std::vector<NodeId>{l2, d2}));
+  EXPECT_EQ(solver_->RecheckNegativeEvidence(), 0);
+  EXPECT_EQ(graph().num_non_merge_pairs(), 4);
 }
 
 // ---- Soundex ------------------------------------------------------------------

@@ -8,16 +8,18 @@
 # against committed golden fingerprints, frozen budget stops included),
 # the incremental flush sweep (per-flush goldens, the dirty-set
 # negative-propagation fixpoint check, and amortized pool repacks that
-# move storage under enrichment folds), the snapshot publish sweep
-# (each generation built from the previous one, sharing its entity records
-# and index shards, equals a from-scratch build after every flush), the
-# service smoke
-# test (a live daemon on an ephemeral loopback port serving query, ingest,
-# malformed-request, and overload traffic end-to-end over HTTP, plus a
-# SIGTERM drain of the real binary), and the crash-recovery sweep (WAL +
-# checkpoint recovery across every injected I/O fault point, fault kind,
-# and thread count, DESIGN.md §15 — tools/check_crash.sh adds a live
-# kill -9 soak on top):
+# move storage under enrichment folds), the solver unit tests (among them
+# DerivedNonMergeTest: the triangle rule's demotions are never
+# negative-propagation sources, while constraints, feedback and enrichment
+# folds promote or clear them), the snapshot publish sweep (each
+# generation built from the previous one, sharing its entity records and
+# index shards, equals a from-scratch build after every flush), the
+# service smoke test (a live daemon on an ephemeral loopback port serving
+# query, ingest, malformed-request, and overload traffic end-to-end over
+# HTTP, plus a SIGTERM drain of the real binary), and the crash-recovery
+# sweep (WAL + checkpoint recovery across every injected I/O fault point,
+# fault kind, and thread count, DESIGN.md §15 — tools/check_crash.sh adds
+# a live kill -9 soak on top):
 #
 #   1. configures and builds build-asan/ with
 #      -DRECON_SANITIZE=address-undefined (ASan + UBSan together),

@@ -408,7 +408,8 @@ int main(int argc, char** argv) {
               << " B, indices " << result.stats.graph_index_bytes << " B)\n";
     std::cout << "Graph upkeep: negative propagation examined "
               << result.stats.negprop_sources << " of "
-              << result.stats.num_non_merge_pairs << " non-merge pairs; "
+              << result.stats.num_non_merge_pairs << " non-merge pairs ("
+              << result.stats.num_derived_non_merge_pairs << " derived); "
               << result.stats.num_unmerged_pairs << " merged pairs unmerged; "
               << result.stats.graph_compactions << " pool compactions\n";
   }
