@@ -1,6 +1,6 @@
 // Ablation (ours): the graph-pruning design choices of §3.1/§3.4 —
-// canopy-style blocking and key-attribute pre-merging — measured by graph
-// size, wall time, and accuracy on a mid-sized PIM dataset.
+// inverted-index blocking and key-attribute pre-merging — measured by
+// graph size, wall time, and accuracy on a mid-sized PIM dataset.
 
 #include <iostream>
 
@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   bench::ParseArgs(argc, argv);
   bench::PrintHeader(
       "Ablation: blocking and key-attribute pre-merge",
-      "design choices of paper §3.1 (canopy pruning) and §3.4 (pre-merge)");
+      "design choices of paper §3.1 (blocking) and §3.4 (pre-merge)");
 
   datagen::PimConfig config = datagen::PimConfigA();
   config = datagen::ScaleConfig(config, 0.12 * bench::BenchScale());
@@ -25,18 +25,14 @@ int main(int argc, char** argv) {
     const char* name;
     bool blocking;
     bool premerge;
-    bool canopies;
   };
-  for (const Variant v :
-       {Variant{"full pruning", true, true, false},
-        Variant{"canopies [27]", true, true, true},
-        Variant{"no pre-merge", true, false, false},
-        Variant{"no blocking", false, true, false},
-        Variant{"neither", false, false, false}}) {
+  for (const Variant v : {Variant{"full pruning", true, true},
+                          Variant{"no pre-merge", true, false},
+                          Variant{"no blocking", false, true},
+                          Variant{"neither", false, false}}) {
     ReconcilerOptions options =
         bench::WithBenchThreads(ReconcilerOptions::DepGraph());
     options.use_blocking = v.blocking;
-    options.use_canopies = v.canopies;
     options.premerge_equal_emails = v.premerge;
     const Reconciler reconciler(options);
     const ReconcileResult result = reconciler.Run(dataset);

@@ -1,7 +1,5 @@
 #include "core/candidates.h"
 
-#include "core/canopy.h"
-
 #include <algorithm>
 #include <string>
 #include <unordered_map>
@@ -18,7 +16,8 @@ namespace recon {
 namespace {
 
 /// Precomputed features of an interned value, or null when no store is in
-/// play (tests, value_store off) — callers then analyze the raw string.
+/// play (tests that block a bare dataset) — callers then analyze the raw
+/// string.
 const ValueFeatures* FindFeatures(const ValuePool* pool,
                                   const ValueStore* store, ValueDomain domain,
                                   const std::string& raw) {
@@ -221,16 +220,6 @@ CandidateList GenerateCandidates(const Dataset& dataset,
                                  BudgetTracker* budget, const ValuePool* pool,
                                  const ValueStore* store) {
   CandidateList out;
-
-  if (options.use_blocking && options.use_canopies) {
-    CanopyOptions canopy;
-    canopy.loose_threshold = options.canopy_loose_threshold;
-    canopy.tight_threshold = options.canopy_tight_threshold;
-    canopy.max_canopy_size = options.max_canopy_size;
-    canopy.num_threads = options.num_threads;
-    return GenerateCanopyCandidates(dataset, binding, canopy, budget, pool,
-                                    store);
-  }
 
   if (!options.use_blocking) {
     // All same-class pairs, for small datasets and ablations; probe per

@@ -1,7 +1,8 @@
-// Candidate pair generation (blocking), in the spirit of the canopy
-// mechanism the paper borrows from McCallum et al.: a dependency-graph node
-// is only built for reference pairs that share at least one blocking key
-// (a name token, an email account, a rare title token, ...).
+// Candidate pair generation by inverted-index blocking (paper §3.1): a
+// dependency-graph node is only built for reference pairs that share at
+// least one blocking key (a name token, an email account, a rare title
+// token, ...). Blocks over ReconcilerOptions::max_block_size contribute no
+// pairs.
 
 #ifndef RECON_CORE_CANDIDATES_H_
 #define RECON_CORE_CANDIDATES_H_
@@ -30,9 +31,10 @@ using CandidateList = std::vector<std::pair<RefId, RefId>>;
 /// With options.use_blocking == false, returns all same-class pairs.
 /// A `budget` stop (probed at batch boundaries, DESIGN.md §10) truncates
 /// generation: the pairs produced so far are returned, deduplicated and
-/// sorted as usual. When `pool`/`store` are given (value_store on, values
-/// interned and synced beforehand), key extraction reuses the precomputed
-/// features instead of re-parsing; the keys are identical either way.
+/// sorted as usual. When `pool`/`store` are given (values interned and
+/// synced beforehand, as the graph builder does), key extraction reuses
+/// the precomputed features instead of re-parsing; the keys are identical
+/// either way.
 CandidateList GenerateCandidates(const Dataset& dataset,
                                  const SchemaBinding& binding,
                                  const ReconcilerOptions& options,

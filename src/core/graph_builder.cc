@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/candidates.h"
@@ -15,7 +14,6 @@
 #include "strsim/signature.h"
 #include "strsim/simd_dispatch.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace recon {
 
@@ -68,23 +66,12 @@ struct StagedPair {
   StagedEvidence evidence;
 };
 
-/// A person name analyzed once on the raw fallback path: the parse plus the
-/// lowercased raw form (the identical-abbreviation check needs the latter).
-struct FallbackName {
-  strsim::PersonName name;
-  std::string lower;
-};
-
-/// Per-lane staging scratch. Caches only affect speed, never values: a
-/// cache hit returns exactly what the comparator would have computed. The
-/// counters feed ReconcileStats and are accumulated serially in lane order
-/// after staging, so totals are deterministic.
-struct StageScratch {
-  std::unordered_map<std::string, FallbackName> name_cache;
-  std::unordered_map<std::string, strsim::EmailAddress> email_cache;
-  std::unordered_map<MemoKey, float, MemoKeyHash> sim_cache;
+/// Per-lane staging counters. They feed ReconcileStats and are
+/// accumulated serially in lane order after staging, so totals are
+/// deterministic. Lanes bump them on every comparison, so each lane's
+/// counters get their own cache line.
+struct alignas(64) StageScratch {
   int64_t pair_comparisons = 0;
-  int64_t value_analyses = 0;
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
   int64_t prefilter_skips = 0;
@@ -95,18 +82,18 @@ struct StageScratch {
 /// this many items; each chunk boundary is one kBuild budget probe.
 constexpr int64_t kBuildChunk = 256;
 
-// ---- Blocked batch scoring (store-on path; DESIGN.md §16) ---------------
+// ---- Blocked batch scoring (DESIGN.md §16) ------------------------------
 //
-// With the value store on, lanes no longer score pair-at-a-time. Each lane
-// gathers the ValueId cross products of up to kScoreBlock candidate pairs
-// into per-evidence task arrays (scratch reused across the lane's blocks —
-// zero steady-state allocation), sweeps each evidence kind over the whole
-// block (title tasks pass the signature prefilter first, skipping pairs
-// that provably cannot reach the seed), and then assembles every pair's
-// StagedEvidence in exactly the order the per-pair path produces. The
-// gated article/venue secondary channels gather in a second wave after
-// wave-1 assembly, so the "primary evidence required" semantics and the
-// comparison counts are unchanged. Byte-identical by construction.
+// Lanes do not score pair-at-a-time. Each lane gathers the ValueId cross
+// products of up to kScoreBlock candidate pairs into per-evidence task
+// arrays (scratch reused across the lane's blocks — zero steady-state
+// allocation), sweeps each evidence kind over the whole block (title tasks
+// pass the signature prefilter first, skipping pairs that provably cannot
+// reach the seed), and then assembles every pair's
+// StagedEvidence in cross-product order, channel by channel. The gated
+// article/venue secondary channels gather in a second wave after wave-1
+// assembly, so they are compared only for pairs whose primary channel
+// produced evidence.
 
 constexpr int kScoreBlock = 256;
 
@@ -167,11 +154,9 @@ class GraphBuilder {
     graph_ = out.graph.get();
     values_ = &out.values;
     built_ = &out;
-    if (options_.value_store) {
-      out.feature_store =
-          std::make_shared<ValueStore>(MakeValueKindSchema(binding_));
-      out.sim_memo = std::make_shared<SimMemo>();
-    }
+    out.feature_store =
+        std::make_shared<ValueStore>(MakeValueKindSchema(binding_));
+    out.sim_memo = std::make_shared<SimMemo>();
     store_ = out.feature_store.get();
     memo_ = out.sim_memo.get();
     ConfigureMemoBudget();
@@ -180,10 +165,8 @@ class GraphBuilder {
     // fixed regardless of thread count, so ValueIds are stable) and
     // analyzed once each, so candidate generation and the comparison stage
     // are read-only against the pool and the store and can fan out across
-    // threads. Interning probes no budget, so the probe sequence is
-    // unchanged by the store being on or off.
-    InternAtomicValues(/*first_ref=*/0);
-    if (store_ != nullptr) store_->Sync(*values_);
+    // threads. Interning probes no budget.
+    InternReferenceValues(dataset_, /*first_ref=*/0, out);
 
     CandidateList generated;
     if (overrides_.candidates == nullptr) {
@@ -252,8 +235,7 @@ class GraphBuilder {
     built.num_candidates += static_cast<int>(pairs.size());
 
     const NodeId start_node = graph_->num_nodes();
-    InternAtomicValues(first_new_ref);
-    if (store_ != nullptr) store_->Sync(*values_);
+    InternReferenceValues(dataset_, first_new_ref, built);
     graph_->ReserveBuild(pairs.size());
     SeedPairs(pairs);
     if (options_.constraints) MarkCoAuthorConstraints(first_new_ref);
@@ -273,30 +255,6 @@ class GraphBuilder {
  private:
   // ---- Step 1: atomic comparisons ---------------------------------------
 
-  /// Interns every atomic value staging will look up, in (reference, field,
-  /// value) order — an order fixed regardless of thread count, so ValueIds
-  /// are stable across runs and thread counts.
-  void InternAtomicValues(RefId first_ref) {
-    for (RefId id = first_ref; id < dataset_.num_references(); ++id) {
-      const Reference& r = dataset_.reference(id);
-      const int class_id = r.class_id();
-      auto intern_field = [&](int owner_class, int attr) {
-        if (owner_class < 0 || attr < 0 || class_id != owner_class) return;
-        for (const std::string& raw : r.atomic_values(attr)) {
-          values_->Intern(ValueDomain{owner_class, attr}, raw);
-        }
-      };
-      intern_field(binding_.person, binding_.person_name);
-      intern_field(binding_.person, binding_.person_email);
-      intern_field(binding_.article, binding_.article_title);
-      intern_field(binding_.article, binding_.article_year);
-      intern_field(binding_.article, binding_.article_pages);
-      intern_field(binding_.venue, binding_.venue_name);
-      intern_field(binding_.venue, binding_.venue_year);
-      intern_field(binding_.venue, binding_.venue_location);
-    }
-  }
-
   /// Stages every pair — in parallel when options_.num_threads allows it —
   /// then applies the staged graph mutations serially in pair order, so
   /// the resulting graph is identical to seeding one pair at a time. A
@@ -307,9 +265,7 @@ class GraphBuilder {
     const int64_t n = static_cast<int64_t>(pairs.size());
     std::vector<StagedPair> staged(pairs.size());
     StageBlocked(pairs, &staged);
-    if (store_ != nullptr) {
-      built_->num_value_analyses = store_->num_analyses();
-    }
+    built_->num_value_analyses = store_->num_analyses();
     for (int64_t i = 0; i < n; ++i) {
       if (i % kBuildChunk == 0) {
         ReportGraphMemory();
@@ -327,53 +283,22 @@ class GraphBuilder {
     const runtime::BlockPlan plan =
         runtime::PlanBlocks(options_.num_threads, 0, n, /*grain=*/0);
     std::vector<StageScratch> scratch(plan.num_lanes);
-    std::vector<BatchLane> batch(store_ != nullptr ? plan.num_lanes : 0);
+    std::vector<BatchLane> batch(plan.num_lanes);
     runtime::ParallelForBlocked(
         options_.num_threads, 0, n, plan.grain,
         [&](const runtime::Block& block) {
-          StageScratch& lane_scratch = scratch[block.lane];
-          if (store_ != nullptr) {
-            StageSpanBatched(pairs, block.begin, block.end, lane_scratch,
-                             batch[block.lane], staged);
-            return;
-          }
-          for (int64_t i = block.begin; i < block.end; ++i) {
-            // A default-constructed StagedPair applies as a no-op, so
-            // abandoning a block mid-way (cancel / deadline already
-            // decided the run) leaves `staged` safe to consume.
-            if ((i - block.begin) % 64 == 0 &&
-                budget_->ShouldAbandonParallelWork()) {
-              return;
-            }
-            StagePair(pairs[i].first, pairs[i].second, lane_scratch,
-                      &(*staged)[i]);
-          }
+          StageSpanBatched(pairs, block.begin, block.end, scratch[block.lane],
+                           batch[block.lane], staged);
         });
     budget_->ResolveAsyncStop();
-    // Serial, lane-order accumulation keeps the totals deterministic. With
-    // the store on, analyses happen in Sync (one per distinct value), so
-    // the cumulative store count is authoritative instead of the lanes.
+    // Serial, lane-order accumulation keeps the totals deterministic.
+    // Value analyses happen in Sync (one per distinct value), not here.
     for (const StageScratch& lane : scratch) {
       built_->num_pair_comparisons += lane.pair_comparisons;
-      built_->num_value_analyses += lane.value_analyses;
       built_->num_sim_memo_hits += lane.memo_hits;
       built_->num_sim_memo_misses += lane.memo_misses;
       built_->num_prefilter_skips += lane.prefilter_skips;
       built_->num_prefilter_exact += lane.prefilter_exact;
-    }
-  }
-
-  void StagePair(RefId r1, RefId r2, StageScratch& scratch,
-                 StagedPair* out) const {
-    out->r1 = r1;
-    out->r2 = r2;
-    out->class_id = dataset_.reference(r1).class_id();
-    if (out->class_id == binding_.person) {
-      StagePerson(r1, r2, scratch, &out->evidence, &out->non_merge);
-    } else if (out->class_id == binding_.article) {
-      StageArticle(r1, r2, scratch, &out->evidence);
-    } else if (out->class_id == binding_.venue) {
-      StageVenue(r1, r2, scratch, &out->evidence);
     }
   }
 
@@ -407,165 +332,19 @@ class GraphBuilder {
     }
   }
 
-  /// Compares the cross product of two value sets, staging static evidence
-  /// for equal values and value nodes for pairs at or above `seed`.
-  /// Read-only: values were interned (and analyzed) by InternAtomicValues /
-  /// Sync, so the pool lookups always hit. With the store on, scoring runs
-  /// over precomputed features through the shared memo; `raw_comparator`
-  /// (a double(const std::string&, const std::string&) callable) is the
-  /// fallback used when the store is off. Both paths round non-equal pair
-  /// similarities through float, so results are byte-identical.
-  template <typename RawComparator>
-  void StageAtomic(const std::vector<std::string>& values1,
-                   const std::vector<std::string>& values2,
-                   ValueDomain domain1, ValueDomain domain2, int evidence,
-                   double seed, bool propagate_merge,
-                   RawComparator raw_comparator, StageScratch& scratch,
-                   StagedEvidence* staged) const {
-    for (const std::string& raw1 : values1) {
-      const ValueId v1 = values_->Find(domain1, raw1);
-      RECON_CHECK_NE(v1, kInvalidValue);
-      for (const std::string& raw2 : values2) {
-        const ValueId v2 = values_->Find(domain2, raw2);
-        RECON_CHECK_NE(v2, kInvalidValue);
-        ++scratch.pair_comparisons;
-        if (v1 == v2) {
-          // Equal interned values score at full double precision (they are
-          // one element of the graph; the 1.0-equality shortcut paths in
-          // the comparators make this exact anyway).
-          const double sim =
-              (store_ != nullptr)
-                  ? FeaturePairSimilarity(evidence, store_->features(v1),
-                                          store_->features(v2))
-                  : raw_comparator(raw1, raw2);
-          staged->statics.emplace_back(evidence, sim);
-          continue;
-        }
-        double sim;
-        if (store_ != nullptr) {
-          sim = memo_->LookupOrCompute(
-              evidence, v1, v2,
-              [&] {
-                return FeaturePairSimilarity(evidence, store_->features(v1),
-                                             store_->features(v2));
-              },
-              &scratch.memo_hits, &scratch.memo_misses);
-        } else {
-          sim = CachedSim(evidence, v1, v2, raw1, raw2, raw_comparator,
-                          scratch);
-        }
-        if (sim >= seed) {
-          staged->value_nodes.push_back(
-              {v1, v2, sim, evidence, propagate_merge});
-        }
-      }
-    }
-  }
-
-  void StagePerson(RefId r1, RefId r2, StageScratch& scratch,
-                   StagedEvidence* staged, bool* non_merge) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
-    const SimParams& p = options_.params;
-
-    const ValueDomain name_domain{binding_.person, binding_.person_name};
-    const ValueDomain email_domain{binding_.person, binding_.person_email};
-
-    // Raw fallback comparators (store off): each side is analyzed once per
-    // lane and reused across pairs instead of re-parsed per pair.
-    auto raw_person_name = [&](const std::string& x, const std::string& y) {
-      const FallbackName& fx = ParsedName(x, scratch);
-      const FallbackName& fy = ParsedName(y, scratch);
-      return PersonNameFieldSimilarity(fx.name, fx.lower, fy.name, fy.lower);
-    };
-    auto raw_email = [&](const std::string& x, const std::string& y) {
-      return strsim::EmailSimilarity(ParsedEmail(x, scratch),
-                                     ParsedEmail(y, scratch));
-    };
-    auto raw_name_email = [&](const std::string& x, const std::string& y) {
-      return NameEmailFieldSimilarity(ParsedName(x, scratch).name,
-                                      ParsedEmail(y, scratch));
-    };
-
-    bool shared_email = false;
-    if (binding_.person_name >= 0) {
-      StageAtomic(a.atomic_values(binding_.person_name),
-                  b.atomic_values(binding_.person_name), name_domain,
-                  name_domain, kEvPersonName, p.person_name_seed,
-                  /*propagate_merge=*/false, raw_person_name,
-                  scratch, staged);
-      // Both sides carry names but none were even seed-similar: record
-      // explicit zero evidence. Dissimilar names are soft negative
-      // evidence — the name channel must not read as "unknown".
-      const bool both_have_names =
-          !a.atomic_values(binding_.person_name).empty() &&
-          !b.atomic_values(binding_.person_name).empty();
-      if (both_have_names) {
-        bool any_name_evidence = false;
-        for (const auto& [evidence, sim] : staged->statics) {
-          if (evidence == kEvPersonName) any_name_evidence = true;
-        }
-        for (const auto& spec : staged->value_nodes) {
-          if (spec.evidence == kEvPersonName) any_name_evidence = true;
-        }
-        if (!any_name_evidence) {
-          staged->statics.emplace_back(kEvPersonName, 0.0);
-        }
-      }
-    }
-    if (binding_.person_email >= 0) {
-      const auto& emails1 = a.atomic_values(binding_.person_email);
-      const auto& emails2 = b.atomic_values(binding_.person_email);
-      StageAtomic(emails1, emails2, email_domain, email_domain,
-                  kEvPersonEmail, p.person_email_seed,
-                  /*propagate_merge=*/false, raw_email, scratch,
-                  staged);
-      // StageAtomic already compared every email pair: identical values
-      // became statics, the rest value nodes whenever sim >= seed (and the
-      // seed is <= 1). A key match is therefore any staged email evidence
-      // at similarity 1 — no need to re-run the comparator cross product.
-      for (const auto& [evidence, sim] : staged->statics) {
-        if (evidence == kEvPersonEmail && sim >= 1.0) shared_email = true;
-      }
-      for (const auto& spec : staged->value_nodes) {
-        if (spec.evidence == kEvPersonEmail && spec.sim >= 1.0) {
-          shared_email = true;
-        }
-      }
-    }
-    if (options_.evidence_level >= EvidenceLevel::kNameEmail &&
-        binding_.person_name >= 0 && binding_.person_email >= 0) {
-      StageAtomic(a.atomic_values(binding_.person_name),
-                  b.atomic_values(binding_.person_email), name_domain,
-                  email_domain, kEvPersonNameEmail, p.name_email_seed,
-                  /*propagate_merge=*/false, raw_name_email,
-                  scratch, staged);
-      StageAtomic(b.atomic_values(binding_.person_name),
-                  a.atomic_values(binding_.person_email), name_domain,
-                  email_domain, kEvPersonNameEmail, p.name_email_seed,
-                  /*propagate_merge=*/false, raw_name_email,
-                  scratch, staged);
-    }
-
-    if (options_.constraints && !shared_email) {
-      *non_merge = ViolatesNameConstraint(a, b, scratch) ||
-                   ViolatesAccountConstraint(a, b, scratch);
-    }
-  }
-
   /// Constraint 2: same first name with a completely different last name
   /// (or vice versa) means distinct persons — unless an email is shared.
-  bool ViolatesNameConstraint(const Reference& a, const Reference& b,
-                              StageScratch& scratch) const {
+  bool ViolatesNameConstraint(const Reference& a, const Reference& b) const {
     if (binding_.person_name < 0) return false;
     const auto& names1 = a.atomic_values(binding_.person_name);
     const auto& names2 = b.atomic_values(binding_.person_name);
     if (names1.empty() || names2.empty()) return false;
+    const ValueDomain domain{binding_.person, binding_.person_name};
     bool any_contradiction = false;
     for (const std::string& n1 : names1) {
-      const strsim::PersonName& pa = NameOf(n1, scratch);
+      const strsim::PersonName& pa = FeaturesOf(domain, n1).name;
       for (const std::string& n2 : names2) {
-        const strsim::PersonName& pb = NameOf(n2, scratch);
+        const strsim::PersonName& pb = FeaturesOf(domain, n2).name;
         if (strsim::NamesContradict(pa, pb)) {
           any_contradiction = true;
         } else if (!pa.last.empty() && !pb.last.empty() &&
@@ -582,114 +361,32 @@ class GraphBuilder {
 
   /// Constraint 3: a person has a unique account per email server, so two
   /// references with different accounts on the same server are distinct.
-  bool ViolatesAccountConstraint(const Reference& a, const Reference& b,
-                                 StageScratch& scratch) const {
+  bool ViolatesAccountConstraint(const Reference& a, const Reference& b) const {
     if (binding_.person_email < 0) return false;
+    const ValueDomain domain{binding_.person, binding_.person_email};
     for (const std::string& e1 : a.atomic_values(binding_.person_email)) {
-      const strsim::EmailAddress& ea = EmailOf(e1, scratch);
+      const strsim::EmailAddress& ea = FeaturesOf(domain, e1).email;
       if (ea.server.empty()) continue;
       for (const std::string& e2 : b.atomic_values(binding_.person_email)) {
-        const strsim::EmailAddress& eb = EmailOf(e2, scratch);
+        const strsim::EmailAddress& eb = FeaturesOf(domain, e2).email;
         if (ea.server == eb.server && ea.account != eb.account) return true;
       }
     }
     return false;
   }
 
-  void StageArticle(RefId r1, RefId r2, StageScratch& scratch,
-                    StagedEvidence* staged) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
-    const SimParams& p = options_.params;
-    // Raw fallbacks analyze both sides inside the comparator on every
-    // cache miss; the counter records those per-pair analyses the store
-    // avoids.
-    auto raw_title = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return TitleFieldSimilarity(x, y);
-    };
-    auto raw_year = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return YearFieldSimilarity(x, y);
-    };
-    auto raw_pages = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return PagesFieldSimilarity(x, y);
-    };
-    if (binding_.article_title >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_title};
-      StageAtomic(a.atomic_values(binding_.article_title),
-                  b.atomic_values(binding_.article_title), domain, domain,
-                  kEvArticleTitle, p.article_title_seed,
-                  /*propagate_merge=*/false, raw_title, scratch, staged);
-    }
-    // Titles are required evidence for articles: without a title match the
-    // pair is not worth a node.
-    if (staged->empty()) return;
-    if (binding_.article_year >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_year};
-      StageAtomic(a.atomic_values(binding_.article_year),
-                  b.atomic_values(binding_.article_year), domain, domain,
-                  kEvArticleYear, p.year_seed, /*propagate_merge=*/false,
-                  raw_year, scratch, staged);
-    }
-    if (binding_.article_pages >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_pages};
-      StageAtomic(a.atomic_values(binding_.article_pages),
-                  b.atomic_values(binding_.article_pages), domain, domain,
-                  kEvArticlePages, p.pages_seed, /*propagate_merge=*/false,
-                  raw_pages, scratch, staged);
-    }
+  /// Store features of an interned value (every atomic value was interned
+  /// and analyzed before staging, so the lookup always hits).
+  const ValueFeatures& FeaturesOf(ValueDomain domain,
+                                  const std::string& raw) const {
+    const ValueId id = values_->Find(domain, raw);
+    RECON_CHECK_NE(id, kInvalidValue);
+    return store_->features(id);
   }
 
-  void StageVenue(RefId r1, RefId r2, StageScratch& scratch,
-                  StagedEvidence* staged) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
-    const SimParams& p = options_.params;
-    auto raw_venue_name = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return VenueNameFieldSimilarity(x, y);
-    };
-    auto raw_year = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return YearFieldSimilarity(x, y);
-    };
-    auto raw_location = [&](const std::string& x, const std::string& y) {
-      scratch.value_analyses += 2;
-      return LocationFieldSimilarity(x, y);
-    };
-    if (binding_.venue_name >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_name};
-      // Venue names propagate merges: reconciling two venues certifies
-      // their names denote the same venue (Fig. 2's n6), which then feeds
-      // every other venue pair carrying these names.
-      StageAtomic(a.atomic_values(binding_.venue_name),
-                  b.atomic_values(binding_.venue_name), domain, domain,
-                  kEvVenueName, p.venue_name_seed, /*propagate_merge=*/true,
-                  raw_venue_name, scratch, staged);
-    }
-    if (staged->empty()) return;  // Venue name evidence is required.
-    if (binding_.venue_year >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_year};
-      StageAtomic(a.atomic_values(binding_.venue_year),
-                  b.atomic_values(binding_.venue_year), domain, domain,
-                  kEvVenueYear, p.year_seed, /*propagate_merge=*/false,
-                  raw_year, scratch, staged);
-    }
-    if (binding_.venue_location >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_location};
-      StageAtomic(a.atomic_values(binding_.venue_location),
-                  b.atomic_values(binding_.venue_location), domain, domain,
-                  kEvVenueLocation, p.location_seed,
-                  /*propagate_merge=*/false, raw_location, scratch, staged);
-    }
-  }
+  // ---- Blocked batch scoring ---------------------------------------------
 
-  // ---- Blocked batch scoring (store-on lanes) ----------------------------
-
-  /// Seed threshold for an evidence channel — the same per-channel values
-  /// the per-pair StageAtomic call sites pass.
+  /// Seed threshold for an evidence channel.
   double SeedFor(int evidence) const {
     const SimParams& p = options_.params;
     switch (evidence) {
@@ -715,8 +412,8 @@ class GraphBuilder {
     }
   }
 
-  /// Records one channel's value cross product as tasks, counting each
-  /// comparison exactly where the per-pair path counts it.
+  /// Records one channel's value cross product as tasks, one comparison
+  /// each.
   TaskRange GatherAtomic(const std::vector<std::string>& values1,
                          const std::vector<std::string>& values2,
                          ValueDomain domain1, ValueDomain domain2,
@@ -743,8 +440,8 @@ class GraphBuilder {
     return range;
   }
 
-  /// Gathers every unconditional person channel (all four are staged by
-  /// StagePerson regardless of what earlier channels produced).
+  /// Gathers every unconditional person channel (all four are staged
+  /// regardless of what earlier channels produced).
   void GatherPerson(const Reference& a, const Reference& b,
                     StageScratch& scratch, BatchLane& lane,
                     PairPlan* plan) const {
@@ -839,8 +536,8 @@ class GraphBuilder {
   }
 
   /// Scores every gathered task of one evidence kind: equal values at
-  /// double precision, the rest through the shared memo with the same
-  /// float rounding the per-pair path applies. Skipped tasks cost nothing.
+  /// double precision, the rest through the shared memo (rounded through
+  /// float). Skipped tasks cost nothing.
   void SweepTasks(int evidence, StageScratch& scratch,
                   BatchLane& lane) const {
     for (SimTask& t : lane.tasks[evidence]) {
@@ -861,8 +558,7 @@ class GraphBuilder {
 
   /// Replays one channel's swept tasks into the pair's staged evidence in
   /// gather (= cross-product) order: statics for equal values, a value
-  /// node when the memoized similarity reaches the channel seed — the
-  /// exact appends StageAtomic makes.
+  /// node when the memoized similarity reaches the channel seed.
   void AssembleRange(const TaskRange& range, int evidence,
                      bool propagate_merge, const BatchLane& lane,
                      StagedEvidence* staged) const {
@@ -883,12 +579,14 @@ class GraphBuilder {
     }
   }
 
-  /// Person assembly mirrors StagePerson line for line: name channel, the
-  /// explicit-zero static when both sides had names but none matched, the
-  /// email channel, the shared-email scan, the two name/email cross
+  /// Person assembly: name channel, the explicit-zero static when both
+  /// sides had names but none matched (dissimilar names are soft negative
+  /// evidence — the name channel must not read as "unknown"), the email
+  /// channel, the shared-email scan (every email pair was compared, and
+  /// equal values or sim 1 mean a shared key), the two name/email cross
   /// channels, then the constraints.
   void AssemblePerson(const PairPlan& plan, const BatchLane& lane,
-                      StageScratch& scratch, StagedPair* out) const {
+                      StagedPair* out) const {
     StagedEvidence* staged = &out->evidence;
     AssembleRange(plan.name, kEvPersonName, /*propagate_merge=*/false, lane,
                   staged);
@@ -920,19 +618,18 @@ class GraphBuilder {
     AssembleRange(plan.ne_ba, kEvPersonNameEmail, /*propagate_merge=*/false,
                   lane, staged);
     if (options_.constraints && !shared_email) {
+      const Reference& a = dataset_.reference(plan.r1);
+      const Reference& b = dataset_.reference(plan.r2);
       out->non_merge =
-          ViolatesNameConstraint(dataset_.reference(plan.r1),
-                                 dataset_.reference(plan.r2), scratch) ||
-          ViolatesAccountConstraint(dataset_.reference(plan.r1),
-                                    dataset_.reference(plan.r2), scratch);
+          ViolatesNameConstraint(a, b) || ViolatesAccountConstraint(a, b);
     }
   }
 
-  /// Stages candidate positions [begin, end) through the blocked batch
-  /// path. The budget is checked every 64 gathered pairs just like the
-  /// per-pair loop; an abandon truncates the gather but the pairs already
-  /// gathered still sweep and assemble (both paths leave "some prefix
-  /// staged, the rest default no-ops").
+  /// Stages candidate positions [begin, end) block by block. The budget is
+  /// checked every 64 gathered pairs; an abandon (cancel / deadline already
+  /// decided the run) truncates the gather, but the pairs already gathered
+  /// still sweep and assemble. A default-constructed StagedPair applies as
+  /// a no-op, so `staged` stays safe to consume.
   void StageSpanBatched(const std::vector<std::pair<RefId, RefId>>& pairs,
                         int64_t begin, int64_t end, StageScratch& scratch,
                         BatchLane& lane,
@@ -990,13 +687,13 @@ class GraphBuilder {
 
       // Wave-1 assembly, and wave-2 gather for the pairs that earned it:
       // article year/pages and venue year/location are staged only when
-      // the primary channel produced evidence (the `staged->empty()`
-      // gates in StageArticle / StageVenue), so both the staged output
-      // and the comparison counts match the per-pair path.
+      // the primary channel produced evidence: titles (and venue names)
+      // are required evidence, so without them the pair is not worth a
+      // node.
       for (PairPlan& plan : lane.plan) {
         StagedPair* out = &(*staged)[plan.out_index];
         if (plan.class_id == binding_.person) {
-          AssemblePerson(plan, lane, scratch, out);
+          AssemblePerson(plan, lane, out);
           continue;
         }
         const Reference& a = dataset_.reference(plan.r1);
@@ -1267,74 +964,11 @@ class GraphBuilder {
     }
   }
 
-  /// Raw-fallback analysis caches: each distinct string is analyzed once
-  /// per lane; a cache miss is one value analysis for the stats.
-  const FallbackName& ParsedName(const std::string& raw,
-                                 StageScratch& scratch) const {
-    auto [it, inserted] = scratch.name_cache.try_emplace(raw);
-    if (inserted) {
-      it->second.name = strsim::ParsePersonName(raw);
-      it->second.lower = ToLower(raw);
-      ++scratch.value_analyses;
-    }
-    return it->second;
-  }
-
-  const strsim::EmailAddress& ParsedEmail(const std::string& raw,
-                                          StageScratch& scratch) const {
-    auto [it, inserted] = scratch.email_cache.try_emplace(raw);
-    if (inserted) {
-      it->second = strsim::ParseEmail(raw);
-      ++scratch.value_analyses;
-    }
-    return it->second;
-  }
-
-  /// Parsed person name of an interned name value: store features when the
-  /// store is on, per-lane fallback cache otherwise.
-  const strsim::PersonName& NameOf(const std::string& raw,
-                                   StageScratch& scratch) const {
-    if (store_ != nullptr) {
-      const ValueId id = values_->Find(
-          ValueDomain{binding_.person, binding_.person_name}, raw);
-      RECON_CHECK_NE(id, kInvalidValue);
-      return store_->features(id).name;
-    }
-    return ParsedName(raw, scratch).name;
-  }
-
-  const strsim::EmailAddress& EmailOf(const std::string& raw,
-                                      StageScratch& scratch) const {
-    if (store_ != nullptr) {
-      const ValueId id = values_->Find(
-          ValueDomain{binding_.person, binding_.person_email}, raw);
-      RECON_CHECK_NE(id, kInvalidValue);
-      return store_->features(id).email;
-    }
-    return ParsedEmail(raw, scratch);
-  }
-
-  template <typename Comparator>
-  double CachedSim(int evidence, ValueId v1, ValueId v2,
-                   const std::string& raw1, const std::string& raw2,
-                   Comparator& comparator, StageScratch& scratch) const {
-    // Same-attribute comparators are symmetric and cross-attribute pairs
-    // always arrive in (name, email) order, so the unordered key is safe.
-    const MemoKey key = SimMemo::MakeKey(evidence, v1, v2);
-    auto [it, inserted] = scratch.sim_cache.try_emplace(key, 0.0f);
-    if (inserted) {
-      it->second = static_cast<float>(comparator(raw1, raw2));
-    }
-    return it->second;
-  }
-
   /// Sizes the shared memo: the configured bound, shrunk to fit under the
   /// run's soft memory budget when one is set. The memo degrades on its
   /// own (eviction, then bypass) — it never trips the budget, whose
-  /// estimate stays graph-only so budget stops are identical with the
-  /// store on or off.
+  /// estimate stays graph-only so the memo bound never moves a budget stop.
   void ConfigureMemoBudget() {
-    if (memo_ == nullptr) return;
     int64_t bound = options_.sim_memo_max_bytes;
     const int64_t soft = budget_->budget().soft_max_memory_bytes;
     if (soft > 0) bound = std::min(bound, soft);
@@ -1364,7 +998,7 @@ class GraphBuilder {
   DependencyGraph* graph_ = nullptr;
   ValuePool* values_ = nullptr;
   BuiltGraph* built_ = nullptr;
-  /// Owned by built_ (shared_ptr); null when options_.value_store is off.
+  /// Owned by built_ (shared_ptr).
   ValueStore* store_ = nullptr;
   SimMemo* memo_ = nullptr;
 };
@@ -1392,7 +1026,7 @@ void InternReferenceValues(const Dataset& dataset, RefId first_ref,
     intern_field(b.venue, b.venue_year);
     intern_field(b.venue, b.venue_location);
   }
-  if (built.feature_store != nullptr) built.feature_store->Sync(built.values);
+  built.feature_store->Sync(built.values);
 }
 
 BuiltGraph BuildDependencyGraph(const Dataset& dataset,

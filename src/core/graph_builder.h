@@ -35,9 +35,9 @@ struct BuiltGraph {
   int num_candidates = 0;
 
   /// Precomputed per-value features and the bounded pairwise similarity
-  /// memo (ReconcilerOptions::value_store, DESIGN.md §11). Null when the
-  /// store is off. shared_ptr because BuiltGraph moves by value while
-  /// staging lambdas hold raw pointers into these.
+  /// memo (DESIGN.md §11). Always set by the builder. shared_ptr because
+  /// BuiltGraph moves by value while staging lambdas hold raw pointers
+  /// into these.
   std::shared_ptr<ValueStore> feature_store;
   std::shared_ptr<SimMemo> sim_memo;
 
@@ -50,7 +50,7 @@ struct BuiltGraph {
   /// Signature prefilter outcomes (DESIGN.md §16): title comparisons whose
   /// upper bound proved them below seed (skipped without exact scoring)
   /// versus those that fell through to the exact comparator. Both zero
-  /// when the store is off or the dispatch level is scalar.
+  /// when the dispatch level is scalar.
   int64_t num_prefilter_skips = 0;
   int64_t num_prefilter_exact = 0;
 };

@@ -206,15 +206,11 @@ ReconcileResult IncrementalReconciler::result() {
   out.stats.num_value_analyses = built_.num_value_analyses;
   out.stats.num_sim_memo_hits = built_.num_sim_memo_hits;
   out.stats.num_sim_memo_misses = built_.num_sim_memo_misses;
-  if (built_.sim_memo != nullptr) {
-    out.stats.num_sim_memo_evictions = built_.sim_memo->evictions();
-    out.stats.num_sim_memo_bypasses = built_.sim_memo->bypasses();
-    out.stats.sim_memo_bytes = built_.sim_memo->bytes();
-  }
-  if (built_.feature_store != nullptr) {
-    out.stats.value_store_bytes = built_.feature_store->approximate_bytes();
-    out.stats.signature_bytes = built_.feature_store->signature_bytes();
-  }
+  out.stats.num_sim_memo_evictions = built_.sim_memo->evictions();
+  out.stats.num_sim_memo_bypasses = built_.sim_memo->bypasses();
+  out.stats.sim_memo_bytes = built_.sim_memo->bytes();
+  out.stats.value_store_bytes = built_.feature_store->approximate_bytes();
+  out.stats.signature_bytes = built_.feature_store->signature_bytes();
   out.stats.num_prefilter_skips = built_.num_prefilter_skips;
   out.stats.num_prefilter_exact = built_.num_prefilter_exact;
   out.stats.simd_dispatch = strsim::SimdLevelName(strsim::ActiveSimdLevel());

@@ -68,27 +68,12 @@ struct ReconcilerOptions {
   /// emails are a key under either algorithm).
   bool premerge_equal_emails = true;
 
-  /// Delta-propagated evidence caching in the fixed-point solver (DESIGN.md
-  /// §8): each node keeps its evidence summary cached; a neighbor's sim
-  /// rise or merge pushes a delta along the out-edges instead of the
-  /// dependent rescanning every in-edge on recomputation. Graph surgery
-  /// invalidates affected caches, which then rescan exactly once. Output is
-  /// byte-identical either way; off = the straightforward full rescan.
-  bool evidence_cache = true;
-
-  /// Interned value store with precomputed similarity features (DESIGN.md
-  /// §11): every distinct attribute value is analyzed once — parsed,
-  /// lowercased, tokenized, n-grammed — at graph-build time, and all
-  /// comparators run over the shared read-only features instead of raw
-  /// strings; a bounded pairwise similarity memo sits on top. Output is
-  /// byte-identical on or off at every thread count; off = per-call raw
-  /// string analysis with small per-lane caches.
-  bool value_store = true;
-
-  /// Byte bound for the pairwise similarity memo (only read when
-  /// value_store is on). The effective bound is the minimum of this and the
-  /// headroom under Budget::soft_max_memory_bytes; a bound too small to be
-  /// useful turns the memo into a pass-through (never an abort).
+  /// Byte bound for the pairwise similarity memo that sits on the interned
+  /// value store's precomputed features (DESIGN.md §11). The effective
+  /// bound is the minimum of this and the headroom under
+  /// Budget::soft_max_memory_bytes; a bound too small to be useful turns
+  /// the memo into a pass-through (never an abort). Output is identical at
+  /// every bound.
   int64_t sim_memo_max_bytes = int64_t{64} << 20;
 
   /// Queue discipline (§3.2): when a pair merges, its strong-boolean
@@ -99,14 +84,6 @@ struct ReconcilerOptions {
   /// Candidate generation: blocks larger than this are skipped (their key
   /// is too common to be discriminative).
   int max_block_size = 1000;
-  /// Use canopy clustering (McCallum et al. [27]) instead of inverted-index
-  /// blocking for candidate generation (see core/canopy.h).
-  bool use_canopies = false;
-  /// Canopy thresholds (only read when use_canopies is set); see
-  /// core/canopy.h for semantics.
-  double canopy_loose_threshold = 0.15;
-  double canopy_tight_threshold = 0.55;
-  int max_canopy_size = 2000;
   /// Disable blocking entirely (all same-class pairs become candidates).
   /// Only sensible for small datasets and the blocking ablation bench.
   bool use_blocking = true;
@@ -115,7 +92,7 @@ struct ReconcilerOptions {
   int max_assoc_cross = 20000;
 
   /// Threads for the parallel phases of the graph build: candidate
-  /// generation, canopy feature extraction, and pairwise evidence staging.
+  /// generation (blocking-key extraction) and pairwise evidence staging.
   /// The fixed-point solve always drains its queue on the calling thread.
   /// 0 = all hardware threads, 1 = run everything on the calling thread.
   /// Output is identical for every value (see runtime/parallel.h).

@@ -126,15 +126,11 @@ ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
   result.stats.num_value_analyses = built.num_value_analyses;
   result.stats.num_sim_memo_hits = built.num_sim_memo_hits;
   result.stats.num_sim_memo_misses = built.num_sim_memo_misses;
-  if (built.sim_memo != nullptr) {
-    result.stats.num_sim_memo_evictions = built.sim_memo->evictions();
-    result.stats.num_sim_memo_bypasses = built.sim_memo->bypasses();
-    result.stats.sim_memo_bytes = built.sim_memo->bytes();
-  }
-  if (built.feature_store != nullptr) {
-    result.stats.value_store_bytes = built.feature_store->approximate_bytes();
-    result.stats.signature_bytes = built.feature_store->signature_bytes();
-  }
+  result.stats.num_sim_memo_evictions = built.sim_memo->evictions();
+  result.stats.num_sim_memo_bypasses = built.sim_memo->bypasses();
+  result.stats.sim_memo_bytes = built.sim_memo->bytes();
+  result.stats.value_store_bytes = built.feature_store->approximate_bytes();
+  result.stats.signature_bytes = built.feature_store->signature_bytes();
   result.stats.num_prefilter_skips = built.num_prefilter_skips;
   result.stats.num_prefilter_exact = built.num_prefilter_exact;
   result.stats.simd_dispatch =

@@ -21,27 +21,24 @@ struct ReconcileStats {
   int64_t num_merges = 0;
   int64_t num_folds = 0;
 
-  // Evidence-cache counters (ReconcilerOptions::evidence_cache). Purely
-  // observational: results are byte-identical with the cache on or off.
+  // Evidence-cache counters (DESIGN.md §8). Purely observational.
   /// Incremental cache updates pushed along out-edges (sim raises and
   /// merged-neighbor count bumps).
   int64_t num_delta_pushes = 0;
   /// Full in-edge rescans that (re)established a node's cache.
   int64_t num_cache_rebuilds = 0;
-  /// In-edges actually scanned while recomputing similarities.
+  /// In-edges actually scanned while (re)building caches.
   int64_t num_inedge_scans = 0;
   /// In-edges *not* scanned because a valid cache answered instead.
   int64_t num_inedge_scans_avoided = 0;
 
-  // Value-store counters (ReconcilerOptions::value_store, DESIGN.md §11).
-  // Observational: results are byte-identical with the store on or off.
+  // Value-store counters (DESIGN.md §11). Observational.
   /// Pairwise comparator invocations during graph-build scoring (the
-  /// cross-product of candidate value sets), in either mode.
+  /// cross-product of candidate value sets).
   int64_t num_pair_comparisons = 0;
-  /// Distinct-value analyses (parse/tokenize/n-gram passes). With the store
-  /// on this is exactly one per distinct interned value; off, it counts the
-  /// raw-path analyses actually performed (per-lane caches included). The
-  /// perf_reconcile gate requires comparisons >= 5x analyses with the store.
+  /// Distinct-value analyses (parse/tokenize/n-gram passes): exactly one
+  /// per distinct interned value. The perf_reconcile gate requires
+  /// comparisons >= 5x analyses.
   int64_t num_value_analyses = 0;
   /// Similarity-memo lookups answered from the memo / computed fresh.
   /// Misses equal the number of distinct (evidence, value pair) keys
@@ -61,7 +58,7 @@ struct ReconcileStats {
   // so results are byte-identical at every dispatch level.
   /// Title comparisons skipped because the signature upper bound proved
   /// them below seed, and those that fell through to the exact comparator.
-  /// Both zero with the store off or at the scalar dispatch level.
+  /// Both zero at the scalar dispatch level.
   int64_t num_prefilter_skips = 0;
   int64_t num_prefilter_exact = 0;
   /// Bytes the value store spends on prefilter signatures.

@@ -83,11 +83,7 @@ void FixedPointSolver::Step(NodeId id) {
   node.queued = false;
   if (node.dead || node.state == NodeState::kNonMerge) return;
   if (node.state == NodeState::kActive) node.state = NodeState::kInactive;
-  const double computed =
-      options_.evidence_cache
-          ? CachedSimilarity(id, node)
-          : ComputeSimilarity(id, &stats_->num_inedge_scans);
-  Commit(id, node, computed);
+  Commit(id, node, CachedSimilarity(id, node));
 }
 
 void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
@@ -100,7 +96,7 @@ void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
   // Any raise — even one below epsilon, which re-activates nobody — must
   // reach dependents' caches: a full rescan reads current sims, so the
   // cache has to as well.
-  if (node.sim > old_sim && options_.evidence_cache) PushSimDelta(id, node);
+  if (node.sim > old_sim) PushSimDelta(id, node);
 
   if (increased && options_.propagation) {
     for (const Edge& e : graph_.out_edges(id)) {
@@ -122,7 +118,7 @@ void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
       // unit. The drain freezes before the next pop.
       budget_->ForceStop(StopReason::kMergeBudget);
     }
-    if (options_.evidence_cache) PushMergeDelta(id);
+    PushMergeDelta(id);
     if (options_.propagation) {
       // Strong-boolean dependents jump the queue (§3.2 heuristics).
       for (const Edge& e : graph_.out_edges(id)) {
@@ -167,56 +163,6 @@ void FixedPointSolver::Enqueue(NodeId id, bool front) {
   }
 }
 
-double FixedPointSolver::ComputeSimilarity(NodeId id,
-                                           int64_t* scans) const {
-  const Node& node = graph_.node(id);
-  if (node.forced_merge) return 1.0;  // User-confirmed match.
-  if (!node.IsRefPair()) {
-    // Value pairs: initial string similarity, lifted to 1 when a merged
-    // strong-boolean neighbor certifies the values denote one entity
-    // (Fig. 2's n6 after the venues merge).
-    double sim = node.sim;
-    for (const Edge& e : graph_.in_edges(id)) {
-      ++*scans;
-      if (e.kind == DependencyKind::kStrongBoolean &&
-          graph_.node(e.node).state == NodeState::kMerged) {
-        sim = 1.0;
-        break;
-      }
-    }
-    return sim;
-  }
-
-  EvidenceSummary evidence;
-  for (const StaticReal& entry : graph_.static_real(id)) {
-    evidence.Offer(entry.type, entry.sim);
-  }
-  evidence.strong_merged = node.static_strong;
-  evidence.weak_merged = node.static_weak;
-  *scans += graph_.in_degree(id);
-  for (const Edge& e : graph_.in_edges(id)) {
-    const Node& src = graph_.node(e.node);
-    if (src.dead) continue;
-    switch (e.kind) {
-      case DependencyKind::kRealValued:
-        if (src.state != NodeState::kNonMerge) {
-          evidence.Offer(e.evidence, src.sim);
-        }
-        break;
-      case DependencyKind::kStrongBoolean:
-        if (src.state == NodeState::kMerged) ++evidence.strong_merged;
-        break;
-      case DependencyKind::kWeakBoolean:
-        if (src.state == NodeState::kMerged) ++evidence.weak_merged;
-        break;
-    }
-  }
-  const ClassSimilarity* sim_fn = built_.class_sims[node.class_id].get();
-  RECON_CHECK(sim_fn != nullptr)
-      << "No similarity function for class " << node.class_id;
-  return sim_fn->Compute(evidence);
-}
-
 double FixedPointSolver::CachedSimilarity(NodeId id, Node& node) {
   if (node.forced_merge) return 1.0;  // User-confirmed match.
   if (!node.cache.valid) {
@@ -250,8 +196,10 @@ void FixedPointSolver::BuildCacheSummary(NodeId id, EvidenceCache* cache,
   const Node& node = graph_.node(id);
   cache->Reset();
   if (!node.IsRefPair()) {
-    // Value pairs only care whether *any* strong-boolean neighbor merged;
-    // stop at the first, like the uncached path does.
+    // Value pairs: initial string similarity, lifted to 1 when a merged
+    // strong-boolean neighbor certifies the values denote one entity
+    // (Fig. 2's n6 after the venues merge). Only whether *any* such
+    // neighbor merged matters, so the rescan stops at the first.
     for (const Edge& e : graph_.in_edges(id)) {
       ++*scans;
       if (e.kind == DependencyKind::kStrongBoolean &&
@@ -401,6 +349,28 @@ int64_t FixedPointSolver::RecheckNegativeEvidence() {
     }
   }
   return changed;
+}
+
+int64_t FixedPointSolver::RecheckEvidenceCaches() const {
+  int64_t differing = 0;
+  int64_t scans = 0;
+  EvidenceCache fresh;
+  for (NodeId id = 0; id < graph_.num_nodes(); ++id) {
+    const Node& node = graph_.node(id);
+    if (node.dead || !node.cache.valid) continue;
+    BuildCacheSummary(id, &fresh, &scans);
+    const EvidenceCache& kept = node.cache;
+    // A value pair's push path counts every merged neighbor while the
+    // rescan stops at the first, so only "any merged" must agree.
+    const bool same =
+        node.IsRefPair()
+            ? kept.best == fresh.best &&
+                  kept.strong_merged == fresh.strong_merged &&
+                  kept.weak_merged == fresh.weak_merged
+            : (kept.strong_merged > 0) == (fresh.strong_merged > 0);
+    if (!same) ++differing;
+  }
+  return differing;
 }
 
 int FixedPointSolver::DemoteAcrossTriangles(NodeId lid) {

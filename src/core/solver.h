@@ -98,6 +98,14 @@ class FixedPointSolver {
   /// have. Costs a full pass; leaves the dirty record alone.
   int64_t RecheckNegativeEvidence();
 
+  /// The evidence-cache invariant: a valid cache equals a fresh rescan of
+  /// the node's in-edges. Rebuilds the summary of every live node whose
+  /// cache is valid and returns how many differ (reference pairs: every
+  /// channel maximum and both merged-neighbor counts; value pairs: whether
+  /// any strong-boolean neighbor merged). Zero means the delta pushes and
+  /// invalidations kept every cache exact. Costs one full rescan.
+  int64_t RecheckEvidenceCaches() const;
+
   /// Transitive closure over merged pairs. Each reference maps to its
   /// cluster's smallest member id (canonical, independent of merge order).
   /// Also reports the directly merged pairs when `merged_pairs` is
@@ -143,10 +151,8 @@ class FixedPointSolver {
   void Commit(NodeId id, Node& node, double computed);
   void EnrichReferences(NodeId id);
   void Enqueue(NodeId id, bool front);
-  /// The uncached full recomputation; in-edge reads land in `*scans`.
-  double ComputeSimilarity(NodeId id, int64_t* scans) const;
 
-  // ---- Delta-propagated evidence caching (options_.evidence_cache) ----
+  // ---- Delta-propagated evidence caching ----
   // Each node's EvidenceCache is born valid (empty node, empty summary)
   // and kept equal to what a full in-edge rescan would produce: the graph
   // layer absorbs additive mutations (new edges, statics), Step() pushes a
@@ -156,11 +162,11 @@ class FixedPointSolver {
   // the affected caches so they rescan exactly once on their next
   // recomputation. See DESIGN.md, "Delta-propagated evidence caching".
 
-  /// Like ComputeSimilarity but served from the node's cache, rebuilding
-  /// it first when invalid. Returns the identical value.
+  /// The node's similarity (§3.2), served from its cache, rebuilding it
+  /// first when invalid.
   double CachedSimilarity(NodeId id, Node& node);
-  /// Full in-edge rescan into `*cache` (the one-time fallback). Leaves it
-  /// valid.
+  /// Full in-edge rescan into `*cache` (the one-time fallback); in-edge
+  /// reads land in `*scans`. Leaves it valid.
   void BuildCacheSummary(NodeId id, EvidenceCache* cache,
                          int64_t* scans) const;
   /// The similarity a given (valid) evidence summary yields for `node`.

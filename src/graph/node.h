@@ -49,10 +49,10 @@ struct Edge {
 };
 
 /// Delta-maintained summary of a node's incoming evidence, kept by the
-/// fixed-point solver (ReconcilerOptions::evidence_cache). Mirrors
-/// sim/class_sim.h's EvidenceSummary but stores floats: every contribution
-/// is a float (neighbor sims, static evidence), so float channel maxima
-/// lose nothing against the rescan's doubles.
+/// fixed-point solver (DESIGN.md §8). Mirrors sim/class_sim.h's
+/// EvidenceSummary but stores floats: every contribution is a float
+/// (neighbor sims, static evidence), so float channel maxima lose nothing
+/// against the rescan's doubles.
 ///
 /// Invariant while `valid`: the summary equals what a full in-edge rescan
 /// would build at this instant. A fresh node has no in-edges and no static

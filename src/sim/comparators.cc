@@ -56,11 +56,6 @@ double NameEmailFieldSimilarity(const std::string& name,
   return strsim::NameEmailSimilarity(name, email);
 }
 
-double NameEmailFieldSimilarity(const strsim::PersonName& name,
-                                const strsim::EmailAddress& email) {
-  return strsim::NameEmailSimilarity(name, email);
-}
-
 double NameEmailFieldSimilarity(const ValueFeatures& name,
                                 const ValueFeatures& email) {
   return strsim::NameEmailSimilarity(name.name, email.email);

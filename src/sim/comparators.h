@@ -53,9 +53,6 @@ double EmailFieldSimilarity(const ValueFeatures& a, const ValueFeatures& b);
 /// Person name vs email account (cross-attribute evidence).
 double NameEmailFieldSimilarity(const std::string& name,
                                 const std::string& email);
-/// Parsed-level form: name and email analyzed once by the caller.
-double NameEmailFieldSimilarity(const strsim::PersonName& name,
-                                const strsim::EmailAddress& email);
 /// Feature-level form; `name` must be a kPersonName value and `email` a
 /// kEmail value.
 double NameEmailFieldSimilarity(const ValueFeatures& name,

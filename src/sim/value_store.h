@@ -1,7 +1,7 @@
 // Interned value store with precomputed similarity features.
 //
 // The fixed-point solver re-scores the same attribute pairs many times as
-// evidence propagates, and with O(n²) candidate pairs per canopy each
+// evidence propagates, and with O(n²) candidate pairs per block each
 // distinct value used to be re-parsed and re-tokenized hundreds of times.
 // The ValueStore analyzes every distinct interned value exactly once —
 // lowercase form, PersonName parse, email parse, normalized title + tokens,
@@ -145,11 +145,11 @@ class ValueStore {
 };
 
 /// Scores a pair of analyzed values on an evidence channel. Exactly matches
-/// the raw-string field comparator for that channel — byte-identical output
-/// is the contract that keeps ReconcilerOptions::value_store a pure
-/// optimization. For kEvPersonNameEmail the name/email sides are identified
-/// by kind, so argument order does not matter. Returns 0 for boolean or
-/// derived evidence channels that have no atomic comparator.
+/// the raw-string field comparator for that channel (value_store_test
+/// checks every channel against it). For kEvPersonNameEmail the name/email
+/// sides are identified by kind, so argument order does not matter.
+/// Returns 0 for boolean or derived evidence channels that have no atomic
+/// comparator.
 double FeaturePairSimilarity(int evidence, const ValueFeatures& a,
                              const ValueFeatures& b);
 

@@ -24,8 +24,6 @@ const char* ProbePointToString(ProbePoint point) {
   switch (point) {
     case ProbePoint::kCandidates:
       return "candidates";
-    case ProbePoint::kCanopy:
-      return "canopy";
     case ProbePoint::kBuild:
       return "build";
     case ProbePoint::kSolveRound:

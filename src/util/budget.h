@@ -7,11 +7,11 @@
 // complete — partition. A Budget bounds a run (wall-clock deadline, solver
 // iterations, merges, soft memory estimate) and a CancellationToken lets
 // another thread request a stop; both are observed cooperatively at cheap,
-// deterministic probe points (candidate batches, canopy centers,
-// graph-builder staging chunks, the solver drain and each queue pop). On
-// exhaustion the pipeline never aborts: it finishes the current
-// deterministic unit, freezes the solve, and degrades gracefully,
-// reporting a StopReason in ReconcileStats.
+// deterministic probe points (candidate batches, graph-builder staging
+// chunks, the solver drain and each queue pop). On exhaustion the pipeline
+// never aborts: it finishes the current deterministic unit, freezes the
+// solve, and degrades gracefully, reporting a StopReason in
+// ReconcileStats.
 
 #ifndef RECON_UTIL_BUDGET_H_
 #define RECON_UTIL_BUDGET_H_
@@ -41,14 +41,13 @@ const char* StopReasonToString(StopReason reason);
 /// injection (util/fault_injection.h) addresses probes as (point, index).
 enum class ProbePoint {
   kCandidates = 0,  ///< Candidate-generation batch boundaries.
-  kCanopy,          ///< Canopy-sweep center boundaries.
   kBuild,           ///< Graph-builder staging chunk boundaries.
   kSolveRound,      ///< Start of each solver drain (one per Run()).
   kSolveCommit,     ///< Solver commit boundaries (one per queue pop).
 };
-inline constexpr int kNumProbePoints = 5;
+inline constexpr int kNumProbePoints = 4;
 
-/// Short stable name ("candidates", "canopy", ...).
+/// Short stable name ("candidates", "build", ...).
 const char* ProbePointToString(ProbePoint point);
 
 /// Limits for one reconciliation run (one batch Run() or one incremental
@@ -192,11 +191,11 @@ class BudgetTracker {
     return stop_reason_.load(std::memory_order_acquire);
   }
 
-  /// Read-only check for code running on pool threads (candidate and
-  /// canopy sweeps, staging blocks): whether in-flight speculative
-  /// work has become pointless. Never mutates probe counters or the stop
-  /// reason — the owning serial code re-checks at its next probe, so
-  /// abandoning here affects wall time only, never output.
+  /// Read-only check for code running on pool threads (candidate sweeps,
+  /// staging blocks): whether in-flight speculative work has become
+  /// pointless. Never mutates probe counters or the stop reason — the
+  /// owning serial code re-checks at its next probe, so abandoning here
+  /// affects wall time only, never output.
   bool ShouldAbandonParallelWork() const {
     if (stopped()) return true;
     if (cancel_ != nullptr && cancel_->cancelled()) return true;

@@ -1,5 +1,5 @@
 // Determinism sweep for the CSR dependency graph: datasets × threads
-// {1, 2, 4, 8} × {evidence_cache, constraints, budgets} must produce
+// {1, 2, 4, 8} × {constraints, budgets} must produce
 // byte-identical partitions and stats, equal to the golden fingerprints
 // committed below. The goldens pin the output across commits: a change in
 // CSR layout, the parallel build, or budget probing that alters any
@@ -89,7 +89,6 @@ Fingerprint FingerprintOf(const ReconcileResult& result) {
 
 struct GoldenRow {
   const char* dataset;
-  bool cache;
   bool constraints;
   bool budget;
   Fingerprint want;
@@ -97,44 +96,36 @@ struct GoldenRow {
 
 // The sweep asserts every thread count reproduces these exactly.
 constexpr GoldenRow kGolden[] = {
-    {"PIM-A", true, true, false, {0x1f9a6ccc9ffec150ull, 885, 6375, 2003, 9675, 6602}},
-    {"PIM-A", true, true, true, {0x60874c104dc80798ull, 25, 550, 71, 9675, 15061}},
-    {"PIM-A", true, false, false, {0xd59ecdb0c50dd522ull, 895, 6229, 2190, 9386, 7014}},
-    {"PIM-A", true, false, true, {0x60874c104dc80798ull, 25, 550, 71, 9386, 15509}},
-    {"PIM-A", false, true, false, {0x1f9a6ccc9ffec150ull, 885, 6375, 2003, 9675, 6602}},
-    {"PIM-A", false, true, true, {0x60874c104dc80798ull, 25, 550, 71, 9675, 15061}},
-    {"PIM-A", false, false, false, {0xd59ecdb0c50dd522ull, 895, 6229, 2190, 9386, 7014}},
-    {"PIM-A", false, false, true, {0x60874c104dc80798ull, 25, 550, 71, 9386, 15509}},
-    {"Cora", true, true, false, {0xbb0a4a8b3e398b2dull, 2061, 29546, 4723, 34375, 14644}},
-    {"Cora", true, true, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 34375, 54747}},
-    {"Cora", true, false, false, {0xbb0a4a8b3e398b2dull, 2061, 28874, 4743, 33606, 14714}},
-    {"Cora", true, false, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 33606, 55569}},
-    {"Cora", false, true, false, {0xbb0a4a8b3e398b2dull, 2061, 29546, 4723, 34375, 14644}},
-    {"Cora", false, true, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 34375, 54747}},
-    {"Cora", false, false, false, {0xbb0a4a8b3e398b2dull, 2061, 28874, 4743, 33606, 14714}},
-    {"Cora", false, false, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 33606, 55569}},
+    {"PIM-A", true, false, {0x1f9a6ccc9ffec150ull, 885, 6375, 2003, 9675, 6602}},
+    {"PIM-A", true, true, {0x60874c104dc80798ull, 25, 550, 71, 9675, 15061}},
+    {"PIM-A", false, false, {0xd59ecdb0c50dd522ull, 895, 6229, 2190, 9386, 7014}},
+    {"PIM-A", false, true, {0x60874c104dc80798ull, 25, 550, 71, 9386, 15509}},
+    {"Cora", true, false, {0xbb0a4a8b3e398b2dull, 2061, 29546, 4723, 34375, 14644}},
+    {"Cora", true, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 34375, 54747}},
+    {"Cora", false, false, {0xbb0a4a8b3e398b2dull, 2061, 28874, 4743, 33606, 14714}},
+    {"Cora", false, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 33606, 55569}},
 };
 
 bool RegenMode() { return std::getenv("RECON_REGEN_GOLDENS") != nullptr; }
 
-void PrintGoldenRow(const std::string& dataset, bool cache, bool constraints,
+void PrintGoldenRow(const std::string& dataset, bool constraints,
                     bool budget, const Fingerprint& fp) {
   std::printf(
-      "    {\"%s\", %s, %s, %s, {0x%016llxull, %lld, %lld, %lld, %lld, "
+      "    {\"%s\", %s, %s, {0x%016llxull, %lld, %lld, %lld, %lld, "
       "%lld}},\n",
-      dataset.c_str(), cache ? "true" : "false",
-      constraints ? "true" : "false", budget ? "true" : "false",
+      dataset.c_str(), constraints ? "true" : "false",
+      budget ? "true" : "false",
       static_cast<unsigned long long>(fp.hash),
       static_cast<long long>(fp.merges), static_cast<long long>(fp.folds),
       static_cast<long long>(fp.recomputations),
       static_cast<long long>(fp.nodes), static_cast<long long>(fp.edges));
 }
 
-const GoldenRow* FindGolden(const std::string& dataset, bool cache,
-                            bool constraints, bool budget) {
+const GoldenRow* FindGolden(const std::string& dataset, bool constraints,
+                            bool budget) {
   for (const GoldenRow& row : kGolden) {
-    if (dataset == row.dataset && cache == row.cache &&
-        constraints == row.constraints && budget == row.budget) {
+    if (dataset == row.dataset && constraints == row.constraints &&
+        budget == row.budget) {
       return &row;
     }
   }
@@ -151,56 +142,51 @@ void ExpectFingerprint(const Fingerprint& want, const Fingerprint& got) {
 }
 
 void SweepDataset(const Dataset& dataset, const std::string& dataset_name) {
-  for (const bool evidence_cache : {true, false}) {
-    for (const bool constraints : {true, false}) {
-      for (const bool budget : {false, true}) {
-        ReconcilerOptions options = ReconcilerOptions::DepGraph();
-        options.evidence_cache = evidence_cache;
-        options.constraints = constraints;
-        if (budget) {
-          // Deterministic limits only (merge + iteration budgets probe at
-          // fixed pop boundaries); a deadline would make the stop point
-          // depend on wall time. Small enough to bind on both datasets.
-          options.budget.max_merges = 25;
-          options.budget.max_solver_iterations = 3000;
-        }
+  for (const bool constraints : {true, false}) {
+    for (const bool budget : {false, true}) {
+      ReconcilerOptions options = ReconcilerOptions::DepGraph();
+      options.constraints = constraints;
+      if (budget) {
+        // Deterministic limits only (merge + iteration budgets probe at
+        // fixed pop boundaries); a deadline would make the stop point
+        // depend on wall time. Small enough to bind on both datasets.
+        options.budget.max_merges = 25;
+        options.budget.max_solver_iterations = 3000;
+      }
 
-        SCOPED_TRACE(dataset_name + " cache=" + std::to_string(evidence_cache) +
-                     " constraints=" + std::to_string(constraints) +
-                     " budget=" + std::to_string(budget));
+      SCOPED_TRACE(dataset_name + " constraints=" +
+                   std::to_string(constraints) +
+                   " budget=" + std::to_string(budget));
 
-        options.num_threads = 1;
-        const ReconcileResult reference = Reconciler(options).Run(dataset);
-        const Fingerprint reference_fp = FingerprintOf(reference);
-        if (RegenMode()) {
-          PrintGoldenRow(dataset_name, evidence_cache, constraints, budget,
-                         reference_fp);
-        } else {
-          const GoldenRow* golden =
-              FindGolden(dataset_name, evidence_cache, constraints, budget);
-          ASSERT_NE(golden, nullptr) << "no golden row for this config";
-          ExpectFingerprint(golden->want, reference_fp);
-        }
-        if (budget) {
-          EXPECT_EQ(reference.stats.num_merges, options.budget.max_merges);
-        }
+      options.num_threads = 1;
+      const ReconcileResult reference = Reconciler(options).Run(dataset);
+      const Fingerprint reference_fp = FingerprintOf(reference);
+      if (RegenMode()) {
+        PrintGoldenRow(dataset_name, constraints, budget, reference_fp);
+      } else {
+        const GoldenRow* golden = FindGolden(dataset_name, constraints, budget);
+        ASSERT_NE(golden, nullptr) << "no golden row for this config";
+        ExpectFingerprint(golden->want, reference_fp);
+      }
+      if (budget) {
+        EXPECT_EQ(reference.stats.num_merges, options.budget.max_merges);
+      }
 
-        for (const int threads : {2, 4, 8}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          options.num_threads = threads;
-          const ReconcileResult run = Reconciler(options).Run(dataset);
-          // Byte-identical partitions, merge sequence, and stats — against
-          // one thread AND (transitively) the golden.
-          EXPECT_EQ(reference.cluster, run.cluster);
-          EXPECT_EQ(reference.merged_pairs, run.merged_pairs);
-          ExpectFingerprint(reference_fp, FingerprintOf(run));
-          EXPECT_EQ(reference.stats.num_live_nodes, run.stats.num_live_nodes);
-          EXPECT_EQ(reference.stats.num_inedge_scans,
-                    run.stats.num_inedge_scans);
-          EXPECT_EQ(reference.stats.num_delta_pushes,
-                    run.stats.num_delta_pushes);
-          EXPECT_EQ(reference.stats.stop_reason, run.stats.stop_reason);
-        }
+      for (const int threads : {2, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        options.num_threads = threads;
+        const ReconcileResult run = Reconciler(options).Run(dataset);
+        // Byte-identical partitions, merge sequence, and stats — against
+        // one thread AND (transitively) the golden.
+        EXPECT_EQ(reference.cluster, run.cluster);
+        EXPECT_EQ(reference.merged_pairs, run.merged_pairs);
+        ExpectFingerprint(reference_fp, FingerprintOf(run));
+        EXPECT_EQ(reference.stats.num_live_nodes, run.stats.num_live_nodes);
+        EXPECT_EQ(reference.stats.num_inedge_scans,
+                  run.stats.num_inedge_scans);
+        EXPECT_EQ(reference.stats.num_delta_pushes,
+                  run.stats.num_delta_pushes);
+        EXPECT_EQ(reference.stats.stop_reason, run.stats.stop_reason);
       }
     }
   }

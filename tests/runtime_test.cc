@@ -218,13 +218,6 @@ TEST(RuntimeIntegrationTest, CandidatesIdenticalAcrossThreadCounts) {
     EXPECT_EQ(GenerateCandidates(dataset, binding, options), serial)
         << "threads " << threads;
   }
-  // Canopies run their own feature-extraction parallelism.
-  options.use_canopies = true;
-  options.num_threads = 1;
-  const CandidateList canopy_serial =
-      GenerateCandidates(dataset, binding, options);
-  options.num_threads = 4;
-  EXPECT_EQ(GenerateCandidates(dataset, binding, options), canopy_serial);
 }
 
 TEST(RuntimeIntegrationTest, ReconcilerOutputIdenticalAcrossThreadCounts) {

@@ -395,6 +395,110 @@ TEST_F(DerivedNonMergeTest, FoldLeavesASource) {
   EXPECT_EQ(graph().num_non_merge_pairs(), 4);
 }
 
+// ---- Evidence-cache invalidation ------------------------------------------
+
+// A hand-built graph where a dependent's cached summary rests on one
+// contribution that later goes away. Only SetNodeState's invalidation can
+// tell the dependent to rescan; the PIM and Cora sweeps reach these lines
+// only on ties.
+class CacheInvalidationTest : public ::testing::Test {
+ protected:
+  CacheInvalidationTest() : data_(BuildPimSchema()) {
+    person_ = data_.schema().RequireClass("Person");
+    article_ = data_.schema().RequireClass("Article");
+    for (int i = 0; i < 4; ++i) data_.NewReference(person_, -1);
+    for (int i = 0; i < 2; ++i) data_.NewReference(article_, -1);
+    options_.enrichment = false;
+    // Dependents are scored only when the test enqueues them.
+    options_.propagation = false;
+    built_.graph = std::make_unique<DependencyGraph>(data_.num_references());
+    built_.class_sims.resize(data_.schema().num_classes());
+    built_.class_sims[person_] = MakeClassSimilarity("Person", options_.params);
+    built_.class_sims[article_] =
+        MakeClassSimilarity("Article", options_.params);
+    solver_ = std::make_unique<FixedPointSolver>(data_, built_, options_,
+                                                 &stats_);
+  }
+
+  DependencyGraph& graph() { return *built_.graph; }
+
+  /// Scores `id` once and returns its similarity.
+  float Score(NodeId id) {
+    solver_->EnqueueNodes({id});
+    solver_->Run();
+    return graph().node(id).sim;
+  }
+
+  Dataset data_;
+  int person_, article_;
+  ReconcilerOptions options_ = ReconcilerOptions::DepGraph();
+  ReconcileStats stats_;
+  BuiltGraph built_;
+  std::unique_ptr<FixedPointSolver> solver_;
+};
+
+TEST_F(CacheInvalidationTest, DemotedChannelMaximum) {
+  // Article pair (4,5) takes author evidence from two person pairs; the
+  // higher, 0.9, is the channel's unique maximum.
+  const NodeId high = graph().AddRefPairNode(person_, 0, 1);
+  const NodeId low = graph().AddRefPairNode(person_, 2, 3);
+  graph().mutable_node(high).sim = 0.9f;
+  graph().mutable_node(low).sim = 0.6f;
+  const NodeId article = graph().AddRefPairNode(article_, 4, 5);
+  graph().AddStaticReal(article, kEvArticleTitle, 0.8);
+  graph().AddEdge(high, article, DependencyKind::kRealValued,
+                  kEvArticleAuthors);
+  graph().AddEdge(low, article, DependencyKind::kRealValued,
+                  kEvArticleAuthors);
+  ASSERT_EQ(solver_->RecheckEvidenceCaches(), 0);
+
+  // A co-author constraint on the maximum: the cached 0.9 is gone.
+  graph().SetNodeState(high, NodeState::kNonMerge);
+  EXPECT_EQ(solver_->RecheckEvidenceCaches(), 0);
+
+  EvidenceSummary remaining;
+  remaining.Offer(kEvArticleTitle, 0.8f);
+  remaining.Offer(kEvArticleAuthors, 0.6f);
+  EvidenceSummary stale = remaining;
+  stale.Offer(kEvArticleAuthors, 0.9f);
+  const ClassSimilarity& sim = *built_.class_sims[article_];
+  ASSERT_NE(static_cast<float>(sim.Compute(remaining)),
+            static_cast<float>(sim.Compute(stale)));
+  EXPECT_EQ(Score(article), static_cast<float>(sim.Compute(remaining)));
+}
+
+TEST_F(CacheInvalidationTest, UnmergedStrongNeighbor) {
+  // Article pair (4,5) is confirmed by feedback.same, as ApplyFeedback
+  // does it, and its merge certifies the author pair (0,1).
+  const NodeId article = graph().AddRefPairNode(article_, 4, 5);
+  const NodeId author = graph().AddRefPairNode(person_, 0, 1);
+  graph().AddStaticReal(author, kEvPersonName, 0.75);
+  graph().AddEdge(article, author, DependencyKind::kStrongBoolean,
+                  kEvPersonArticle);
+  graph().mutable_node(article).forced_merge = true;
+  graph().SetNodeState(article, NodeState::kInactive);
+  Score(article);
+  ASSERT_EQ(graph().node(article).state, NodeState::kMerged);
+  ASSERT_EQ(graph().node(author).cache.strong_merged, 1);
+  ASSERT_EQ(solver_->RecheckEvidenceCaches(), 0);
+
+  // "Distinct" feedback on the same pair: it leaves kMerged, and the
+  // author pair's merged-neighbor count must drop with it.
+  graph().mutable_node(article).forced_merge = false;
+  graph().SetNodeState(article, NodeState::kNonMerge);
+  EXPECT_EQ(solver_->RecheckEvidenceCaches(), 0);
+
+  EvidenceSummary remaining;
+  remaining.Offer(kEvPersonName, 0.75f);
+  EvidenceSummary stale = remaining;
+  stale.strong_merged = 1;
+  const ClassSimilarity& sim = *built_.class_sims[person_];
+  ASSERT_NE(static_cast<float>(sim.Compute(remaining)),
+            static_cast<float>(sim.Compute(stale)));
+  EXPECT_EQ(Score(author), static_cast<float>(sim.Compute(remaining)));
+  EXPECT_NE(graph().node(author).state, NodeState::kMerged);
+}
+
 // ---- Soundex ------------------------------------------------------------------
 
 TEST(SoundexTest, ClassicCodes) {

@@ -4,14 +4,16 @@
 # the malformed-input extraction paths (truncated BibTeX, garbled email,
 # NUL-ridden CSV), the value-store / similarity-memo degradation modes
 # (shard eviction and bypass under tiny byte bounds), the CSR-graph
-# determinism sweep (datasets × threads × cache/constraints/budgets
+# determinism sweep (datasets × threads × constraints/budgets
 # against committed golden fingerprints, frozen budget stops included),
 # the incremental flush sweep (per-flush goldens, the dirty-set
 # negative-propagation fixpoint check, and amortized pool repacks that
 # move storage under enrichment folds), the solver unit tests (among them
 # DerivedNonMergeTest: the triangle rule's demotions are never
 # negative-propagation sources, while constraints, feedback and enrichment
-# folds promote or clear them), the snapshot publish sweep (each
+# folds promote or clear them; CacheInvalidationTest: a demoted channel
+# maximum or an un-merged neighbor makes its dependent's evidence cache
+# rescan), the snapshot publish sweep (each
 # generation built from the previous one, sharing its entity records and
 # index shards, equals a from-scratch build after every flush), the
 # service smoke test (a live daemon on an ephemeral loopback port serving
@@ -25,8 +27,8 @@
 #      -DRECON_SANITIZE=address-undefined (ASan + UBSan together),
 #   2. runs every ctest target labeled `asan` under the sanitizers —
 #      every StopReason at every probe point, the hostile-input corpus,
-#      and the value-store sweep with the store on and off — with error
-#      exit codes forced on.
+#      and the memo bounds down to bypass — with error exit codes forced
+#      on.
 #
 # Usage: tools/check_asan.sh [asan_build_dir]
 #   asan_build_dir  defaults to build-asan (created if missing)

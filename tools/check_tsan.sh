@@ -4,8 +4,9 @@
 #
 #   1. configures and builds build-tsan/ with -DRECON_SANITIZE=thread,
 #   2. runs every ctest target labeled `tsan` under ThreadSanitizer
-#      (runtime primitives, evidence-cache parity, the shared value-store /
-#      similarity-memo sweep with the store on and off, the CSR-graph
+#      (runtime primitives, the evidence-cache invariant check after
+#      builds at 1 and 4 threads, the shared value-store / similarity-memo
+#      counters and memo bounds across thread counts, the CSR-graph
 #      golden sweep that asserts byte-identical output at 1/2/4/8 threads,
 #      the service-layer sweep where query threads
 #      race a live ingest/flush loop against the snapshot swap, the

@@ -75,10 +75,6 @@ void PrintUsage(std::ostream& out) {
          "  --algo depgraph|indepdec|fs   (default depgraph)\n"
          "  --no-constraints        disable constraint enforcement (ablation)\n"
          "  --evidence attr|ne|article|contact   evidence level (ablation)\n"
-         "  --canopies              canopy clustering instead of blocking\n"
-         "  --no-value-store        score from raw strings instead of the\n"
-         "                          interned value store (DESIGN.md §11);\n"
-         "                          output is byte-identical either way\n"
          "  --no-simd               force the scalar string kernels and\n"
          "                          disable the signature prefilter\n"
          "                          (DESIGN.md §16); output is\n"
@@ -275,10 +271,6 @@ int main(int argc, char** argv) {
       algo = argv[++i];
     } else if (arg == "--no-constraints") {
       options.constraints = false;
-    } else if (arg == "--canopies") {
-      options.use_canopies = true;
-    } else if (arg == "--no-value-store") {
-      options.value_store = false;
     } else if (arg == "--no-simd") {
       recon::strsim::SetSimdLevel(recon::strsim::SimdLevel::kScalar);
     } else if (arg == "--import" && i + 1 < argc) {
