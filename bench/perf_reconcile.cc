@@ -12,7 +12,6 @@
 #include "core/premerge.h"
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
-#include "strsim/simd_dispatch.h"
 
 namespace {
 
@@ -106,59 +105,11 @@ int RunValueStoreGate() {
             << s.num_sim_memo_hits << " hits / " << s.num_sim_memo_misses
             << " misses, " << s.sim_memo_bytes << " B; store "
             << s.value_store_bytes << " B\n";
-  std::cout << "Kernels: " << s.simd_dispatch << " dispatch; prefilter "
-            << s.num_prefilter_skips << " skipped / "
-            << s.num_prefilter_exact << " exact title comparisons; "
-            << "signatures " << s.signature_bytes << " B\n";
 
   if (s.num_pair_comparisons < 5 * s.num_value_analyses) {
     std::cerr << "FATAL: value store analyzed too often on PIM B: "
               << s.num_value_analyses << " analyses for "
               << s.num_pair_comparisons << " comparisons (< 5x reduction)\n";
-    return 1;
-  }
-  return 0;
-}
-
-/// Kernel-identity gate (DESIGN.md §16): the bit-parallel kernels and the
-/// signature prefilter must leave the reconcile output byte-identical to
-/// the scalar reference path on PIM B. Returns 0 on success (including a
-/// trivial pass when no non-scalar level is available), 1 on divergence.
-int RunKernelGate() {
-  namespace strsim = recon::strsim;
-  const strsim::SimdLevel active = strsim::ActiveSimdLevel();
-  if (active == strsim::SimdLevel::kScalar) {
-    std::cout << "\nKernel gate: dispatch is scalar (detected "
-              << strsim::SimdLevelName(strsim::DetectedSimdLevel())
-              << "); identity holds trivially, skipping\n";
-    return 0;
-  }
-
-  recon::datagen::PimConfig config = recon::datagen::PimConfigB();
-  const double scale = recon::bench::BenchScale();
-  if (scale < 1.0) config = recon::datagen::ScaleConfig(config, scale);
-  const recon::Dataset dataset = recon::datagen::GeneratePim(config);
-  const recon::ReconcilerOptions options =
-      recon::bench::WithBenchThreads(recon::ReconcilerOptions::DepGraph());
-
-  const recon::ReconcileResult on = recon::Reconciler(options).Run(dataset);
-  strsim::SetSimdLevel(strsim::SimdLevel::kScalar);
-  const recon::ReconcileResult off = recon::Reconciler(options).Run(dataset);
-  strsim::SetSimdLevel(active);
-
-  const bool identical =
-      off.cluster == on.cluster && off.merged_pairs == on.merged_pairs &&
-      off.stats.num_merges == on.stats.num_merges &&
-      off.stats.num_folds == on.stats.num_folds;
-  std::cout << "\nKernel gate (PIM B, " << dataset.num_references()
-            << " refs): " << strsim::SimdLevelName(active)
-            << " vs scalar dispatch; prefilter skipped "
-            << on.stats.num_prefilter_skips << " of "
-            << on.stats.num_prefilter_skips + on.stats.num_prefilter_exact
-            << " title comparisons; output "
-            << (identical ? "identical" : "MISMATCH") << "\n";
-  if (!identical) {
-    std::cerr << "FATAL: simd kernels changed the output on PIM B\n";
     return 1;
   }
   return 0;
@@ -177,7 +128,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const int store_rc = RunValueStoreGate();
-  const int kernel_rc = RunKernelGate();
-  return store_rc != 0 ? store_rc : kernel_rc;
+  return RunValueStoreGate();
 }

@@ -13,8 +13,6 @@
 #include "strsim/edit_distance.h"
 #include "strsim/jaro_winkler.h"
 #include "strsim/person_name.h"
-#include "strsim/signature.h"
-#include "strsim/simd_dispatch.h"
 #include "strsim/title.h"
 #include "strsim/tokens.h"
 #include "strsim/venue.h"
@@ -34,7 +32,7 @@ BENCHMARK(BM_Levenshtein);
 // ---- Kernel comparison rows (DESIGN.md §16): the same title-length
 // distance computed by the reference row DP and the Myers bit-parallel
 // kernel. tools/run_benches.sh --gate-kernels requires the bit-parallel
-// row to be >= 2x faster (auto-skipped at the scalar dispatch level).
+// row to be >= 2x faster.
 
 void BM_LevenshteinScalar(benchmark::State& state) {
   const std::string a =
@@ -81,42 +79,6 @@ void BM_BoundedLevenshteinBitParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundedLevenshteinBitParallel);
-
-// The prefilter path a blocked title comparison takes instead of the exact
-// comparator: one batched 256-bit XOR popcount per signature kind plus the
-// bound arithmetic. Reported per pair (256 pairs per iteration).
-void BM_TitlePrefilterBatch(benchmark::State& state) {
-  constexpr int kPairs = 256;
-  const recon::ValueFeatures fa = recon::AnalyzeValue(
-      "Distributed query processing in a relational data base system",
-      recon::FeatureKind::kTitle);
-  const recon::ValueFeatures fb = recon::AnalyzeValue(
-      "Query evaluation techniques for large databases",
-      recon::FeatureKind::kTitle);
-  std::vector<uint64_t> ga(4 * kPairs), gb(4 * kPairs), ta(4 * kPairs),
-      tb(4 * kPairs);
-  for (int i = 0; i < kPairs; ++i) {
-    std::copy(fa.title_gram_sig.w, fa.title_gram_sig.w + 4, &ga[4 * i]);
-    std::copy(fb.title_gram_sig.w, fb.title_gram_sig.w + 4, &gb[4 * i]);
-    std::copy(fa.title_token_sig.w, fa.title_token_sig.w + 4, &ta[4 * i]);
-    std::copy(fb.title_token_sig.w, fb.title_token_sig.w + 4, &tb[4 * i]);
-  }
-  std::vector<int32_t> gram_pop(kPairs), tok_pop(kPairs);
-  for (auto _ : state) {
-    recon::strsim::BatchSigSymDiff(ga.data(), gb.data(), kPairs,
-                                   gram_pop.data());
-    recon::strsim::BatchSigSymDiff(ta.data(), tb.data(), kPairs,
-                                   tok_pop.data());
-    double acc = 0;
-    for (int i = 0; i < kPairs; ++i) {
-      acc += recon::TitleSimilarityUpperBoundFromPops(gram_pop[i],
-                                                      tok_pop[i], fa, fb);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * kPairs);
-}
-BENCHMARK(BM_TitlePrefilterBatch);
 
 void BM_JaroWinkler(benchmark::State& state) {
   for (auto _ : state) {
@@ -253,14 +215,6 @@ int main(int argc, char** argv) {
       recon::bench::TranslateGBenchJsonFlag(argc, argv, &storage);
   int new_argc = static_cast<int>(args.size());
   benchmark::Initialize(&new_argc, args.data());
-  // Record the dispatch level the production kernels run at, so recorded
-  // numbers (and the --gate-kernels auto-skip) can be judged against it.
-  benchmark::AddCustomContext(
-      "simd_dispatch",
-      recon::strsim::SimdLevelName(recon::strsim::ActiveSimdLevel()));
-  benchmark::AddCustomContext(
-      "simd_detected",
-      recon::strsim::SimdLevelName(recon::strsim::DetectedSimdLevel()));
   if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

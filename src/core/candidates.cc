@@ -218,8 +218,10 @@ CandidateList GenerateCandidates(const Dataset& dataset,
                                  const SchemaBinding& binding,
                                  const ReconcilerOptions& options,
                                  BudgetTracker* budget, const ValuePool* pool,
-                                 const ValueStore* store) {
+                                 const ValueStore* store,
+                                 int64_t* num_dropped_blocks) {
   CandidateList out;
+  if (num_dropped_blocks != nullptr) *num_dropped_blocks = 0;
 
   if (!options.use_blocking) {
     // All same-class pairs, for small datasets and ablations; probe per
@@ -266,6 +268,15 @@ CandidateList GenerateCandidates(const Dataset& dataset,
     for (std::string& key : keys_of[ref]) {
       blocks[std::move(key)].push_back(ref);
     }
+  }
+  // Counted over the whole map before expansion, so neither the lane
+  // count nor a budget stop during expansion changes the number.
+  if (num_dropped_blocks != nullptr) {
+    *num_dropped_blocks = std::count_if(
+        blocks.begin(), blocks.end(), [&](const auto& block) {
+          return static_cast<int>(block.second.size()) >
+                 options.max_block_size;
+        });
   }
 
   const int lanes = runtime::ResolveNumThreads(options.num_threads);
@@ -355,7 +366,14 @@ CandidateList CandidateIndex::AddReferences(const Dataset& dataset,
   CandidateList out;
   for (const std::string& key : touched) {
     const std::vector<RefId>& members = blocks_.at(key);
-    if (static_cast<int>(members.size()) > options_.max_block_size) continue;
+    if (static_cast<int>(members.size()) > options_.max_block_size) {
+      // Count the block in the batch that pushed it over the cap.
+      const auto old_size =
+          std::lower_bound(members.begin(), members.end(), first) -
+          members.begin();
+      if (old_size <= options_.max_block_size) ++num_dropped_blocks_;
+      continue;
+    }
     for (const RefId a : members) {
       if (a < first) continue;  // Old members pair only with new ones.
       for (const RefId b : members) {

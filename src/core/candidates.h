@@ -2,11 +2,12 @@
 // dependency-graph node is only built for reference pairs that share at
 // least one blocking key (a name token, an email account, a rare title
 // token, ...). Blocks over ReconcilerOptions::max_block_size contribute no
-// pairs.
+// pairs; both generators count them.
 
 #ifndef RECON_CORE_CANDIDATES_H_
 #define RECON_CORE_CANDIDATES_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,13 +35,15 @@ using CandidateList = std::vector<std::pair<RefId, RefId>>;
 /// sorted as usual. When `pool`/`store` are given (values interned and
 /// synced beforehand, as the graph builder does), key extraction reuses
 /// the precomputed features instead of re-parsing; the keys are identical
-/// either way.
+/// either way. `num_dropped_blocks` (optional) receives the number of
+/// blocks over options.max_block_size, counted before pair expansion.
 CandidateList GenerateCandidates(const Dataset& dataset,
                                  const SchemaBinding& binding,
                                  const ReconcilerOptions& options,
                                  BudgetTracker* budget = nullptr,
                                  const ValuePool* pool = nullptr,
-                                 const ValueStore* store = nullptr);
+                                 const ValueStore* store = nullptr,
+                                 int64_t* num_dropped_blocks = nullptr);
 
 /// Blocking keys of one reference (exposed for tests): lowercased name
 /// tokens (nickname-canonicalized), parsed last names, email account cores,
@@ -76,10 +79,16 @@ class CandidateIndex {
                               const ValuePool* pool = nullptr,
                               const ValueStore* store = nullptr);
 
+  /// Blocks over options.max_block_size so far, each counted once, in the
+  /// batch where it first exceeded the cap. After every reference has been
+  /// added this equals GenerateCandidates' count over the same dataset.
+  int64_t num_dropped_blocks() const { return num_dropped_blocks_; }
+
  private:
   SchemaBinding binding_;
   ReconcilerOptions options_;  // Copy: blocking knobs only.
   std::unordered_map<std::string, std::vector<RefId>> blocks_;
+  int64_t num_dropped_blocks_ = 0;
 };
 
 }  // namespace recon

@@ -11,8 +11,6 @@
 #include "sim/value_store.h"
 #include "strsim/email.h"
 #include "strsim/person_name.h"
-#include "strsim/signature.h"
-#include "strsim/simd_dispatch.h"
 #include "util/logging.h"
 
 namespace recon {
@@ -74,8 +72,6 @@ struct alignas(64) StageScratch {
   int64_t pair_comparisons = 0;
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
-  int64_t prefilter_skips = 0;
-  int64_t prefilter_exact = 0;
 };
 
 /// Staged pairs are applied (and association wiring probed) in chunks of
@@ -87,13 +83,11 @@ constexpr int64_t kBuildChunk = 256;
 // Lanes do not score pair-at-a-time. Each lane gathers the ValueId cross
 // products of up to kScoreBlock candidate pairs into per-evidence task
 // arrays (scratch reused across the lane's blocks — zero steady-state
-// allocation), sweeps each evidence kind over the whole block (title tasks
-// pass the signature prefilter first, skipping pairs that provably cannot
-// reach the seed), and then assembles every pair's
-// StagedEvidence in cross-product order, channel by channel. The gated
-// article/venue secondary channels gather in a second wave after wave-1
-// assembly, so they are compared only for pairs whose primary channel
-// produced evidence.
+// allocation), sweeps each evidence kind over the whole block, and then
+// assembles every pair's StagedEvidence in cross-product order, channel by
+// channel. The gated article/venue secondary channels gather in a second
+// wave after wave-1 assembly, so they are compared only for pairs whose
+// primary channel produced evidence.
 
 constexpr int kScoreBlock = 256;
 
@@ -104,7 +98,6 @@ struct SimTask {
   float memo_sim = 0;     ///< Non-static result (memo float rounding).
   double static_sim = 0;  ///< v1 == v2 result at double precision.
   bool is_static = false;
-  bool skipped = false;   ///< Title prefilter: provably below seed.
 };
 
 /// Half-open range into a per-evidence task array.
@@ -125,13 +118,11 @@ struct PairPlan {
   bool both_have_names = false;
 };
 
-/// Per-lane batch scratch: task arrays per evidence kind, the block's
-/// pair plans, and the flat signature words the prefilter sweep XORs.
+/// Per-lane batch scratch: task arrays per evidence kind and the block's
+/// pair plans.
 struct BatchLane {
   std::vector<SimTask> tasks[kNumEvidence];
   std::vector<PairPlan> plan;
-  std::vector<uint64_t> gram_a, gram_b, tok_a, tok_b;
-  std::vector<int32_t> gram_pop, tok_pop, title_task;
 };
 
 class GraphBuilder {
@@ -171,7 +162,7 @@ class GraphBuilder {
     CandidateList generated;
     if (overrides_.candidates == nullptr) {
       generated = GenerateCandidates(dataset_, binding_, options_, budget_,
-                                     values_, store_);
+                                     values_, store_, &out.num_dropped_blocks);
     }
     const CandidateList& candidates =
         overrides_.candidates != nullptr ? *overrides_.candidates : generated;
@@ -297,8 +288,6 @@ class GraphBuilder {
       built_->num_pair_comparisons += lane.pair_comparisons;
       built_->num_sim_memo_hits += lane.memo_hits;
       built_->num_sim_memo_misses += lane.memo_misses;
-      built_->num_prefilter_skips += lane.prefilter_skips;
-      built_->num_prefilter_exact += lane.prefilter_exact;
     }
   }
 
@@ -475,76 +464,16 @@ class GraphBuilder {
     }
   }
 
-  /// Marks title tasks whose signature upper bound proves the exact
-  /// comparator cannot reach the seed. One flat XOR-popcount sweep per
-  /// signature kind covers the whole block. Skipping is sound because the
-  /// bound is an upper bound (tests/strsim_kernel_test.cc asserts it) and
-  /// the staging test is the strict `sim >= seed`: UB < seed implies
-  /// sim <= UB < seed, so the pair stages nothing either way. Inactive at
-  /// kScalar so `--no-simd` reproduces the exact legacy compute path.
-  void PrefilterTitleTasks(BatchLane& lane, StageScratch& scratch) const {
-    std::vector<SimTask>& tasks = lane.tasks[kEvArticleTitle];
-    if (tasks.empty()) return;
-    if (strsim::ActiveSimdLevel() == strsim::SimdLevel::kScalar) return;
-    const double seed = options_.params.article_title_seed;
-    // With a non-positive seed nothing can be proved skippable (the bound
-    // never goes below zero), so don't pay for the sweep.
-    if (seed <= 0.0) return;
-    lane.title_task.clear();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!tasks[i].is_static) {
-        lane.title_task.push_back(static_cast<int32_t>(i));
-      }
-    }
-    const int count = static_cast<int>(lane.title_task.size());
-    if (count == 0) return;
-    lane.gram_a.resize(4 * static_cast<size_t>(count));
-    lane.gram_b.resize(4 * static_cast<size_t>(count));
-    lane.tok_a.resize(4 * static_cast<size_t>(count));
-    lane.tok_b.resize(4 * static_cast<size_t>(count));
-    lane.gram_pop.resize(count);
-    lane.tok_pop.resize(count);
-    for (int j = 0; j < count; ++j) {
-      const SimTask& t = tasks[lane.title_task[j]];
-      const ValueFeatures& fa = store_->features(t.v1);
-      const ValueFeatures& fb = store_->features(t.v2);
-      std::copy(fa.title_gram_sig.w, fa.title_gram_sig.w + 4,
-                &lane.gram_a[4 * static_cast<size_t>(j)]);
-      std::copy(fb.title_gram_sig.w, fb.title_gram_sig.w + 4,
-                &lane.gram_b[4 * static_cast<size_t>(j)]);
-      std::copy(fa.title_token_sig.w, fa.title_token_sig.w + 4,
-                &lane.tok_a[4 * static_cast<size_t>(j)]);
-      std::copy(fb.title_token_sig.w, fb.title_token_sig.w + 4,
-                &lane.tok_b[4 * static_cast<size_t>(j)]);
-    }
-    strsim::BatchSigSymDiff(lane.gram_a.data(), lane.gram_b.data(), count,
-                            lane.gram_pop.data());
-    strsim::BatchSigSymDiff(lane.tok_a.data(), lane.tok_b.data(), count,
-                            lane.tok_pop.data());
-    for (int j = 0; j < count; ++j) {
-      SimTask& t = tasks[lane.title_task[j]];
-      const double ub = TitleSimilarityUpperBoundFromPops(
-          lane.gram_pop[j], lane.tok_pop[j], store_->features(t.v1),
-          store_->features(t.v2));
-      if (ub < seed) {
-        t.skipped = true;
-        ++scratch.prefilter_skips;
-      } else {
-        ++scratch.prefilter_exact;
-      }
-    }
-  }
-
   /// Scores every gathered task of one evidence kind: equal values at
   /// double precision, the rest through the shared memo (rounded through
-  /// float). Skipped tasks cost nothing.
+  /// float).
   void SweepTasks(int evidence, StageScratch& scratch,
                   BatchLane& lane) const {
     for (SimTask& t : lane.tasks[evidence]) {
       if (t.is_static) {
         t.static_sim = FeaturePairSimilarity(
             evidence, store_->features(t.v1), store_->features(t.v2));
-      } else if (!t.skipped) {
+      } else {
         t.memo_sim = memo_->LookupOrCompute(
             evidence, t.v1, t.v2,
             [&] {
@@ -570,7 +499,6 @@ class GraphBuilder {
         staged->statics.emplace_back(evidence, t.static_sim);
         continue;
       }
-      if (t.skipped) continue;
       const double sim = t.memo_sim;
       if (sim >= seed) {
         staged->value_nodes.push_back(
@@ -678,7 +606,6 @@ class GraphBuilder {
         lane.plan.push_back(plan);
       }
 
-      PrefilterTitleTasks(lane, scratch);
       SweepTasks(kEvPersonName, scratch, lane);
       SweepTasks(kEvPersonEmail, scratch, lane);
       SweepTasks(kEvPersonNameEmail, scratch, lane);

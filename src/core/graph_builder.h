@@ -47,10 +47,11 @@ struct BuiltGraph {
   int64_t num_value_analyses = 0;
   int64_t num_sim_memo_hits = 0;
   int64_t num_sim_memo_misses = 0;
-  /// Signature prefilter outcomes (DESIGN.md §16): title comparisons whose
-  /// upper bound proved them below seed (skipped without exact scoring)
-  /// versus those that fell through to the exact comparator. Both zero
-  /// when the dispatch level is scalar.
+  /// Blocking-key blocks over max_block_size, which contribute no
+  /// candidate pairs (0 when the caller supplied the candidates).
+  int64_t num_dropped_blocks = 0;
+
+  // Always 0 (no title prefilter); perfbench/src/batch.cc reads them.
   int64_t num_prefilter_skips = 0;
   int64_t num_prefilter_exact = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "strsim/simd_dispatch.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -74,6 +73,7 @@ void IncrementalReconciler::Flush() {
   stats_.num_derived_non_merge_pairs =
       built_.graph->num_derived_non_merge_pairs();
   stats_.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
+  stats_.num_dropped_blocks = index_->num_dropped_blocks();
   stats_.stop_reason = tracker.stop_reason();
   stats_.num_budget_probes += tracker.num_probes();
 
@@ -210,10 +210,6 @@ ReconcileResult IncrementalReconciler::result() {
   out.stats.num_sim_memo_bypasses = built_.sim_memo->bypasses();
   out.stats.sim_memo_bytes = built_.sim_memo->bytes();
   out.stats.value_store_bytes = built_.feature_store->approximate_bytes();
-  out.stats.signature_bytes = built_.feature_store->signature_bytes();
-  out.stats.num_prefilter_skips = built_.num_prefilter_skips;
-  out.stats.num_prefilter_exact = built_.num_prefilter_exact;
-  out.stats.simd_dispatch = strsim::SimdLevelName(strsim::ActiveSimdLevel());
   return out;
 }
 

@@ -5,7 +5,6 @@
 
 #include "core/premerge.h"
 #include "core/solver.h"
-#include "strsim/simd_dispatch.h"
 #include "util/timer.h"
 
 namespace recon {
@@ -130,11 +129,7 @@ ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
   result.stats.num_sim_memo_bypasses = built.sim_memo->bypasses();
   result.stats.sim_memo_bytes = built.sim_memo->bytes();
   result.stats.value_store_bytes = built.feature_store->approximate_bytes();
-  result.stats.signature_bytes = built.feature_store->signature_bytes();
-  result.stats.num_prefilter_skips = built.num_prefilter_skips;
-  result.stats.num_prefilter_exact = built.num_prefilter_exact;
-  result.stats.simd_dispatch =
-      strsim::SimdLevelName(strsim::ActiveSimdLevel());
+  result.stats.num_dropped_blocks = built.num_dropped_blocks;
 
   Timer solve_timer;
   FixedPointSolver solver(dataset, built, options_, &result.stats, budget);

@@ -53,19 +53,15 @@ struct ReconcileStats {
   int64_t sim_memo_bytes = 0;
   int64_t value_store_bytes = 0;
 
-  // Similarity-kernel counters (DESIGN.md §16). Observational: the
-  // prefilter only ever skips comparisons it proves cannot stage evidence,
-  // so results are byte-identical at every dispatch level.
-  /// Title comparisons skipped because the signature upper bound proved
-  /// them below seed, and those that fell through to the exact comparator.
-  /// Both zero at the scalar dispatch level.
-  int64_t num_prefilter_skips = 0;
-  int64_t num_prefilter_exact = 0;
-  /// Bytes the value store spends on prefilter signatures.
-  int64_t signature_bytes = 0;
-  /// SIMD dispatch level the run's string kernels executed at
-  /// (strsim::SimdLevelName: "scalar", "generic", "sse42", "avx2").
-  const char* simd_dispatch = "scalar";
+  /// Blocking-key blocks over ReconcilerOptions::max_block_size: they
+  /// contribute no candidate pairs, so pairs that share only such blocks
+  /// are never compared. Counted before pair expansion, so the same at
+  /// every thread count; an incremental run counts each block once, in the
+  /// flush where it first exceeds the cap (cumulative).
+  int64_t num_dropped_blocks = 0;
+
+  // Always "generic" (one kernel path); perfbench/src/batch.cc reads it.
+  const char* simd_dispatch = "generic";
 
   // Always 0 (no parallel solve); perfbench/src/batch.cc reads them.
   int64_t num_parallel_scored = 0;

@@ -441,6 +441,7 @@ HttpResponse ServiceHandler::Stats() const {
   c.Set("graph_compactions", counters.graph_compactions.load());
   c.Set("unmerged_pairs", counters.unmerged_pairs.load());
   c.Set("derived_non_merge_pairs", counters.derived_non_merge_pairs.load());
+  c.Set("dropped_blocks", counters.dropped_blocks.load());
   c.Set("publish_ms", counters.publish_ms.load());
   c.Set("snapshot_entities_rebuilt", counters.snapshot_entities_rebuilt.load());
   doc.Set("counters", std::move(c));

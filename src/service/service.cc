@@ -482,6 +482,8 @@ uint64_t ReconService::PublishLocked() {
   counters_.derived_non_merge_pairs.store(
       reconciler_.stats().num_derived_non_merge_pairs,
       std::memory_order_relaxed);
+  counters_.dropped_blocks.store(reconciler_.stats().num_dropped_blocks,
+                                 std::memory_order_relaxed);
 
   if (wal_ != nullptr && !wal_failed_ &&
       options_.durability.checkpoint_every > 0 &&

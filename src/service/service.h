@@ -84,6 +84,9 @@ struct ServiceCounters {
   /// The reconciler's ReconcileStats::num_derived_non_merge_pairs: pairs
   /// the triangle rule demoted, which are not negative-evidence sources.
   std::atomic<int64_t> derived_non_merge_pairs{0};
+  /// The reconciler's ReconcileStats::num_dropped_blocks (cumulative):
+  /// blocking-key blocks over max_block_size, which yield no candidates.
+  std::atomic<int64_t> dropped_blocks{0};
   /// The latest publish: wall time of its closure update plus snapshot
   /// build, and the entities whose EntityInfo it built rather than shared
   /// with the previous snapshot.

@@ -60,14 +60,6 @@ ValueFeatures AnalyzeValue(const std::string& raw, FeatureKind kind) {
       break;
     case FeatureKind::kTitle:
       f.title = strsim::AnalyzeTitle(raw);
-      // Prefilter signatures (DESIGN.md §16): trigrams over the SAME
-      // normalized form the edit half of TitleSimilarity compares, and
-      // the distinct tokens its Jaccard half compares. The gram set is
-      // only needed for its hashes, so it is not retained.
-      f.title_gram_sig = strsim::GramSignature(
-          strsim::BuildNgramSet(f.title.normalized, 3));
-      f.title_token_sig = strsim::TokenSignature(f.title.tokens);
-      f.title_norm_len = static_cast<uint32_t>(f.title.normalized.size());
       break;
     case FeatureKind::kVenueName:
       f.venue = strsim::AnalyzeVenueName(raw);
@@ -101,9 +93,6 @@ void ValueStore::Sync(const ValuePool& pool) {
       // toward its document frequencies, then vectorize against it.
       title_model_.AddDocument(f.title.tokens);
       f.tfidf = title_model_.Vectorize(f.title.tokens);
-      signature_bytes_ +=
-          static_cast<int64_t>(2 * sizeof(strsim::BitSig256) +
-                               sizeof(f.title_norm_len));
     }
     approximate_bytes_ += f.ApproximateBytes();
     features_.push_back(std::move(f));
@@ -139,32 +128,6 @@ double FeaturePairSimilarity(int evidence, const ValueFeatures& a,
     default:
       return 0.0;
   }
-}
-
-double TitleSimilarityUpperBoundFromPops(int gram_pop, int token_pop,
-                                         const ValueFeatures& a,
-                                         const ValueFeatures& b) {
-  // Mirrors TitleSimilarity's structure: either normalized form empty
-  // means the exact comparator returns 0.0 outright.
-  if (a.title_norm_len == 0 || b.title_norm_len == 0) return 0.0;
-  const int la = static_cast<int>(a.title_norm_len);
-  const int lb = static_cast<int>(b.title_norm_len);
-  const int edit_lb =
-      strsim::SigEditDistanceLowerBoundFromPop(gram_pop, la, lb, 3);
-  const double edit_ub =
-      1.0 - static_cast<double>(edit_lb) /
-                static_cast<double>(la > lb ? la : lb);
-  const double token_ub = strsim::SigJaccardUpperBoundFromPop(
-      token_pop, a.title_token_sig.set_size, b.title_token_sig.set_size);
-  return edit_ub > token_ub ? edit_ub : token_ub;
-}
-
-double TitleSimilarityUpperBound(const ValueFeatures& a,
-                                 const ValueFeatures& b) {
-  return TitleSimilarityUpperBoundFromPops(
-      strsim::SigSymDiffLowerBound(a.title_gram_sig, b.title_gram_sig),
-      strsim::SigSymDiffLowerBound(a.title_token_sig, b.title_token_sig),
-      a, b);
 }
 
 void SimMemo::set_max_bytes(int64_t max_bytes) {

@@ -27,7 +27,6 @@
 #include "graph/value_pool.h"
 #include "strsim/email.h"
 #include "strsim/person_name.h"
-#include "strsim/signature.h"
 #include "strsim/tfidf.h"
 #include "strsim/title.h"
 #include "strsim/tokens.h"
@@ -80,14 +79,6 @@ struct ValueFeatures {
   strsim::PagesFeatures pages;      ///< kPages.
   strsim::LocationFeatures location;  ///< kLocation.
 
-  /// Title prefilter signatures (kTitle only; DESIGN.md §16): trigram
-  /// sketch of title.normalized, distinct-token sketch of title.tokens,
-  /// and the normalized length — everything TitleSimilarityUpperBound
-  /// needs to bound the title comparator without touching the strings.
-  strsim::BitSig256 title_gram_sig;
-  strsim::BitSig256 title_token_sig;
-  uint32_t title_norm_len = 0;
-
   /// Rough heap footprint of this record, for memory accounting.
   int64_t ApproximateBytes() const;
 };
@@ -130,9 +121,6 @@ class ValueStore {
   /// Rough heap footprint of the feature table.
   int64_t approximate_bytes() const { return approximate_bytes_; }
 
-  /// Bytes spent on prefilter signatures (title values only).
-  int64_t signature_bytes() const { return signature_bytes_; }
-
   /// Incremental TF-IDF model over every title value seen so far.
   const strsim::TfIdfModel& title_model() const { return title_model_; }
 
@@ -141,7 +129,6 @@ class ValueStore {
   std::vector<ValueFeatures> features_;
   strsim::TfIdfModel title_model_;
   int64_t approximate_bytes_ = 0;
-  int64_t signature_bytes_ = 0;
 };
 
 /// Scores a pair of analyzed values on an evidence channel. Exactly matches
@@ -152,23 +139,6 @@ class ValueStore {
 /// comparator.
 double FeaturePairSimilarity(int evidence, const ValueFeatures& a,
                              const ValueFeatures& b);
-
-/// Sound upper bound on TitleFieldSimilarity(a, b) computed from the
-/// precomputed signatures alone (DESIGN.md §16). The title comparator is
-/// max(EditSimilarity(normalized), JaccardSimilarity(tokens)) clamped to
-/// [0, 1]; the gram signature lower-bounds the edit distance and the
-/// token signature upper-bounds the Jaccard, so the max of the two
-/// derived bounds can never fall below the exact similarity. Both inputs
-/// must be kTitle features from a completed Sync.
-double TitleSimilarityUpperBound(const ValueFeatures& a,
-                                 const ValueFeatures& b);
-
-/// Same bound from batch-precomputed XOR popcounts (the blocked scoring
-/// path sweeps BatchSigSymDiff over a block, then finishes per pair with
-/// this arithmetic).
-double TitleSimilarityUpperBoundFromPops(int gram_pop, int token_pop,
-                                         const ValueFeatures& a,
-                                         const ValueFeatures& b);
 
 /// Memo key holding the full (evidence, min(ValueId), max(ValueId))
 /// triple. The ids pack exactly into 64 bits (ValueId is 32-bit); the

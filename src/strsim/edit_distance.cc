@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "strsim/bitparallel.h"
-#include "strsim/simd_dispatch.h"
 
 namespace recon::strsim {
 
@@ -76,17 +75,11 @@ int ScalarBoundedLevenshteinDistance(std::string_view a, std::string_view b,
 }
 
 int LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (ActiveSimdLevel() == SimdLevel::kScalar) {
-    return ScalarLevenshteinDistance(a, b);
-  }
   return MyersLevenshteinDistance(a, b);
 }
 
 int BoundedLevenshteinDistance(std::string_view a, std::string_view b,
                                int bound) {
-  if (ActiveSimdLevel() == SimdLevel::kScalar) {
-    return ScalarBoundedLevenshteinDistance(a, b, bound);
-  }
   return MyersBoundedLevenshteinDistance(a, b, bound);
 }
 

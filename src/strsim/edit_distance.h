@@ -1,10 +1,8 @@
 // Levenshtein edit distance and derived normalized similarity.
 //
-// The public entry points dispatch on the active SIMD level (DESIGN.md
-// §16): the Myers bit-parallel kernels at kGeneric and above, the scalar
-// row-DP reference below. The Scalar* variants are exported so the
-// differential tests and microbenches can pin the kernels against the
-// reference regardless of the active level.
+// The public entry points run the Myers bit-parallel kernels (DESIGN.md
+// §16). The Scalar* row-DP variants are exported as the reference the
+// differential tests and microbenches pin the kernels against.
 
 #ifndef RECON_STRSIM_EDIT_DISTANCE_H_
 #define RECON_STRSIM_EDIT_DISTANCE_H_
@@ -22,8 +20,8 @@ int BoundedLevenshteinDistance(std::string_view a, std::string_view b,
                                int bound);
 
 /// Reference row-DP implementations (allocation-free: stack row for short
-/// strings, thread-local scratch beyond). Always available; the kernels
-/// must agree with these bit-for-bit.
+/// strings, thread-local scratch beyond); the kernels must agree with
+/// these bit-for-bit.
 int ScalarLevenshteinDistance(std::string_view a, std::string_view b);
 int ScalarBoundedLevenshteinDistance(std::string_view a, std::string_view b,
                                      int bound);

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "core/candidates.h"
+#include "core/incremental.h"
 #include "datagen/pim_generator.h"
+#include "ingest_replay.h"
 #include "model/dataset.h"
 
 namespace recon {
@@ -108,6 +110,74 @@ TEST_F(CandidatesTest, MaxBlockSizeIsInclusive) {
             10u * 9 / 2);
   options_.max_block_size = 9;
   EXPECT_TRUE(GenerateCandidates(data_, binding_, options_).empty());
+}
+
+TEST_F(CandidatesTest, DroppedBlocksCountOnlyBlocksOverTheCap) {
+  // "Zimmerman" fills its name and prefix blocks exactly to the cap;
+  // "Hollander" overflows both of its blocks by one.
+  options_.max_block_size = 3;
+  for (int i = 0; i < 3; ++i) Person("Alice Zimmerman");
+  for (int i = 0; i < 4; ++i) Person("Bob Hollander");
+  int64_t dropped = -1;
+  const CandidateList list =
+      GenerateCandidates(data_, binding_, options_, /*budget=*/nullptr,
+                         /*pool=*/nullptr, /*store=*/nullptr, &dropped);
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(list.size(), 3u);
+
+  // The index counts each block once, in the batch that overflows it:
+  // the first batch holds three of each name, the second the fourth
+  // Hollander, and a third batch joining the dropped blocks adds nothing.
+  Dataset replay(data_.schema());
+  CandidateIndex index(binding_, options_);
+  auto add = [&](RefId id) { replay.AddReference(data_.reference(id), -1); };
+  for (const RefId id : {0, 1, 2, 3, 4, 5}) add(id);
+  index.AddReferences(replay, 0);
+  EXPECT_EQ(index.num_dropped_blocks(), 0);
+  add(6);
+  index.AddReferences(replay, 6);
+  EXPECT_EQ(index.num_dropped_blocks(), 2);
+  add(6);
+  EXPECT_TRUE(index.AddReferences(replay, 7).empty());
+  EXPECT_EQ(index.num_dropped_blocks(), 2);
+}
+
+TEST_F(CandidatesTest, DroppedBlocksSameAtEveryThreadCount) {
+  const Dataset data = datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigA(), 0.02));
+  const SchemaBinding binding = SchemaBinding::Resolve(data.schema());
+  ReconcilerOptions options;
+  options.max_block_size = 20;
+  int64_t dropped_one = -1;
+  options.num_threads = 1;
+  const CandidateList one = GenerateCandidates(
+      data, binding, options, nullptr, nullptr, nullptr, &dropped_one);
+  int64_t dropped_four = -1;
+  options.num_threads = 4;
+  const CandidateList four = GenerateCandidates(
+      data, binding, options, nullptr, nullptr, nullptr, &dropped_four);
+  EXPECT_GT(dropped_one, 0);
+  EXPECT_EQ(dropped_one, dropped_four);
+  EXPECT_EQ(one, four);
+}
+
+TEST_F(CandidatesTest, IncrementalDroppedBlocksMatchBatchAfterReplay) {
+  const Dataset full = replay::ShuffledPimB();
+  ReconcilerOptions options;
+  options.max_block_size = 20;
+  constexpr int kFlushes = 8;
+  int64_t incremental = -1;
+  int64_t batch = -1;
+  replay::ReplayIngest(
+      full, options, kFlushes, [&](IncrementalReconciler& reconciler, int f) {
+        if (f < kFlushes) return;
+        incremental = reconciler.result().stats.num_dropped_blocks;
+        const Dataset& replayed = reconciler.dataset();
+        GenerateCandidates(replayed, SchemaBinding::Resolve(replayed.schema()),
+                           options, nullptr, nullptr, nullptr, &batch);
+      });
+  EXPECT_GT(batch, 0);
+  EXPECT_EQ(incremental, batch);
 }
 
 TEST_F(CandidatesTest, PairsAreCanonicalAndUnique) {

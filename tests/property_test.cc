@@ -1,7 +1,10 @@
 // Parameterized property tests: invariants that must hold for every
 // comparator over a broad sweep of inputs, and for the reconciler over
-// every configuration.
+// every configuration; plus one corrupted real result per partition
+// invariant, each caught by exactly that check.
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -10,6 +13,7 @@
 
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
+#include "invariants.h"
 #include "sim/comparators.h"
 #include "strsim/edit_distance.h"
 #include "strsim/jaro_winkler.h"
@@ -131,20 +135,8 @@ TEST_P(ReconcilerConfigTest, InvariantsHoldForEveryConfiguration) {
   const Reconciler reconciler(options);
   const ReconcileResult result = reconciler.Run(data);
 
-  // Clusters form a canonical partition that never mixes classes.
-  ASSERT_EQ(static_cast<int>(result.cluster.size()), data.num_references());
-  for (RefId id = 0; id < data.num_references(); ++id) {
-    const int rep = result.cluster[id];
-    ASSERT_GE(rep, 0);
-    ASSERT_LT(rep, data.num_references());
-    EXPECT_EQ(result.cluster[rep], rep);
-    EXPECT_EQ(data.reference(rep).class_id(), data.reference(id).class_id());
-  }
-  // Merged pairs are consistent with the closure.
-  for (const auto& [a, b] : result.merged_pairs) {
-    EXPECT_EQ(result.cluster[a], result.cluster[b]);
-    EXPECT_EQ(data.reference(a).class_id(), data.reference(b).class_id());
-  }
+  EXPECT_EQ(std::vector<std::string>{},
+            invariants::CheckPartition(data, options, result));
   // Determinism.
   const ReconcileResult again = reconciler.Run(data);
   EXPECT_EQ(result.cluster, again.cluster);
@@ -168,6 +160,141 @@ std::vector<ConfigCase> AllConfigs() {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReconcilerConfigTest,
                          ::testing::ValuesIn(AllConfigs()));
+
+// ---- The partition invariants catch each kind of corruption -------------
+
+class InvariantsTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    datagen::PimConfig config = datagen::PimConfigA();
+    config = datagen::ScaleConfig(config, 0.02);
+    config.seed = 404;
+    data_ = new Dataset(datagen::GeneratePim(config));
+    result_ = new ReconcileResult(Reconciler(ReconcilerOptions()).Run(*data_));
+  }
+
+  static void TearDownTestSuite() {
+    delete data_;
+    delete result_;
+    data_ = nullptr;
+    result_ = nullptr;
+  }
+
+  /// Names of the checks the violations break.
+  static std::set<std::string> Broken(const ReconcileResult& result,
+                                      const ReconcilerOptions& options = {}) {
+    std::set<std::string> checks;
+    for (const std::string& v :
+         invariants::CheckPartition(*data_, options, result)) {
+      checks.insert(v.substr(0, v.find(':')));
+    }
+    return checks;
+  }
+
+  /// First reference of `class_id` for which `pick` holds.
+  template <typename Pick>
+  static RefId Find(int class_id, Pick pick) {
+    for (RefId id = 0; id < data_->num_references(); ++id) {
+      if (data_->reference(id).class_id() == class_id && pick(id)) return id;
+    }
+    ADD_FAILURE() << "no reference of class " << class_id << " qualifies";
+    return 0;
+  }
+
+  /// Merges the clusters of `a` and `b` the way a merge would: canonical
+  /// label, and the pair recorded as merged.
+  static void MergeClusters(ReconcileResult* result, RefId a, RefId b) {
+    const int keep = std::min(result->cluster[a], result->cluster[b]);
+    const int gone = std::max(result->cluster[a], result->cluster[b]);
+    for (int& label : result->cluster) {
+      if (label == gone) label = keep;
+    }
+    result->merged_pairs.emplace_back(a, b);
+  }
+
+  static SchemaBinding Binding() {
+    return SchemaBinding::Resolve(data_->schema());
+  }
+
+  static Dataset* data_;
+  static ReconcileResult* result_;
+};
+
+Dataset* InvariantsTest::data_ = nullptr;
+ReconcileResult* InvariantsTest::result_ = nullptr;
+
+TEST_F(InvariantsTest, LabelNotSmallestMemberBreaksCanonical) {
+  ReconcileResult bad = *result_;
+  // Relabel a multi-member cluster by its largest member.
+  const RefId member = Find(Binding().person, [&](RefId id) {
+    return bad.cluster[id] != static_cast<int>(id);
+  });
+  const int label = bad.cluster[member];
+  int largest = label;
+  for (RefId id = 0; id < data_->num_references(); ++id) {
+    if (bad.cluster[id] == label) largest = id;
+  }
+  for (int& l : bad.cluster) {
+    if (l == label) l = largest;
+  }
+  EXPECT_EQ(std::set<std::string>{invariants::kCanonical}, Broken(bad));
+}
+
+TEST_F(InvariantsTest, PersonMergedWithArticleBreaksMixedClass) {
+  ReconcileResult bad = *result_;
+  const RefId person = Find(Binding().person, [](RefId) { return true; });
+  const RefId article = Find(Binding().article, [](RefId) { return true; });
+  MergeClusters(&bad, person, article);
+  EXPECT_EQ(std::set<std::string>{invariants::kMixedClass}, Broken(bad));
+}
+
+TEST_F(InvariantsTest, UnappliedMergedPairBreaksClosure) {
+  ReconcileResult bad = *result_;
+  const RefId a = Find(Binding().person, [](RefId) { return true; });
+  const RefId b = Find(Binding().person, [&](RefId id) {
+    return bad.cluster[id] != bad.cluster[a];
+  });
+  bad.merged_pairs.emplace_back(a, b);
+  EXPECT_EQ(std::set<std::string>{invariants::kClosure}, Broken(bad));
+}
+
+TEST_F(InvariantsTest, MergedCoAuthorsBreakCoAuthor) {
+  ReconcileResult bad = *result_;
+  const SchemaBinding binding = Binding();
+  const RefId article = Find(binding.article, [&](RefId id) {
+    return data_->reference(id).associations(binding.article_authors).size() >=
+           2;
+  });
+  const auto& authors =
+      data_->reference(article).associations(binding.article_authors);
+  MergeClusters(&bad, authors[0], authors[1]);
+  EXPECT_EQ(std::set<std::string>{invariants::kCoAuthor}, Broken(bad));
+  // Without constraints, co-authors may share a cluster.
+  ReconcilerOptions unconstrained;
+  unconstrained.constraints = false;
+  EXPECT_EQ(std::set<std::string>{}, Broken(bad, unconstrained));
+}
+
+TEST_F(InvariantsTest, HoldWithDistinctFeedback) {
+  // A pair the plain run merged, declared distinct: the run keeps it apart.
+  ASSERT_FALSE(result_->merged_pairs.empty());
+  ReconcilerOptions options;
+  options.feedback.distinct.push_back(result_->merged_pairs.front());
+  const ReconcileResult result = Reconciler(options).Run(*data_);
+  const auto [a, b] = options.feedback.distinct.front();
+  EXPECT_NE(result.cluster[a], result.cluster[b]);
+  EXPECT_EQ(std::set<std::string>{}, Broken(result, options));
+}
+
+TEST_F(InvariantsTest, MergedDistinctFeedbackPairBreaksDistinct) {
+  ReconcilerOptions options;
+  options.feedback.distinct.push_back(result_->merged_pairs.front());
+  ReconcileResult bad = Reconciler(options).Run(*data_);
+  const auto [a, b] = options.feedback.distinct.front();
+  MergeClusters(&bad, a, b);
+  EXPECT_EQ(std::set<std::string>{invariants::kDistinct},
+            Broken(bad, options));
+}
 
 }  // namespace
 }  // namespace recon

@@ -160,6 +160,7 @@ TEST_F(ServiceSmokeTest, IngestBumpsGenerationAndServesNewEntity) {
   EXPECT_GE(stats.at("counters").at("graph_compactions").AsInt(), 4);
   EXPECT_GE(stats.at("counters").at("unmerged_pairs").AsInt(), 0);
   EXPECT_GE(stats.at("counters").at("derived_non_merge_pairs").AsInt(), 0);
+  EXPECT_EQ(stats.at("counters").at("dropped_blocks").AsInt(), 0);
   // The publish built the new entity and shared the others with the
   // previous snapshot.
   EXPECT_GE(stats.at("counters").at("publish_ms").AsDouble(), 0.0);

@@ -175,6 +175,17 @@ TEST(ServiceTest, IngestFlushMakesNewEntityQueryable) {
   EXPECT_EQ(answer.snapshot->entity(hit).display_name, "Dora Black");
 }
 
+TEST(ServiceTest, FlushCountsDroppedBlocks) {
+  // A third Smith overflows the "smith" name block and its prefix block.
+  ServiceOptions options = DefaultOptions();
+  options.reconciler.max_block_size = 2;
+  ReconService service(SmallPersonDataset(), options);
+  std::vector<Reference> refs;
+  refs.push_back(MakePerson(service.schema(), "Carl Smith", ""));
+  ASSERT_TRUE(service.Ingest(std::move(refs), {}, /*flush=*/true).ok());
+  EXPECT_EQ(service.counters().dropped_blocks.load(), 2);
+}
+
 TEST(ServiceTest, IngestRejectsBadAssociationTargets) {
   ReconService service(SmallPersonDataset(), DefaultOptions());
   const Schema& schema = service.schema();

@@ -35,7 +35,6 @@
 #include "extract/csv_import.h"
 #include "extract/extractor.h"
 #include "model/text_io.h"
-#include "strsim/simd_dispatch.h"
 #include "util/string_util.h"
 #include "util/version.h"
 
@@ -75,12 +74,6 @@ void PrintUsage(std::ostream& out) {
          "  --algo depgraph|indepdec|fs   (default depgraph)\n"
          "  --no-constraints        disable constraint enforcement (ablation)\n"
          "  --evidence attr|ne|article|contact   evidence level (ablation)\n"
-         "  --no-simd               force the scalar string kernels and\n"
-         "                          disable the signature prefilter\n"
-         "                          (DESIGN.md §16); output is\n"
-         "                          byte-identical either way. RECON_SIMD\n"
-         "                          =scalar|generic|sse42|avx2 also clamps\n"
-         "                          the dispatch level\n"
          "  --threads N             graph-build worker threads, 0..1024\n"
          "                          (0 = all hardware threads); the solve\n"
          "                          runs on one thread. Output is\n"
@@ -271,8 +264,6 @@ int main(int argc, char** argv) {
       algo = argv[++i];
     } else if (arg == "--no-constraints") {
       options.constraints = false;
-    } else if (arg == "--no-simd") {
-      recon::strsim::SetSimdLevel(recon::strsim::SimdLevel::kScalar);
     } else if (arg == "--import" && i + 1 < argc) {
       import_kind = argv[++i];
       if (import_kind != "csv" && import_kind != "bibtex" &&
@@ -411,18 +402,9 @@ int main(int argc, char** argv) {
               << " value analyses; memo " << result.stats.num_sim_memo_hits
               << " hits / " << result.stats.num_sim_memo_misses
               << " misses (" << result.stats.sim_memo_bytes
-              << " B, store " << result.stats.value_store_bytes << " B)\n";
-    std::cout << "Kernels: " << result.stats.simd_dispatch << " dispatch";
-    if (result.stats.num_prefilter_skips +
-            result.stats.num_prefilter_exact > 0) {
-      std::cout << "; prefilter skipped " << result.stats.num_prefilter_skips
-                << " of "
-                << result.stats.num_prefilter_skips +
-                       result.stats.num_prefilter_exact
-                << " title comparisons (signatures "
-                << result.stats.signature_bytes << " B)";
-    }
-    std::cout << "\n";
+              << " B, store " << result.stats.value_store_bytes << " B); "
+              << result.stats.num_dropped_blocks
+              << " blocks over the cap dropped\n";
   }
   if (algo == "depgraph") {
     std::cout << "Stop: " << StopReasonToString(result.stats.stop_reason)

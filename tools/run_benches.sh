@@ -8,10 +8,8 @@
 #
 # --gate-kernels: after the run, assert from BENCH_strsim.json that the
 #   Myers bit-parallel Levenshtein kernel is at least 2x faster than the
-#   scalar row DP on the recorded title-length workload. Auto-skips when
-#   the bench's simd_dispatch context reports "scalar" (the kernels are
-#   compiled out or forced off there, so the rows measure the same code).
-#   The gate is single-threaded, so it runs fine on 1-CPU machines.
+#   scalar row DP on the recorded title-length workload. The gate is
+#   single-threaded, so it runs fine on 1-CPU machines.
 #
 # Honors RECON_BENCH_SCALE / RECON_BENCH_THREADS like the benches do.
 
@@ -65,16 +63,6 @@ if [[ ${GATE_KERNELS} -eq 1 && ${status} -eq 0 ]]; then
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
-context = doc.get("context", {})
-dispatch = context.get("simd_dispatch")
-if dispatch is None:
-    sys.exit("gate: no simd_dispatch entry in BENCH_strsim.json context")
-if dispatch == "scalar":
-    print("gate: SKIPPED — simd_dispatch=scalar (detected "
-          f"{context.get('simd_detected', 'unknown')}); the bit-parallel "
-          "kernels are not active at this dispatch level, so the rows "
-          "measure the same reference code")
-    sys.exit(0)
 
 def cpu_time(name):
     rows = [b for b in doc.get("benchmarks", [])
@@ -89,12 +77,11 @@ bitpar = cpu_time("BM_LevenshteinBitParallel")
 speedup = scalar / bitpar if bitpar > 0 else float("inf")
 if speedup >= 2.0:
     print(f"gate: PASS — bit-parallel Levenshtein {speedup:.2f}x faster "
-          f"than scalar ({scalar:.0f} ns vs {bitpar:.0f} ns, "
-          f"dispatch={dispatch})")
+          f"than scalar ({scalar:.0f} ns vs {bitpar:.0f} ns)")
 else:
     sys.exit(f"gate: FAIL — bit-parallel Levenshtein only {speedup:.2f}x "
-             f"faster than scalar ({scalar:.0f} ns vs {bitpar:.0f} ns, "
-             f"dispatch={dispatch}; need >= 2x)")
+             f"faster than scalar ({scalar:.0f} ns vs {bitpar:.0f} ns; "
+             "need >= 2x)")
 PYEOF
   then
     status=1
