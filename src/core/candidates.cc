@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "runtime/parallel.h"
 #include "sim/value_store.h"
@@ -220,12 +219,12 @@ CandidateList GenerateCandidates(const Dataset& dataset,
                                  BudgetTracker* budget, const ValuePool* pool,
                                  const ValueStore* store,
                                  int64_t* num_dropped_blocks) {
-  CandidateList out;
   if (num_dropped_blocks != nullptr) *num_dropped_blocks = 0;
 
   if (!options.use_blocking) {
     // All same-class pairs, for small datasets and ablations; probe per
     // class (batch boundary) so a budget stop truncates to a class prefix.
+    CandidateList out;
     for (int class_id = 0; class_id < dataset.schema().num_classes();
          ++class_id) {
       if (budget != nullptr && budget->Probe(ProbePoint::kCandidates)) break;
@@ -239,146 +238,97 @@ CandidateList GenerateCandidates(const Dataset& dataset,
     return out;
   }
 
-  // Key extraction (parsing-heavy) runs in parallel; each reference writes
-  // its own slot, so no synchronization is needed. The index build stays
-  // serial: it is cheap hashing, and a fixed insertion order keeps the map
-  // identical for every thread count.
-  const RefId num_refs = dataset.num_references();
-  std::vector<std::vector<std::string>> keys_of(num_refs);
-  runtime::ParallelFor(options.num_threads, 0, num_refs, /*grain=*/256,
-                       [&](int64_t ref) {
-                         if (budget != nullptr && (ref % 256) == 0 &&
-                             budget->ShouldAbandonParallelWork()) {
-                           return;
-                         }
-                         keys_of[ref] =
-                             BlockingKeys(dataset, static_cast<RefId>(ref),
-                                          binding, pool, store);
-                       });
-  if (budget != nullptr) budget->ResolveAsyncStop();
-  // Serial index build, probing every 256 references: a budget stop
-  // truncates blocking to a reference-id prefix (still a valid — merely
-  // smaller — candidate set).
-  std::unordered_map<std::string, std::vector<RefId>> blocks;
-  for (RefId ref = 0; ref < num_refs; ++ref) {
-    if (budget != nullptr && (ref % 256) == 0 &&
-        budget->Probe(ProbePoint::kCandidates)) {
-      break;
-    }
-    for (std::string& key : keys_of[ref]) {
-      blocks[std::move(key)].push_back(ref);
-    }
-  }
-  // Counted over the whole map before expansion, so neither the lane
-  // count nor a budget stop during expansion changes the number.
+  CandidateIndex index(binding, options);
+  CandidateList out = index.AddReferences(dataset, 0, pool, store, budget);
   if (num_dropped_blocks != nullptr) {
-    *num_dropped_blocks = std::count_if(
-        blocks.begin(), blocks.end(), [&](const auto& block) {
-          return static_cast<int>(block.second.size()) >
-                 options.max_block_size;
-        });
+    *num_dropped_blocks = index.num_dropped_blocks();
   }
-
-  const int lanes = runtime::ResolveNumThreads(options.num_threads);
-  if (lanes <= 1) {
-    int64_t block_index = 0;
-    for (const auto& [key, members] : blocks) {
-      // Batch boundary: one probe per 64 blocks expanded.
-      if (budget != nullptr && (block_index++ % 64) == 0 &&
-          budget->Probe(ProbePoint::kCandidates)) {
-        break;
-      }
-      if (static_cast<int>(members.size()) > options.max_block_size) continue;
-      for (size_t i = 0; i < members.size(); ++i) {
-        for (size_t j = i + 1; j < members.size(); ++j) {
-          out.emplace_back(std::min(members[i], members[j]),
-                           std::max(members[i], members[j]));
-        }
-      }
-    }
-    // Deterministic order regardless of hash iteration. Emit-all then
-    // sort + unique: a pair sharing several blocks collapses here, for a
-    // fraction of the cost of a hash probe per emitted pair, and a budget
-    // stop truncates to a block prefix either way.
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
-
-  // Parallel pair expansion: one shard per block of blocking keys, dedup by
-  // sort + unique afterwards — the final sorted unique pair set is exactly
-  // what the serial seen-set path produces.
-  std::vector<const std::vector<RefId>*> block_members;
-  block_members.reserve(blocks.size());
-  for (const auto& [key, members] : blocks) {
-    if (static_cast<int>(members.size()) > options.max_block_size) continue;
-    block_members.push_back(&members);
-  }
-  const runtime::BlockPlan plan = runtime::PlanBlocks(
-      options.num_threads, 0, static_cast<int64_t>(block_members.size()),
-      /*grain=*/0);
-  runtime::ShardedCollector<std::pair<RefId, RefId>> collector(plan);
-  runtime::ParallelForBlocked(
-      options.num_threads, 0, static_cast<int64_t>(block_members.size()),
-      plan.grain, [&](const runtime::Block& block) {
-        std::vector<std::pair<RefId, RefId>>& shard =
-            collector.shard(block.index);
-        for (int64_t k = block.begin; k < block.end; ++k) {
-          if (budget != nullptr && ((k - block.begin) % 64) == 0 &&
-              budget->ShouldAbandonParallelWork()) {
-            return;
-          }
-          const std::vector<RefId>& members = *block_members[k];
-          for (size_t i = 0; i < members.size(); ++i) {
-            for (size_t j = i + 1; j < members.size(); ++j) {
-              shard.emplace_back(std::min(members[i], members[j]),
-                                 std::max(members[i], members[j]));
-            }
-          }
-        }
-      });
-  if (budget != nullptr) budget->ResolveAsyncStop();
-  out = collector.Drain();
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 CandidateList CandidateIndex::AddReferences(const Dataset& dataset,
                                             RefId first,
                                             const ValuePool* pool,
-                                            const ValueStore* store) {
-  // Index the new references, remembering which blocks they joined.
-  std::vector<std::string> touched;
-  for (RefId ref = first; ref < dataset.num_references(); ++ref) {
-    for (std::string& key : BlockingKeys(dataset, ref, binding_, pool, store)) {
-      auto [it, inserted] = blocks_.try_emplace(std::move(key));
-      it->second.push_back(ref);
-      touched.push_back(it->first);
+                                            const ValueStore* store,
+                                            BudgetTracker* budget) {
+  // Key extraction (parsing-heavy) runs in parallel; each reference writes
+  // its own slot, so no synchronization is needed. A small flush is one
+  // grain and runs inline.
+  const RefId num_refs = dataset.num_references();
+  std::vector<std::vector<std::string>> keys_of(
+      static_cast<size_t>(std::max(0, num_refs - first)));
+  runtime::ParallelFor(num_threads_, first, num_refs, /*grain=*/256,
+                       [&](int64_t ref) {
+                         if (budget != nullptr && ((ref - first) % 256) == 0 &&
+                             budget->ShouldAbandonParallelWork()) {
+                           return;
+                         }
+                         keys_of[ref - first] =
+                             BlockingKeys(dataset, static_cast<RefId>(ref),
+                                          binding_, pool, store);
+                       });
+  if (budget != nullptr) budget->ResolveAsyncStop();
+
+  // Serial index build in reference order, so member lists stay sorted by
+  // id at every thread count. The batch first touches a block when the
+  // block is empty or its last member predates the batch; map values are
+  // node-stable, so the member list itself is remembered. Probing every
+  // 256 references, a budget stop truncates blocking to a reference-id
+  // prefix.
+  std::vector<const std::vector<RefId>*> touched;
+  for (RefId ref = first; ref < num_refs; ++ref) {
+    if (budget != nullptr && ((ref - first) % 256) == 0 &&
+        budget->Probe(ProbePoint::kCandidates)) {
+      break;
+    }
+    for (std::string& key : keys_of[ref - first]) {
+      std::vector<RefId>& members = blocks_[std::move(key)];
+      if (members.empty() || members.back() < first) {
+        touched.push_back(&members);
+      }
+      members.push_back(ref);
     }
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  // Pairs: each new member against every other member of its blocks.
-  // Duplicates (a pair meeting in several touched blocks) collapse in the
-  // final sort + unique instead of a per-pair hash probe.
-  CandidateList out;
-  for (const std::string& key : touched) {
-    const std::vector<RefId>& members = blocks_.at(key);
-    if (static_cast<int>(members.size()) > options_.max_block_size) {
-      // Count the block in the batch that pushed it over the cap.
-      const auto old_size =
-          std::lower_bound(members.begin(), members.end(), first) -
-          members.begin();
-      if (old_size <= options_.max_block_size) ++num_dropped_blocks_;
+  // Count the blocks this batch pushed over the cap, and size the output
+  // from the rest, before any pair is emitted.
+  auto old_size_of = [first](const std::vector<RefId>& members) {
+    return static_cast<size_t>(
+        std::lower_bound(members.begin(), members.end(), first) -
+        members.begin());
+  };
+  const size_t cap = static_cast<size_t>(std::max(0, max_block_size_));
+  size_t reserve = 0;
+  for (const std::vector<RefId>* members : touched) {
+    const size_t n = members->size();
+    const size_t old_size = old_size_of(*members);
+    if (n > cap) {
+      if (old_size <= cap) ++num_dropped_blocks_;
       continue;
     }
-    for (const RefId a : members) {
-      if (a < first) continue;  // Old members pair only with new ones.
-      for (const RefId b : members) {
-        if (b >= a) break;  // Members are in insertion (= id) order.
-        out.emplace_back(b, a);
+    const size_t fresh = n - old_size;  // At least one: the block is touched.
+    reserve += fresh * (fresh - 1) / 2 + fresh * old_size;
+  }
+
+  // Pairs: each new member against every other member of its blocks, row
+  // by row, which hands the sort a mostly ordered input. Duplicates (a
+  // pair meeting in several blocks) collapse in the final sort + unique,
+  // for a fraction of the cost of a hash probe per emitted pair.
+  CandidateList out;
+  out.reserve(reserve);
+  for (size_t t = 0; t < touched.size(); ++t) {
+    // Batch boundary: one probe per 64 touched blocks.
+    if (budget != nullptr && (t % 64) == 0 &&
+        budget->Probe(ProbePoint::kCandidates)) {
+      break;
+    }
+    const std::vector<RefId>& members = *touched[t];
+    const size_t n = members.size();
+    if (n > cap) continue;
+    const size_t old_size = old_size_of(members);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = std::max(i + 1, old_size); j < n; ++j) {
+        out.emplace_back(members[i], members[j]);
       }
     }
   }

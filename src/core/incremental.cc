@@ -68,12 +68,8 @@ void IncrementalReconciler::Flush() {
   // Constraints are enforced even on a degraded stop (DESIGN.md §10).
   if (options_.constraints) solver_->PropagateNegativeEvidence();
   stats_.solve_seconds += timer.ElapsedSeconds();
-  stats_.graph_compactions = built_.graph->num_compactions();
-  stats_.num_non_merge_pairs = built_.graph->num_non_merge_pairs();
-  stats_.num_derived_non_merge_pairs =
-      built_.graph->num_derived_non_merge_pairs();
-  stats_.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
-  stats_.num_dropped_blocks = index_->num_dropped_blocks();
+  built_.num_dropped_blocks = index_->num_dropped_blocks();
+  ReportBuiltGraph(built_, &stats_);
   stats_.stop_reason = tracker.stop_reason();
   stats_.num_budget_probes += tracker.num_probes();
 
@@ -87,7 +83,10 @@ void IncrementalReconciler::Flush() {
 int64_t IncrementalReconciler::RecheckNegativeEvidence() {
   Flush();
   const int64_t changed = solver_->RecheckNegativeEvidence();
-  if (changed > 0) closure_valid_ = false;
+  if (changed > 0) {
+    ReportBuiltGraph(built_, &stats_);
+    closure_valid_ = false;
+  }
   return changed;
 }
 
@@ -192,24 +191,6 @@ ReconcileResult IncrementalReconciler::result() {
                                   static_cast<RefId>(node.b));
   }
   out.stats = stats_;
-  out.stats.num_unmerged_pairs = built_.graph->num_unmerged_pairs();
-  out.stats.num_candidates = built_.num_candidates;
-  out.stats.num_nodes = built_.graph->num_nodes();
-  out.stats.num_live_nodes = built_.graph->num_live_nodes();
-  out.stats.num_edges = built_.graph->num_edges();
-  const GraphBytes gb = built_.graph->bytes();
-  out.stats.graph_bytes = static_cast<int64_t>(gb.total());
-  out.stats.graph_node_bytes = static_cast<int64_t>(gb.nodes);
-  out.stats.graph_edge_bytes = static_cast<int64_t>(gb.edges);
-  out.stats.graph_index_bytes = static_cast<int64_t>(gb.indices);
-  out.stats.num_pair_comparisons = built_.num_pair_comparisons;
-  out.stats.num_value_analyses = built_.num_value_analyses;
-  out.stats.num_sim_memo_hits = built_.num_sim_memo_hits;
-  out.stats.num_sim_memo_misses = built_.num_sim_memo_misses;
-  out.stats.num_sim_memo_evictions = built_.sim_memo->evictions();
-  out.stats.num_sim_memo_bypasses = built_.sim_memo->bypasses();
-  out.stats.sim_memo_bytes = built_.sim_memo->bytes();
-  out.stats.value_store_bytes = built_.feature_store->approximate_bytes();
   return out;
 }
 

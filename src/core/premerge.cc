@@ -60,15 +60,20 @@ PremergeResult CondenseByGroups(const Dataset& dataset, UnionFind& groups) {
 }  // namespace
 
 PremergeResult PremergeEqualEmails(const Dataset& dataset,
-                                   const SchemaBinding& binding) {
+                                   const SchemaBinding& binding,
+                                   const std::vector<RefId>& keep_apart) {
   const int n = dataset.num_references();
   UnionFind groups(n);
+  std::vector<bool> apart(n, false);
+  for (const RefId id : keep_apart) {
+    if (id >= 0 && id < n) apart[id] = true;
+  }
 
   if (binding.person >= 0 && binding.person_email >= 0) {
     std::unordered_map<std::string, RefId> first_with_email;
     for (RefId id = 0; id < n; ++id) {
       const Reference& ref = dataset.reference(id);
-      if (ref.class_id() != binding.person) continue;
+      if (ref.class_id() != binding.person || apart[id]) continue;
       for (const std::string& email :
            ref.atomic_values(binding.person_email)) {
         auto [it, inserted] =

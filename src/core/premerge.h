@@ -32,9 +32,13 @@ struct PremergeResult {
 /// into single enriched references: atomic values are unioned, association
 /// links are remapped to condensed ids. References of other classes are
 /// passed through (with associations remapped). The first member's gold
-/// label and provenance are kept.
+/// label and provenance are kept. References listed in `keep_apart` (ids
+/// out of range are ignored) join no email group, so each stays its own
+/// condensed reference: the batch reconciler lists both ends of every
+/// "distinct" feedback pair, which would otherwise collapse into one.
 PremergeResult PremergeEqualEmails(const Dataset& dataset,
-                                   const SchemaBinding& binding);
+                                   const SchemaBinding& binding,
+                                   const std::vector<RefId>& keep_apart = {});
 
 /// Lifts a clustering of the condensed dataset back to the original
 /// references, with canonical representatives drawn from the original ids.

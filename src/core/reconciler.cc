@@ -32,6 +32,32 @@ ReconcileResult ExpandResult(const PremergeResult& premerge,
 
 }  // namespace
 
+void ReportBuiltGraph(const BuiltGraph& built, ReconcileStats* stats) {
+  const DependencyGraph& graph = *built.graph;
+  stats->num_candidates = built.num_candidates;
+  stats->num_nodes = graph.num_nodes();
+  stats->num_live_nodes = graph.num_live_nodes();
+  stats->num_edges = graph.num_edges();
+  const GraphBytes gb = graph.bytes();
+  stats->graph_bytes = static_cast<int64_t>(gb.total());
+  stats->graph_node_bytes = static_cast<int64_t>(gb.nodes);
+  stats->graph_edge_bytes = static_cast<int64_t>(gb.edges);
+  stats->graph_index_bytes = static_cast<int64_t>(gb.indices);
+  stats->graph_compactions = graph.num_compactions();
+  stats->num_non_merge_pairs = graph.num_non_merge_pairs();
+  stats->num_derived_non_merge_pairs = graph.num_derived_non_merge_pairs();
+  stats->num_unmerged_pairs = graph.num_unmerged_pairs();
+  stats->num_pair_comparisons = built.num_pair_comparisons;
+  stats->num_value_analyses = built.num_value_analyses;
+  stats->num_sim_memo_hits = built.num_sim_memo_hits;
+  stats->num_sim_memo_misses = built.num_sim_memo_misses;
+  stats->num_sim_memo_evictions = built.sim_memo->evictions();
+  stats->num_sim_memo_bypasses = built.sim_memo->bypasses();
+  stats->sim_memo_bytes = built.sim_memo->bytes();
+  stats->value_store_bytes = built.feature_store->approximate_bytes();
+  stats->num_dropped_blocks = built.num_dropped_blocks;
+}
+
 int ReconcileResult::NumPartitionsOfClass(const Dataset& dataset,
                                           int class_id) const {
   std::map<int, int> seen;
@@ -67,7 +93,14 @@ ReconcileResult Reconciler::Run(const Dataset& dataset) const {
                         options_.probe_hook);
   if (options_.premerge_equal_emails) {
     const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
-    PremergeResult premerge = PremergeEqualEmails(dataset, binding);
+    // Both ends of a "distinct" pair stay out of the email groups, so the
+    // pair survives condensing instead of collapsing into one reference.
+    std::vector<RefId> keep_apart;
+    for (const auto& [a, b] : options_.feedback.distinct) {
+      keep_apart.push_back(a);
+      keep_apart.push_back(b);
+    }
+    PremergeResult premerge = PremergeEqualEmails(dataset, binding, keep_apart);
     if (premerge.condensed.num_references() < dataset.num_references()) {
       // Feedback pairs are in original-reference space; remap them.
       ReconcilerOptions condensed_options = options_;
@@ -119,18 +152,6 @@ ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
                                        BuiltGraph& built,
                                        BudgetTracker* budget) const {
   ReconcileResult result;
-  result.stats.num_candidates = built.num_candidates;
-  result.stats.num_nodes = built.graph->num_nodes();
-  result.stats.num_pair_comparisons = built.num_pair_comparisons;
-  result.stats.num_value_analyses = built.num_value_analyses;
-  result.stats.num_sim_memo_hits = built.num_sim_memo_hits;
-  result.stats.num_sim_memo_misses = built.num_sim_memo_misses;
-  result.stats.num_sim_memo_evictions = built.sim_memo->evictions();
-  result.stats.num_sim_memo_bypasses = built.sim_memo->bypasses();
-  result.stats.sim_memo_bytes = built.sim_memo->bytes();
-  result.stats.value_store_bytes = built.feature_store->approximate_bytes();
-  result.stats.num_dropped_blocks = built.num_dropped_blocks;
-
   Timer solve_timer;
   FixedPointSolver solver(dataset, built, options_, &result.stats, budget);
   solver.EnqueueNodes(built.initial_queue);
@@ -144,18 +165,7 @@ ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
   if (options_.constraints) solver.PropagateNegativeEvidence(true);
   result.cluster = solver.Closure(&result.merged_pairs);
   result.stats.solve_seconds = solve_timer.ElapsedSeconds();
-  result.stats.num_live_nodes = built.graph->num_live_nodes();
-  result.stats.num_edges = built.graph->num_edges();
-  const GraphBytes gb = built.graph->bytes();
-  result.stats.graph_bytes = static_cast<int64_t>(gb.total());
-  result.stats.graph_node_bytes = static_cast<int64_t>(gb.nodes);
-  result.stats.graph_edge_bytes = static_cast<int64_t>(gb.edges);
-  result.stats.graph_index_bytes = static_cast<int64_t>(gb.indices);
-  result.stats.graph_compactions = built.graph->num_compactions();
-  result.stats.num_non_merge_pairs = built.graph->num_non_merge_pairs();
-  result.stats.num_derived_non_merge_pairs =
-      built.graph->num_derived_non_merge_pairs();
-  result.stats.num_unmerged_pairs = built.graph->num_unmerged_pairs();
+  ReportBuiltGraph(built, &result.stats);
   result.stats.stop_reason = budget->stop_reason();
   result.stats.num_budget_probes = budget->num_probes();
   return result;

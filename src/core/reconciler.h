@@ -34,6 +34,11 @@ struct ReconcileResult {
                                                     int class_id) const;
 };
 
+/// Copies the graph, blocking, value-store and memo counters of `built`
+/// into `stats`; every accessor it reads is O(1). The batch run reports
+/// after its solve, the incremental reconciler after every flush.
+void ReportBuiltGraph(const BuiltGraph& built, ReconcileStats* stats);
+
 /// Runs reconciliation over a dataset. Stateless between runs; one
 /// Reconciler can serve many datasets.
 class Reconciler {

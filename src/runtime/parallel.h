@@ -1,12 +1,11 @@
-// Blocked parallel loops over index ranges, with grain-size control and a
-// deterministic sharded result collector.
+// Blocked parallel loops over index ranges, with grain-size control.
 //
 // Model: a range [begin, end) is cut into fixed-size blocks of `grain`
 // indices; up to `num_threads` lanes claim blocks from an atomic counter.
 // Which lane executes which block is nondeterministic, but the block
-// decomposition itself depends only on (range, grain) — so any output
-// placed in a per-block shard and concatenated in block order is equal to
-// the serial result regardless of thread count (ShardedCollector below).
+// decomposition itself depends only on (range, grain) — so output written
+// to per-index or per-block slots is equal to the serial result regardless
+// of thread count.
 //
 // num_threads follows ReconcilerOptions::num_threads: 0 = all hardware
 // threads, 1 = run inline on the calling thread (no pool involved), n > 1 =
@@ -22,8 +21,6 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "runtime/thread_pool.h"
 
@@ -47,8 +44,8 @@ struct Block {
 };
 
 /// The block decomposition a loop over [begin, end) will use: resolved
-/// grain (> 0) and block count. Compute it up front when sizing a
-/// ShardedCollector or per-lane scratch for the same loop.
+/// grain (> 0) and block count. Compute it up front when sizing per-block
+/// or per-lane scratch for the same loop.
 struct BlockPlan {
   int64_t grain = 1;
   size_t num_blocks = 0;
@@ -91,55 +88,6 @@ void ParallelFor(int num_threads, int64_t begin, int64_t end, int64_t grain,
                        }
                      });
 }
-
-/// Computes `map(block)` per block and folds the partials with `reduce` in
-/// block order: the result is identical to a serial left fold over blocks
-/// for any thread count (floating-point results included).
-template <typename T, typename Map, typename Reduce>
-T ParallelReduce(int num_threads, int64_t begin, int64_t end, int64_t grain,
-                 T identity, Map&& map, Reduce&& reduce) {
-  const BlockPlan plan = PlanBlocks(num_threads, begin, end, grain);
-  std::vector<T> partials(plan.num_blocks, identity);
-  ParallelForBlocked(num_threads, begin, end, plan.grain,
-                     [&](const Block& block) {
-                       partials[block.index] = map(block);
-                     });
-  T total = std::move(identity);
-  for (T& partial : partials) total = reduce(std::move(total), partial);
-  return total;
-}
-
-/// Deterministic output collector for a blocked loop: each block appends to
-/// its own shard (no locking — shards are distinct vector elements), and
-/// Drain() concatenates the shards in block order, yielding exactly the
-/// sequence a serial loop would have produced.
-template <typename T>
-class ShardedCollector {
- public:
-  explicit ShardedCollector(size_t num_blocks) : shards_(num_blocks) {}
-  explicit ShardedCollector(const BlockPlan& plan)
-      : shards_(plan.num_blocks) {}
-
-  std::vector<T>& shard(size_t block) { return shards_[block]; }
-
-  /// Moves every shard's contents into one vector, in block order. The
-  /// collector is empty afterwards.
-  std::vector<T> Drain() {
-    size_t total = 0;
-    for (const std::vector<T>& shard : shards_) total += shard.size();
-    std::vector<T> out;
-    out.reserve(total);
-    for (std::vector<T>& shard : shards_) {
-      for (T& item : shard) out.push_back(std::move(item));
-      shard.clear();
-      shard.shrink_to_fit();
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::vector<T>> shards_;
-};
 
 }  // namespace recon::runtime
 

@@ -298,6 +298,55 @@ TEST(BudgetDeterminismTest, SolveCommitInjectionIsThreadInvariant) {
   }
 }
 
+TEST(BudgetDeterminismTest, CandidateProbesAreThreadInvariant) {
+  // Candidate generation probes at the same references and blocks at any
+  // thread count (only key extraction fans out), so the probe traffic is
+  // identical, and a stop injected at the last kCandidates probe truncates
+  // the same candidate prefix.
+  const Dataset dataset = SmallPim();
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  int64_t candidate_probes = -1;
+  std::vector<int64_t> reference_counts;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    auto recorder = std::make_shared<ProbeRecorder>();
+    options.probe_hook = recorder;
+    Reconciler(options).Run(dataset);
+    std::vector<int64_t> counts;
+    for (int p = 0; p < kNumProbePoints; ++p) {
+      counts.push_back(recorder->seen(static_cast<ProbePoint>(p)));
+    }
+    if (reference_counts.empty()) {
+      reference_counts = counts;
+      candidate_probes = recorder->seen(ProbePoint::kCandidates);
+    }
+    EXPECT_EQ(counts, reference_counts);
+  }
+  ASSERT_GT(candidate_probes, 1);
+
+  ReconcileResult reference;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    auto injector = std::make_shared<FaultInjector>(
+        ProbePoint::kCandidates, candidate_probes - 1,
+        StopReason::kDeadline);
+    options.probe_hook = injector;
+    const ReconcileResult result = Reconciler(options).Run(dataset);
+    ExpectValidPartition(dataset, result);
+    EXPECT_EQ(injector->fired(), 1);
+    EXPECT_EQ(result.stats.stop_reason, StopReason::kDeadline);
+    if (threads == 1) {
+      reference = result;
+      continue;
+    }
+    EXPECT_EQ(reference.cluster, result.cluster);
+    EXPECT_EQ(reference.merged_pairs, result.merged_pairs);
+    EXPECT_EQ(reference.stats.stop_reason, result.stats.stop_reason);
+  }
+}
+
 TEST(BudgetMonotonicityTest, LargerIterationBudgetNeverLosesMerges) {
   // Anytime property: the solve commits along one canonical sequence, so
   // the merge set at budget N is a subset of the merge set at budget M>N,

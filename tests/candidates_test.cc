@@ -191,21 +191,6 @@ TEST_F(CandidatesTest, PairsAreCanonicalAndUnique) {
   EXPECT_EQ(list.size(), 8u * 7 / 2);
 }
 
-TEST_F(CandidatesTest, IndexMatchesBatchGeneration) {
-  // Feeding the whole dataset to CandidateIndex in one batch must produce
-  // exactly GenerateCandidates' output.
-  datagen::PimConfig config = datagen::PimConfigA();
-  config = datagen::ScaleConfig(config, 0.02);
-  const Dataset data = datagen::GeneratePim(config);
-  const SchemaBinding binding = SchemaBinding::Resolve(data.schema());
-  const ReconcilerOptions options;
-
-  const CandidateList batch = GenerateCandidates(data, binding, options);
-  CandidateIndex index(binding, options);
-  const CandidateList incremental = index.AddReferences(data, 0);
-  EXPECT_EQ(batch, incremental);
-}
-
 TEST_F(CandidatesTest, IndexBatchesCoverBatchGeneration) {
   // Two-batch insertion yields the same pair set (oversized-block skips
   // can differ at the margin; this dataset stays under the cap).

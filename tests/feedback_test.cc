@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
+#include "invariants.h"
 #include "model/dataset.h"
 
 namespace recon {
@@ -98,6 +103,41 @@ TEST_F(FeedbackTest, FeedbackSurvivesPremerge) {
   const ReconcileResult result = Reconciler(options).Run(data_);
   EXPECT_EQ(result.cluster[a1], result.cluster[a2]);
   EXPECT_EQ(result.cluster[a2], result.cluster[b]);
+}
+
+TEST_F(FeedbackTest, DistinctFeedbackSurvivesSharedEmail) {
+  // Both references carry one address, so pre-merging alone would condense
+  // them into a single reference; "distinct" feedback keeps them apart.
+  const RefId a = Person("Wei Wang", "wang@x.edu");
+  const RefId b = Person("W. Wang", "wang@x.edu");
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  ASSERT_TRUE(options.premerge_equal_emails);
+  EXPECT_EQ(Reconciler(options).Run(data_).cluster[a],
+            Reconciler(options).Run(data_).cluster[b]);
+  options.feedback.distinct.emplace_back(a, b);
+  const ReconcileResult result = Reconciler(options).Run(data_);
+  EXPECT_NE(result.cluster[a], result.cluster[b]);
+  EXPECT_TRUE(invariants::CheckPartition(data_, options, result).empty());
+}
+
+TEST_F(FeedbackTest, DistinctFeedbackSurvivesPremergeOnGeneratedData) {
+  // On PIM A 0.02x (seed 404) references 9 and 384 share an email and are
+  // pre-merged; with "distinct" feedback on them the partition must keep
+  // them apart and satisfy every invariant.
+  datagen::PimConfig config =
+      datagen::ScaleConfig(datagen::PimConfigA(), 0.02);
+  config.seed = 404;
+  const Dataset data = datagen::GeneratePim(config);
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  ASSERT_TRUE(options.premerge_equal_emails);
+  const ReconcileResult before = Reconciler(options).Run(data);
+  ASSERT_EQ(before.cluster[9], before.cluster[384]);
+  options.feedback.distinct.emplace_back(9, 384);
+  const ReconcileResult result = Reconciler(options).Run(data);
+  EXPECT_NE(result.cluster[9], result.cluster[384]);
+  const std::vector<std::string> violations =
+      invariants::CheckPartition(data, options, result);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST_F(FeedbackTest, InvalidPairsAreIgnored) {

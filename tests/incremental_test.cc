@@ -95,6 +95,29 @@ TEST(PremergeTest, RemapsAssociationsAndDropsSelfLinks) {
             (std::vector<RefId>{pre.condensed_of[a]}));
 }
 
+TEST(PremergeTest, KeepApartReferencesJoinNoGroup) {
+  Dataset data(BuildPimSchema());
+  const int person = data.schema().RequireClass("Person");
+  const int email = data.schema().RequireAttribute(person, "email");
+  std::vector<RefId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(data.NewReference(person, 0));
+    data.mutable_reference(ids.back()).AddAtomicValue(email, "a@s.edu");
+  }
+
+  const SchemaBinding binding = SchemaBinding::Resolve(data.schema());
+  // Out-of-range ids are ignored.
+  const PremergeResult pre =
+      PremergeEqualEmails(data, binding, {ids[0], ids[2], -1, 99});
+  EXPECT_EQ(pre.condensed.num_references(), 3);
+  EXPECT_NE(pre.condensed_of[ids[0]], pre.condensed_of[ids[1]]);
+  EXPECT_NE(pre.condensed_of[ids[0]], pre.condensed_of[ids[2]]);
+  EXPECT_NE(pre.condensed_of[ids[1]], pre.condensed_of[ids[2]]);
+  EXPECT_EQ(PremergeEqualEmails(data, binding, {ids[0]})
+                .condensed.num_references(),
+            2);
+}
+
 TEST(PremergeTest, ExpandClustersIsCanonical) {
   const Dataset data = datagen::GeneratePim(SmallPim(71));
   const SchemaBinding binding = SchemaBinding::Resolve(data.schema());
@@ -266,6 +289,42 @@ TEST(IncrementalTest, StatsAccumulate) {
   EXPECT_GT(result.stats.num_nodes, 0);
   EXPECT_GT(result.stats.num_merges, 0);
   EXPECT_FALSE(result.merged_pairs.empty());
+}
+
+TEST(IncrementalTest, StatsMatchResultAfterReplay) {
+  // stats() and result().stats report the same graph, store and memo
+  // counters: both are filled at the end of every flush.
+  const Dataset full = replay::ShuffledPimB();
+  ReconcilerOptions options;
+  options.max_block_size = 20;
+  replay::ReplayIngest(
+      full, options, /*flushes=*/4,
+      [](IncrementalReconciler& reconciler, int) {
+        const ReconcileStats stats = reconciler.stats();
+        const ReconcileStats result = reconciler.result().stats;
+        EXPECT_GT(stats.num_nodes, 0);
+        EXPECT_GT(stats.num_dropped_blocks, 0);
+        EXPECT_EQ(stats.num_candidates, result.num_candidates);
+        EXPECT_EQ(stats.num_nodes, result.num_nodes);
+        EXPECT_EQ(stats.num_live_nodes, result.num_live_nodes);
+        EXPECT_EQ(stats.num_edges, result.num_edges);
+        EXPECT_EQ(stats.graph_bytes, result.graph_bytes);
+        EXPECT_EQ(stats.graph_node_bytes, result.graph_node_bytes);
+        EXPECT_EQ(stats.graph_edge_bytes, result.graph_edge_bytes);
+        EXPECT_EQ(stats.graph_index_bytes, result.graph_index_bytes);
+        EXPECT_EQ(stats.graph_compactions, result.graph_compactions);
+        EXPECT_EQ(stats.num_non_merge_pairs, result.num_non_merge_pairs);
+        EXPECT_EQ(stats.num_derived_non_merge_pairs,
+                  result.num_derived_non_merge_pairs);
+        EXPECT_EQ(stats.num_unmerged_pairs, result.num_unmerged_pairs);
+        EXPECT_EQ(stats.num_pair_comparisons, result.num_pair_comparisons);
+        EXPECT_EQ(stats.num_value_analyses, result.num_value_analyses);
+        EXPECT_EQ(stats.num_sim_memo_hits, result.num_sim_memo_hits);
+        EXPECT_EQ(stats.num_sim_memo_misses, result.num_sim_memo_misses);
+        EXPECT_EQ(stats.sim_memo_bytes, result.sim_memo_bytes);
+        EXPECT_EQ(stats.value_store_bytes, result.value_store_bytes);
+        EXPECT_EQ(stats.num_dropped_blocks, result.num_dropped_blocks);
+      });
 }
 
 // ---- Flush-by-flush goldens ---------------------------------------------------

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -84,7 +83,7 @@ TEST(ThreadPoolTest, ExternalThreadCanSteal) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-// ---- ParallelFor / ParallelReduce -----------------------------------------
+// ---- ParallelFor -----------------------------------------------------------
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   for (const int threads : {1, 2, 4, 8}) {
@@ -157,45 +156,6 @@ TEST(ParallelForTest, NestedLoopsDoNotDeadlock) {
     });
   });
   EXPECT_EQ(hits.load(), 8 * 16 * 4);
-}
-
-TEST(ParallelReduceTest, DeterministicAcrossThreadCounts) {
-  // Doubles chosen so that fold order matters; block-ordered reduction
-  // must give bit-identical results for every thread count.
-  std::vector<double> values(10000);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  auto sum_with = [&](int threads) {
-    return runtime::ParallelReduce<double>(
-        threads, 0, static_cast<int64_t>(values.size()), 64, 0.0,
-        [&](const runtime::Block& block) {
-          double acc = 0.0;
-          for (int64_t i = block.begin; i < block.end; ++i) acc += values[i];
-          return acc;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(2));
-  EXPECT_EQ(serial, sum_with(4));
-  EXPECT_EQ(serial, sum_with(8));
-}
-
-TEST(ShardedCollectorTest, DrainEqualsSerialOrder) {
-  const runtime::BlockPlan plan = runtime::PlanBlocks(4, 0, 1000, 13);
-  runtime::ShardedCollector<int> collector(plan);
-  runtime::ParallelForBlocked(4, 0, 1000, plan.grain,
-                              [&](const runtime::Block& block) {
-                                for (int64_t i = block.begin; i < block.end;
-                                     ++i) {
-                                  collector.shard(block.index).push_back(
-                                      static_cast<int>(i));
-                                }
-                              });
-  std::vector<int> expected(1000);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(collector.Drain(), expected);
 }
 
 // ---- End-to-end determinism ------------------------------------------------
