@@ -37,34 +37,12 @@ void OfferAtomic(const std::vector<std::string>& values1,
 
 }  // namespace
 
-namespace {
-
-/// Lifts a condensed-space result back to the original references.
-ReconcileResult ExpandIndepResult(const PremergeResult& premerge,
-                                  ReconcileResult condensed) {
-  ReconcileResult result;
-  result.stats = condensed.stats;
-  result.cluster = ExpandClusters(premerge, condensed.cluster);
-  for (const auto& [a, b] : condensed.merged_pairs) {
-    result.merged_pairs.emplace_back(premerge.original_rep[a],
-                                     premerge.original_rep[b]);
-  }
-  for (RefId id = 0; id < static_cast<RefId>(premerge.condensed_of.size());
-       ++id) {
-    const RefId rep = premerge.original_rep[premerge.condensed_of[id]];
-    if (rep != id) result.merged_pairs.emplace_back(rep, id);
-  }
-  return result;
-}
-
-}  // namespace
-
 ReconcileResult IndepDec::Run(const Dataset& dataset) const {
   if (options_.premerge_equal_emails) {
     const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
     PremergeResult premerge = PremergeEqualEmails(dataset, binding);
     if (premerge.condensed.num_references() < dataset.num_references()) {
-      return ExpandIndepResult(premerge, RunCondensed(premerge.condensed));
+      return ExpandResult(premerge, RunCondensed(premerge.condensed));
     }
   }
   return RunCondensed(dataset);
@@ -75,13 +53,8 @@ ReconcileResult IndepDec::RunCondensed(const Dataset& dataset) const {
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
   const SimParams& p = options_.params;
 
-  std::vector<std::unique_ptr<ClassSimilarity>> sims(
-      dataset.schema().num_classes());
-  if (binding.person >= 0) sims[binding.person] = MakeClassSimilarity("Person", p);
-  if (binding.article >= 0) {
-    sims[binding.article] = MakeClassSimilarity("Article", p);
-  }
-  if (binding.venue >= 0) sims[binding.venue] = MakeClassSimilarity("Venue", p);
+  const std::vector<std::unique_ptr<ClassSimilarity>> sims =
+      MakeClassSimilarities(dataset.schema(), binding, p);
 
   ReconcileResult result;
   const CandidateList candidates =

@@ -17,26 +17,6 @@ namespace recon {
 
 namespace {
 
-/// Feature kinds for every bound atomic attribute, so the ValueStore knows
-/// how to analyze each domain without depending on SchemaBinding itself.
-ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
-  ValueKindSchema schema;
-  auto add = [&](int class_id, int attr, FeatureKind kind) {
-    if (class_id >= 0 && attr >= 0) {
-      schema.kinds.emplace_back(ValueDomain{class_id, attr}, kind);
-    }
-  };
-  add(b.person, b.person_name, FeatureKind::kPersonName);
-  add(b.person, b.person_email, FeatureKind::kEmail);
-  add(b.article, b.article_title, FeatureKind::kTitle);
-  add(b.article, b.article_year, FeatureKind::kYear);
-  add(b.article, b.article_pages, FeatureKind::kPages);
-  add(b.venue, b.venue_name, FeatureKind::kVenueName);
-  add(b.venue, b.venue_year, FeatureKind::kYear);
-  add(b.venue, b.venue_location, FeatureKind::kLocation);
-  return schema;
-}
-
 /// Evidence staged for one candidate reference pair before its node is
 /// created (the node is only created when some evidence exists).
 struct StagedEvidence {
@@ -128,116 +108,46 @@ struct BatchLane {
 class GraphBuilder {
  public:
   GraphBuilder(const Dataset& dataset, const ReconcilerOptions& options,
-               BudgetTracker* budget, const BuildOverrides& overrides = {})
+               BudgetTracker* budget, BuiltGraph& built)
       : dataset_(dataset),
         options_(options),
-        overrides_(overrides),
-        binding_(SchemaBinding::Resolve(dataset.schema())),
+        binding_(built.binding),
         own_budget_(budget == nullptr
                         ? std::make_unique<BudgetTracker>(Budget{})
                         : nullptr),
-        budget_(budget != nullptr ? budget : own_budget_.get()) {}
-
-  BuiltGraph Build() {
-    BuiltGraph out;
-    out.binding = binding_;
-    out.graph = std::make_unique<DependencyGraph>(dataset_.num_references());
-    graph_ = out.graph.get();
-    values_ = &out.values;
-    built_ = &out;
-    out.feature_store =
-        std::make_shared<ValueStore>(MakeValueKindSchema(binding_));
-    out.sim_memo = std::make_shared<SimMemo>();
-    store_ = out.feature_store.get();
-    memo_ = out.sim_memo.get();
+        budget_(budget != nullptr ? budget : own_budget_.get()),
+        graph_(built.graph.get()),
+        values_(&built.values),
+        built_(&built),
+        store_(built.feature_store.get()),
+        memo_(built.sim_memo.get()) {
     ConfigureMemoBudget();
-
-    // Values are interned up front (serially, in reference order — an order
-    // fixed regardless of thread count, so ValueIds are stable) and
-    // analyzed once each, so candidate generation and the comparison stage
-    // are read-only against the pool and the store and can fan out across
-    // threads. Interning probes no budget.
-    InternReferenceValues(dataset_, /*first_ref=*/0, out);
-
-    CandidateList generated;
-    if (overrides_.candidates == nullptr) {
-      generated = GenerateCandidates(dataset_, binding_, options_, budget_,
-                                     values_, store_, &out.num_dropped_blocks);
-    }
-    const CandidateList& candidates =
-        overrides_.candidates != nullptr ? *overrides_.candidates : generated;
-    out.num_candidates = static_cast<int>(candidates.size());
-
-    // Step 1 (§3.1): atomic-attribute comparison, node seeding, and
-    // constraint marking. Sizing the CSR pools from the candidate count
-    // up front cuts rehash and relocation churn during the apply loop.
-    graph_->ReserveBuild(candidates.size());
-    SeedPairs(candidates);
-    // Constraint 1: authors of one article are distinct persons. Creates
-    // non-merge nodes even where no atomic similarity exists (§3.4).
-    if (options_.constraints) {
-      MarkCoAuthorConstraints(/*first_ref=*/0);
-    }
-
-    // User feedback (§7): confirmed matches and non-matches become forced
-    // and non-merge nodes respectively.
-    ApplyFeedback();
-
-    // Step 2 (§3.1): association dependencies between existing nodes.
-    WireAssociations(/*start_node=*/0);
-
-    // The graph shape is now settled for the solve: pack the CSR pools
-    // tight (folds and solver delta pushes mutate in place from here).
-    graph_->Compact();
-
-    // Initial queue: venues, then persons, then articles, then the rest.
-    BuildInitialQueue(/*start_node=*/0, &out.initial_queue);
-
-    // Class similarity functions.
-    out.class_sims.resize(dataset_.schema().num_classes());
-    if (binding_.person >= 0) {
-      out.class_sims[binding_.person] =
-          MakeClassSimilarity("Person", options_.params);
-    }
-    if (binding_.article >= 0) {
-      out.class_sims[binding_.article] =
-          MakeClassSimilarity("Article", options_.params);
-    }
-    if (binding_.venue >= 0) {
-      out.class_sims[binding_.venue] =
-          MakeClassSimilarity("Venue", options_.params);
-    }
-    return out;
   }
 
-  /// Incremental extension: seeds `pairs` into `built`, applies co-author
-  /// constraints for references >= first_new_ref, wires associations of
-  /// the new nodes, and returns them in processing order.
-  std::vector<NodeId> Extend(
-      const std::vector<std::pair<RefId, RefId>>& pairs, RefId first_new_ref,
-      BuiltGraph& built) {
-    graph_ = built.graph.get();
-    values_ = &built.values;
-    binding_ = built.binding;
-    built_ = &built;
-    store_ = built.feature_store.get();
-    memo_ = built.sim_memo.get();
-    ConfigureMemoBudget();
-    built.num_candidates += static_cast<int>(pairs.size());
+  /// The one graph-build step, for the initial load and every later batch
+  /// alike. Step 1 (§3.1) seeds `pairs` into the graph; co-author
+  /// constraints are marked for articles >= first_new_ref (§3.4) and
+  /// `feedback` (§7) is applied; step 2 (§3.1) wires the association
+  /// dependencies of the new nodes. Returns the new reference-pair nodes in
+  /// processing order. The references' values must already be interned
+  /// (InternReferenceValues); the caller compacts the graph afterwards.
+  std::vector<NodeId> Extend(const CandidateList& pairs, RefId first_new_ref,
+                             const Feedback& feedback) {
+    built_->num_candidates += static_cast<int>(pairs.size());
 
     const NodeId start_node = graph_->num_nodes();
-    InternReferenceValues(dataset_, first_new_ref, built);
+    // Sizing the CSR pools from the candidate count up front cuts rehash
+    // and relocation churn during the apply loop.
     graph_->ReserveBuild(pairs.size());
     SeedPairs(pairs);
+    // Constraint 1: authors of one article are distinct persons. Creates
+    // non-merge nodes even where no atomic similarity exists (§3.4).
     if (options_.constraints) MarkCoAuthorConstraints(first_new_ref);
+    // Confirmed matches and non-matches become forced and non-merge nodes.
+    ApplyFeedback(feedback);
     WireAssociations(start_node);
 
-    // Extension appends fragment the shared buffers (relocations leave
-    // garbage). Repack a pool only once its garbage outweighs its live
-    // data, and keep every capacity: a full Compact() per flush would cost
-    // the whole graph, twice over with the regrowth the next flush pays.
-    graph_->CompactFragmented();
-
+    // Venues, then persons, then articles, then the rest.
     std::vector<NodeId> new_queue;
     BuildInitialQueue(start_node, &new_queue);
     return new_queue;
@@ -711,14 +621,14 @@ class GraphBuilder {
     }
   }
 
-  void ApplyFeedback() {
+  void ApplyFeedback(const Feedback& feedback) {
     auto valid_pair = [&](RefId a, RefId b) {
       return a >= 0 && b >= 0 && a != b && a < dataset_.num_references() &&
              b < dataset_.num_references() &&
              dataset_.reference(a).class_id() ==
                  dataset_.reference(b).class_id();
     };
-    for (const auto& [a, b] : options_.feedback.same) {
+    for (const auto& [a, b] : feedback.same) {
       if (!valid_pair(a, b)) continue;
       const NodeId node = graph_->AddRefPairNode(
           dataset_.reference(a).class_id(), a, b);
@@ -727,7 +637,7 @@ class GraphBuilder {
       // into dependent caches).
       graph_->SetNodeState(node, NodeState::kInactive);
     }
-    for (const auto& [a, b] : options_.feedback.distinct) {
+    for (const auto& [a, b] : feedback.distinct) {
       if (!valid_pair(a, b)) continue;
       const NodeId node = graph_->AddRefPairNode(
           dataset_.reference(a).class_id(), a, b);
@@ -915,43 +825,33 @@ class GraphBuilder {
 
   const Dataset& dataset_;
   const ReconcilerOptions& options_;
-  /// By value: the caller's default `{}` temporary dies at the ctor.
-  BuildOverrides overrides_;
   SchemaBinding binding_;
   /// Fallback unlimited tracker for callers that pass none, so the build
   /// has exactly one budget code path.
   std::unique_ptr<BudgetTracker> own_budget_;
   BudgetTracker* budget_;
-  DependencyGraph* graph_ = nullptr;
-  ValuePool* values_ = nullptr;
-  BuiltGraph* built_ = nullptr;
+  DependencyGraph* graph_;
+  ValuePool* values_;
+  BuiltGraph* built_;
   /// Owned by built_ (shared_ptr).
-  ValueStore* store_ = nullptr;
-  SimMemo* memo_ = nullptr;
+  ValueStore* store_;
+  SimMemo* memo_;
 };
 
 }  // namespace
 
 void InternReferenceValues(const Dataset& dataset, RefId first_ref,
                            BuiltGraph& built) {
-  const SchemaBinding& b = built.binding;
+  const ValueKindSchema kinds = MakeValueKindSchema(built.binding);
   for (RefId id = first_ref; id < dataset.num_references(); ++id) {
     const Reference& r = dataset.reference(id);
-    const int class_id = r.class_id();
-    auto intern_field = [&](int owner_class, int attr) {
-      if (owner_class < 0 || attr < 0 || class_id != owner_class) return;
-      for (const std::string& raw : r.atomic_values(attr)) {
-        built.values.Intern(ValueDomain{owner_class, attr}, raw);
+    for (const auto& entry : kinds.kinds) {
+      const ValueDomain domain = entry.first;
+      if (domain.class_id != r.class_id()) continue;
+      for (const std::string& raw : r.atomic_values(domain.attr)) {
+        built.values.Intern(domain, raw);
       }
-    };
-    intern_field(b.person, b.person_name);
-    intern_field(b.person, b.person_email);
-    intern_field(b.article, b.article_title);
-    intern_field(b.article, b.article_year);
-    intern_field(b.article, b.article_pages);
-    intern_field(b.venue, b.venue_name);
-    intern_field(b.venue, b.venue_year);
-    intern_field(b.venue, b.venue_location);
+    }
   }
   built.feature_store->Sync(built.values);
 }
@@ -960,15 +860,55 @@ BuiltGraph BuildDependencyGraph(const Dataset& dataset,
                                 const ReconcilerOptions& options,
                                 BudgetTracker* budget,
                                 const BuildOverrides& overrides) {
-  return GraphBuilder(dataset, options, budget, overrides).Build();
+  BuiltGraph built;
+  built.binding = SchemaBinding::Resolve(dataset.schema());
+  built.graph = std::make_unique<DependencyGraph>(dataset.num_references());
+  built.feature_store =
+      std::make_shared<ValueStore>(MakeValueKindSchema(built.binding));
+  built.sim_memo = std::make_shared<SimMemo>();
+  built.class_sims =
+      MakeClassSimilarities(dataset.schema(), built.binding, options.params);
+
+  // Values are interned up front (serially, in reference order — an order
+  // fixed regardless of thread count, so ValueIds are stable) and
+  // analyzed once each, so candidate generation and the comparison stage
+  // are read-only against the pool and the store and can fan out across
+  // threads. Interning probes no budget.
+  InternReferenceValues(dataset, /*first_ref=*/0, built);
+
+  CandidateList generated;
+  if (overrides.candidates == nullptr) {
+    generated = GenerateCandidates(dataset, built.binding, options, budget,
+                                   &built.values, built.feature_store.get(),
+                                   &built.num_dropped_blocks);
+  }
+  const CandidateList& candidates =
+      overrides.candidates != nullptr ? *overrides.candidates : generated;
+
+  // The whole dataset is the first batch: the same step every incremental
+  // flush runs, plus the batch-only user feedback.
+  built.initial_queue =
+      GraphBuilder(dataset, options, budget, built)
+          .Extend(candidates, /*first_new_ref=*/0, options.feedback);
+  // The graph shape is now settled for the solve: pack the CSR pools
+  // tight (folds and solver delta pushes mutate in place from here).
+  built.graph->Compact();
+  return built;
 }
 
 std::vector<NodeId> ExtendDependencyGraph(
     const Dataset& dataset, const ReconcilerOptions& options,
     const std::vector<std::pair<RefId, RefId>>& pairs, RefId first_new_ref,
     BuiltGraph& built, BudgetTracker* budget) {
-  return GraphBuilder(dataset, options, budget)
-      .Extend(pairs, first_new_ref, built);
+  std::vector<NodeId> new_nodes =
+      GraphBuilder(dataset, options, budget, built)
+          .Extend(pairs, first_new_ref, Feedback{});
+  // Extension appends fragment the shared buffers (relocations leave
+  // garbage). Repack a pool only once its garbage outweighs its live data,
+  // and keep every capacity: a full Compact() per flush would cost the
+  // whole graph, twice over with the regrowth the next flush pays.
+  built.graph->CompactFragmented();
+  return new_nodes;
 }
 
 }  // namespace recon

@@ -1,7 +1,9 @@
 // Dependency-graph construction (paper §3.1): seeds value-pair nodes from
 // atomic-attribute comparisons (step 1), wires association dependencies
 // between existing nodes (step 2), and marks constraint-mandated non-merge
-// nodes (§3.4).
+// nodes (§3.4). One extension step does all of it: a batch build is the
+// extension of an empty graph by the whole dataset, an incremental flush
+// the extension by its batch.
 
 #ifndef RECON_CORE_GRAPH_BUILDER_H_
 #define RECON_CORE_GRAPH_BUILDER_H_
@@ -41,8 +43,8 @@ struct BuiltGraph {
   std::shared_ptr<ValueStore> feature_store;
   std::shared_ptr<SimMemo> sim_memo;
 
-  /// Scoring-path counters, accumulated deterministically across Build()
-  /// and every Extend(); surfaced as ReconcileStats (DESIGN.md §11).
+  /// Scoring-path counters, accumulated deterministically across every
+  /// extension step; surfaced as ReconcileStats (DESIGN.md §11).
   int64_t num_pair_comparisons = 0;
   int64_t num_value_analyses = 0;
   int64_t num_sim_memo_hits = 0;
@@ -57,10 +59,10 @@ struct BuiltGraph {
 };
 
 /// Interns the atomic attribute values of references >= `first_ref` into
-/// built.values (reference order, idempotent — the same interning the
-/// builder performs) and syncs built.feature_store over the new values.
-/// Incremental callers use it to make features available to candidate
-/// generation before ExtendDependencyGraph runs.
+/// built.values (reference order, then MakeValueKindSchema's attribute
+/// order; idempotent) and syncs built.feature_store over the new values.
+/// Runs before candidate generation, which reads the features, and before
+/// the build step, which expects every value interned.
 void InternReferenceValues(const Dataset& dataset, RefId first_ref,
                            BuiltGraph& built);
 
@@ -73,12 +75,15 @@ struct BuildOverrides {
   const CandidateList* candidates = nullptr;
 };
 
-/// Builds the dependency graph for `dataset` under `options`. `budget`
-/// (optional) carries the run's execution budget (DESIGN.md §10): probes
-/// fire at candidate batches and staging-chunk boundaries, and a stop
-/// truncates evidence seeding / association wiring at the next chunk — a
-/// degraded but structurally consistent graph. Constraint marking and
-/// feedback application always run in full.
+/// Builds the dependency graph for `dataset` under `options`: interns the
+/// values, generates the candidates (or takes overrides.candidates), runs
+/// the extension step over the whole dataset with options.feedback, and
+/// packs the graph tight (Compact). `budget` (optional) carries the run's
+/// execution budget (DESIGN.md §10): probes fire at candidate batches and
+/// staging-chunk boundaries, and a stop truncates evidence seeding /
+/// association wiring at the next chunk — a degraded but structurally
+/// consistent graph. Constraint marking and feedback application always
+/// run in full.
 BuiltGraph BuildDependencyGraph(const Dataset& dataset,
                                 const ReconcilerOptions& options,
                                 BudgetTracker* budget = nullptr,
@@ -87,9 +92,11 @@ BuiltGraph BuildDependencyGraph(const Dataset& dataset,
 /// Extends an existing graph with nodes for `pairs` (candidate pairs that
 /// involve references added after the graph was built) and wires their
 /// association dependencies; co-author constraints are applied for article
-/// references with id >= `first_new_ref`. Call graph->AddReferences()
-/// before this. Returns the new reference-pair nodes in processing order
-/// (venues, persons, articles) for the solver to enqueue. A `budget` stop
+/// references with id >= `first_new_ref`; no feedback is applied. Call
+/// graph->AddReferences() and InternReferenceValues(first_new_ref) before
+/// this. Repacks only fragmented pools (CompactFragmented). Returns the new
+/// reference-pair nodes in processing order (venues, persons, articles) for
+/// the solver to enqueue. A `budget` stop
 /// truncates evidence seeding exactly as in BuildDependencyGraph; pairs
 /// not yet applied are dropped (fewer merges, still a valid partition).
 std::vector<NodeId> ExtendDependencyGraph(

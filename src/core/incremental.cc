@@ -50,9 +50,9 @@ void IncrementalReconciler::Flush() {
     const int new_refs = total - solver_->refs().size();
     if (new_refs > 0) solver_->GrowReferences(new_refs);
 
-    // Intern and analyze the new batch's values first, so candidate
-    // generation can read precomputed features; ExtendDependencyGraph's
-    // own interning pass then finds everything already present.
+    // Intern and analyze the new batch's values first: candidate
+    // generation reads their features, and the build step expects every
+    // value interned.
     InternReferenceValues(dataset_, flushed_until_, built_);
     const CandidateList pairs =
         index_->AddReferences(dataset_, flushed_until_, &built_.values,

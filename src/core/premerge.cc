@@ -3,6 +3,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/reconciler.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/union_find.h"
@@ -96,6 +97,23 @@ std::vector<int> ExpandClusters(const PremergeResult& premerge,
     clusters[id] = premerge.original_rep[condensed_cluster];
   }
   return clusters;
+}
+
+ReconcileResult ExpandResult(const PremergeResult& premerge,
+                             ReconcileResult condensed) {
+  ReconcileResult result;
+  result.stats = condensed.stats;
+  result.cluster = ExpandClusters(premerge, condensed.cluster);
+  for (const auto& [a, b] : condensed.merged_pairs) {
+    result.merged_pairs.emplace_back(premerge.original_rep[a],
+                                     premerge.original_rep[b]);
+  }
+  for (RefId id = 0;
+       id < static_cast<RefId>(premerge.condensed_of.size()); ++id) {
+    const RefId rep = premerge.original_rep[premerge.condensed_of[id]];
+    if (rep != id) result.merged_pairs.emplace_back(rep, id);
+  }
+  return result;
 }
 
 }  // namespace recon

@@ -19,6 +19,8 @@
 
 namespace recon {
 
+struct ReconcileResult;
+
 /// A condensed dataset and the mapping back to the original references.
 struct PremergeResult {
   Dataset condensed;
@@ -44,6 +46,12 @@ PremergeResult PremergeEqualEmails(const Dataset& dataset,
 /// references, with canonical representatives drawn from the original ids.
 std::vector<int> ExpandClusters(const PremergeResult& premerge,
                                 const std::vector<int>& condensed_clusters);
+
+/// Lifts a whole condensed-space result back to the original references:
+/// the clusters (ExpandClusters), the merged pairs mapped to original
+/// representatives, and the key merges the premerge itself performed.
+ReconcileResult ExpandResult(const PremergeResult& premerge,
+                             ReconcileResult condensed);
 
 }  // namespace recon
 

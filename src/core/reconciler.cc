@@ -9,29 +9,6 @@
 
 namespace recon {
 
-namespace {
-
-/// Lifts a condensed-space result back to the original references,
-/// including the key merges the premerge itself performed.
-ReconcileResult ExpandResult(const PremergeResult& premerge,
-                             ReconcileResult condensed) {
-  ReconcileResult result;
-  result.stats = condensed.stats;
-  result.cluster = ExpandClusters(premerge, condensed.cluster);
-  for (const auto& [a, b] : condensed.merged_pairs) {
-    result.merged_pairs.emplace_back(premerge.original_rep[a],
-                                     premerge.original_rep[b]);
-  }
-  for (RefId id = 0;
-       id < static_cast<RefId>(premerge.condensed_of.size()); ++id) {
-    const RefId rep = premerge.original_rep[premerge.condensed_of[id]];
-    if (rep != id) result.merged_pairs.emplace_back(rep, id);
-  }
-  return result;
-}
-
-}  // namespace
-
 void ReportBuiltGraph(const BuiltGraph& built, ReconcileStats* stats) {
   const DependencyGraph& graph = *built.graph;
   stats->num_candidates = built.num_candidates;

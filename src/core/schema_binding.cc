@@ -32,4 +32,34 @@ SchemaBinding SchemaBinding::Resolve(const Schema& schema) {
   return b;
 }
 
+ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
+  ValueKindSchema schema;
+  auto add = [&](int class_id, int attr, FeatureKind kind) {
+    if (class_id >= 0 && attr >= 0) {
+      schema.kinds.emplace_back(ValueDomain{class_id, attr}, kind);
+    }
+  };
+  add(b.person, b.person_name, FeatureKind::kPersonName);
+  add(b.person, b.person_email, FeatureKind::kEmail);
+  add(b.article, b.article_title, FeatureKind::kTitle);
+  add(b.article, b.article_year, FeatureKind::kYear);
+  add(b.article, b.article_pages, FeatureKind::kPages);
+  add(b.venue, b.venue_name, FeatureKind::kVenueName);
+  add(b.venue, b.venue_year, FeatureKind::kYear);
+  add(b.venue, b.venue_location, FeatureKind::kLocation);
+  return schema;
+}
+
+std::vector<std::unique_ptr<ClassSimilarity>> MakeClassSimilarities(
+    const Schema& schema, const SchemaBinding& binding,
+    const SimParams& params) {
+  std::vector<std::unique_ptr<ClassSimilarity>> sims(schema.num_classes());
+  for (const int c : {binding.person, binding.article, binding.venue}) {
+    if (c >= 0) {
+      sims[c] = MakeClassSimilarity(schema.class_def(c).name.c_str(), params);
+    }
+  }
+  return sims;
+}
+
 }  // namespace recon

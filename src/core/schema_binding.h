@@ -4,7 +4,13 @@
 #ifndef RECON_CORE_SCHEMA_BINDING_H_
 #define RECON_CORE_SCHEMA_BINDING_H_
 
+#include <memory>
+#include <vector>
+
 #include "model/schema.h"
+#include "sim/class_sim.h"
+#include "sim/params.h"
+#include "sim/value_store.h"
 
 namespace recon {
 
@@ -33,6 +39,17 @@ struct SchemaBinding {
   /// Looks up every known name; missing entries stay -1.
   static SchemaBinding Resolve(const Schema& schema);
 };
+
+/// Feature kind of every bound atomic attribute, in a fixed order. The
+/// graph's value store, InternReferenceValues and the service snapshot all
+/// read this one table, so a value is analyzed the same way everywhere.
+ValueKindSchema MakeValueKindSchema(const SchemaBinding& binding);
+
+/// Similarity functions per class id for the classes the binding knows;
+/// null for every other class.
+std::vector<std::unique_ptr<ClassSimilarity>> MakeClassSimilarities(
+    const Schema& schema, const SchemaBinding& binding,
+    const SimParams& params);
 
 }  // namespace recon
 

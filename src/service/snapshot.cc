@@ -11,26 +11,6 @@ namespace recon::service {
 
 namespace {
 
-/// Feature kinds per bound attribute — the same mapping the graph builder
-/// registers, so profile values are analyzed exactly like batch values.
-ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
-  ValueKindSchema schema;
-  auto add = [&](int class_id, int attr, FeatureKind kind) {
-    if (class_id >= 0 && attr >= 0) {
-      schema.kinds.emplace_back(ValueDomain{class_id, attr}, kind);
-    }
-  };
-  add(b.person, b.person_name, FeatureKind::kPersonName);
-  add(b.person, b.person_email, FeatureKind::kEmail);
-  add(b.article, b.article_title, FeatureKind::kTitle);
-  add(b.article, b.article_year, FeatureKind::kYear);
-  add(b.article, b.article_pages, FeatureKind::kPages);
-  add(b.venue, b.venue_name, FeatureKind::kVenueName);
-  add(b.venue, b.venue_year, FeatureKind::kYear);
-  add(b.venue, b.venue_location, FeatureKind::kLocation);
-  return schema;
-}
-
 /// Class-qualified blocking key: keys of different classes never share a
 /// block (a "wong" name token must not pull venue candidates).
 std::string QualifiedKey(int class_id, const std::string& key) {
@@ -589,14 +569,8 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   }
 
   // Similarity functions for the classes the binding knows.
-  snap->class_sims_.resize(schema.num_classes());
-  for (int c = 0; c < schema.num_classes(); ++c) {
-    if (c == snap->binding_.person || c == snap->binding_.article ||
-        c == snap->binding_.venue) {
-      snap->class_sims_[c] = MakeClassSimilarity(
-          schema.class_def(c).name.c_str(), options.params);
-    }
-  }
+  snap->class_sims_ =
+      MakeClassSimilarities(schema, snap->binding_, options.params);
 
   // Rough footprint for /stats: entity records, index, dense tables.
   int64_t bytes = snap->index_bytes_;

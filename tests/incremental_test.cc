@@ -10,11 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <numeric>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,23 +155,40 @@ TEST(PremergeTest, PremergeDoesNotChangeQualityMuch) {
 
 // ---- Incremental reconciliation -----------------------------------------------
 
-TEST(IncrementalTest, MatchesBatchOnWholeDataset) {
-  // Feeding the whole dataset as one batch must match the batch
-  // reconciler's partition (premerge is a batch-only optimization, so
-  // compare against a batch run without it).
-  const Dataset data = datagen::GeneratePim(SmallPim(73));
-  ReconcilerOptions options = ReconcilerOptions::DepGraph();
-  options.premerge_equal_emails = false;
-  const ReconcileResult batch = Reconciler(options).Run(data);
+/// Feeding the whole dataset as one batch must reproduce the batch
+/// reconciler exactly (premerge is a batch-only optimization, so compare
+/// against a batch run without it): both build the graph through the same
+/// extension step, and both label a cluster by its smallest member.
+void ExpectOneFlushMatchesBatch(const Dataset& data) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.premerge_equal_emails = false;
+    options.num_threads = threads;
+    const ReconcileResult batch = Reconciler(options).Run(data);
+    IncrementalReconciler incremental(data, options);
+    const ReconcileResult one_flush = incremental.result();
 
-  IncrementalReconciler incremental(data, options);
-  const std::vector<int>& clusters = incremental.clusters();
-
-  std::map<int, int> mapping;
-  for (RefId id = 0; id < data.num_references(); ++id) {
-    auto [it, inserted] = mapping.try_emplace(batch.cluster[id], clusters[id]);
-    EXPECT_EQ(it->second, clusters[id]) << "ref " << id;
+    EXPECT_EQ(one_flush.cluster, batch.cluster);
+    auto sorted = [](std::vector<std::pair<RefId, RefId>> pairs) {
+      std::sort(pairs.begin(), pairs.end());
+      return pairs;
+    };
+    EXPECT_EQ(sorted(one_flush.merged_pairs), sorted(batch.merged_pairs));
+    EXPECT_EQ(one_flush.stats.num_candidates, batch.stats.num_candidates);
+    EXPECT_EQ(one_flush.stats.num_pair_comparisons,
+              batch.stats.num_pair_comparisons);
+    EXPECT_EQ(one_flush.stats.num_nodes, batch.stats.num_nodes);
+    EXPECT_EQ(one_flush.stats.num_edges, batch.stats.num_edges);
   }
+}
+
+TEST(IncrementalTest, MatchesBatchOnWholeDataset) {
+  ExpectOneFlushMatchesBatch(datagen::GeneratePim(SmallPim(73)));
+}
+
+TEST(IncrementalTest, MatchesBatchOnWholeCoraDataset) {
+  ExpectOneFlushMatchesBatch(ShuffledCora());
 }
 
 TEST(IncrementalTest, AddingReferencesExtendsClusters) {

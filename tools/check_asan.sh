@@ -40,7 +40,7 @@ ASAN_DIR="${1:-build-asan}"
 echo "== [1/2] configure + build ${ASAN_DIR} (-DRECON_SANITIZE=address-undefined)"
 cmake -B "${ASAN_DIR}" -S . -DRECON_SANITIZE=address-undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${ASAN_DIR}" -j
+cmake --build "${ASAN_DIR}" -j "$(nproc)"
 
 echo
 echo "== [2/2] ctest -L asan under AddressSanitizer + UBSan"

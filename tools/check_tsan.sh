@@ -30,7 +30,7 @@ NATIVE_DIR="${2:-build}"
 echo "== [1/3] configure + build ${TSAN_DIR} (-DRECON_SANITIZE=thread)"
 cmake -B "${TSAN_DIR}" -S . -DRECON_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${TSAN_DIR}" -j
+cmake --build "${TSAN_DIR}" -j "$(nproc)"
 
 echo
 echo "== [2/3] ctest -L tsan under ThreadSanitizer"
