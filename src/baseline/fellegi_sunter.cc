@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/candidates.h"
 #include "core/schema_binding.h"
@@ -23,59 +25,16 @@ enum Outcome : uint8_t {
   kNumOutcomes = 4,
 };
 
-using Comparator = double (*)(const std::string&, const std::string&);
-
-/// One comparable field of a class.
-struct FieldSpec {
-  int attr;
-  Comparator comparator;
-};
-
-/// The fields compared per class, mirroring IndepDec's attribute set.
-std::vector<FieldSpec> FieldsFor(const SchemaBinding& binding,
-                                 int class_id) {
-  std::vector<FieldSpec> fields;
-  if (class_id == binding.person) {
-    if (binding.person_name >= 0) {
-      fields.push_back({binding.person_name, PersonNameFieldSimilarity});
-    }
-    if (binding.person_email >= 0) {
-      fields.push_back({binding.person_email, EmailFieldSimilarity});
-    }
-  } else if (class_id == binding.article) {
-    if (binding.article_title >= 0) {
-      fields.push_back({binding.article_title, TitleFieldSimilarity});
-    }
-    if (binding.article_year >= 0) {
-      fields.push_back({binding.article_year, YearFieldSimilarity});
-    }
-    if (binding.article_pages >= 0) {
-      fields.push_back({binding.article_pages, PagesFieldSimilarity});
-    }
-  } else if (class_id == binding.venue) {
-    if (binding.venue_name >= 0) {
-      fields.push_back({binding.venue_name, VenueNameFieldSimilarity});
-    }
-    if (binding.venue_year >= 0) {
-      fields.push_back({binding.venue_year, YearFieldSimilarity});
-    }
-    if (binding.venue_location >= 0) {
-      fields.push_back({binding.venue_location, LocationFieldSimilarity});
-    }
-  }
-  return fields;
-}
-
 Outcome CompareField(const Reference& a, const Reference& b,
-                     const FieldSpec& field,
+                     const AtomicChannel& field,
                      const FellegiSunterOptions& options) {
-  const auto& values_a = a.atomic_values(field.attr);
-  const auto& values_b = b.atomic_values(field.attr);
+  const auto& values_a = a.atomic_values(field.attr_a);
+  const auto& values_b = b.atomic_values(field.attr_b);
   if (values_a.empty() || values_b.empty()) return kMissing;
   double best = 0;
   for (const auto& va : values_a) {
     for (const auto& vb : values_b) {
-      best = std::max(best, field.comparator(va, vb));
+      best = std::max(best, FieldSimilarity(field.evidence, va, vb));
     }
   }
   if (best >= options.agree_threshold) return kAgree;
@@ -91,9 +50,8 @@ struct ClassVectors {
   int num_fields = 0;
 };
 
-ClassVectors BuildVectors(const Dataset& dataset,
-                          const SchemaBinding& binding, int class_id,
-                          const std::vector<FieldSpec>& fields,
+ClassVectors BuildVectors(const Dataset& dataset, int class_id,
+                          std::span<const AtomicChannel> fields,
                           const CandidateList& candidates,
                           const FellegiSunterOptions& options) {
   ClassVectors out;
@@ -103,11 +61,10 @@ ClassVectors BuildVectors(const Dataset& dataset,
     if (a.class_id() != class_id) continue;
     const Reference& b = dataset.reference(r2);
     out.pairs.emplace_back(r1, r2);
-    for (const FieldSpec& field : fields) {
+    for (const AtomicChannel& field : fields) {
       out.outcomes.push_back(CompareField(a, b, field, options));
     }
   }
-  (void)binding;
   return out;
 }
 
@@ -174,11 +131,14 @@ FellegiSunterModel FitEm(const ClassVectors& vectors,
 FellegiSunterModel FellegiSunter::FitClass(const Dataset& dataset,
                                            int class_id) const {
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
-  const std::vector<FieldSpec> fields = FieldsFor(binding, class_id);
+  const std::vector<AtomicChannel> channels =
+      AtomicChannels(binding, options_.blocking.params,
+                     EvidenceLevel::kAttrWise);
   const CandidateList candidates =
       GenerateCandidates(dataset, binding, options_.blocking);
-  const ClassVectors vectors = BuildVectors(dataset, binding, class_id,
-                                            fields, candidates, options_);
+  const ClassVectors vectors =
+      BuildVectors(dataset, class_id, ClassChannels(channels, class_id),
+                   candidates, options_);
   std::vector<double> posteriors;
   return FitEm(vectors, options_, &posteriors);
 }
@@ -192,13 +152,19 @@ ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
   ReconcileResult result;
   result.stats.num_candidates = static_cast<int>(candidates.size());
   UnionFind closure(dataset.num_references());
+  // The fields per class are the attribute-wise channel rows, the
+  // attributes IndepDec compares; their seeds are not read.
+  const std::vector<AtomicChannel> channels =
+      AtomicChannels(binding, options_.blocking.params,
+                     EvidenceLevel::kAttrWise);
 
   for (int class_id = 0; class_id < dataset.schema().num_classes();
        ++class_id) {
-    const std::vector<FieldSpec> fields = FieldsFor(binding, class_id);
+    const std::span<const AtomicChannel> fields =
+        ClassChannels(channels, class_id);
     if (fields.empty()) continue;
-    const ClassVectors vectors = BuildVectors(dataset, binding, class_id,
-                                              fields, candidates, options_);
+    const ClassVectors vectors =
+        BuildVectors(dataset, class_id, fields, candidates, options_);
     std::vector<double> posteriors;
     FitEm(vectors, options_, &posteriors);
     for (size_t i = 0; i < vectors.pairs.size(); ++i) {

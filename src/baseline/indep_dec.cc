@@ -8,7 +8,6 @@
 #include "core/schema_binding.h"
 #include "sim/class_sim.h"
 #include "sim/comparators.h"
-#include "sim/evidence.h"
 #include "util/timer.h"
 #include "util/union_find.h"
 
@@ -16,23 +15,30 @@ namespace recon {
 
 namespace {
 
-/// The comparators also have ValueFeatures overloads now, which makes the
-/// bare names ambiguous as template arguments; pin the raw-string forms.
-using RawComparator = double (*)(const std::string&, const std::string&);
-
-/// Offers MAX over the value cross product to one evidence channel,
-/// mirroring the graph's seed-threshold semantics: scores below the seed
-/// leave the channel absent rather than contributing a low value.
-void OfferAtomic(const std::vector<std::string>& values1,
-                 const std::vector<std::string>& values2, int evidence,
-                 double seed, RawComparator comparator,
-                 EvidenceSummary* summary) {
-  for (const std::string& v1 : values1) {
-    for (const std::string& v2 : values2) {
-      const double sim = comparator(v1, v2);
-      if (sim >= seed) summary->Offer(evidence, sim);
+/// Offers every value pair of one attribute-wise channel row that reaches
+/// the row's seed, mirroring the graph's seed-threshold semantics: scores
+/// below the seed leave the channel absent rather than contributing a low
+/// value. Then the row's explicit zero when both sides had values but none
+/// was seed-similar. Returns whether anything was offered.
+bool OfferRow(const AtomicChannel& row, const Reference& a,
+              const Reference& b, EvidenceSummary* summary) {
+  bool offered = false;
+  for (const std::string& v1 : a.atomic_values(row.attr_a)) {
+    for (const std::string& v2 : b.atomic_values(row.attr_b)) {
+      const double sim = FieldSimilarity(row.evidence, v1, v2);
+      if (sim >= row.seed) {
+        summary->Offer(row.evidence, sim);
+        offered = true;
+      }
     }
   }
+  if (row.zero_when_dissimilar && !offered &&
+      !a.atomic_values(row.attr_a).empty() &&
+      !b.atomic_values(row.attr_b).empty()) {
+    summary->Offer(row.evidence, 0.0);
+    offered = true;
+  }
+  return offered;
 }
 
 }  // namespace
@@ -55,6 +61,9 @@ ReconcileResult IndepDec::RunCondensed(const Dataset& dataset) const {
 
   const std::vector<std::unique_ptr<ClassSimilarity>> sims =
       MakeClassSimilarities(dataset.schema(), binding, p);
+  // Attribute-wise: each kAttrWise row compares one attribute with itself.
+  const std::vector<AtomicChannel> channels =
+      AtomicChannels(binding, p, EvidenceLevel::kAttrWise);
 
   ReconcileResult result;
   const CandidateList candidates =
@@ -68,61 +77,20 @@ ReconcileResult IndepDec::RunCondensed(const Dataset& dataset) const {
     const int class_id = a.class_id();
     if (sims[class_id] == nullptr) continue;
 
+    // A gated row is compared only when the ungated rows before it gave
+    // evidence, and otherwise skips the pair: titles and venue names are
+    // required.
     EvidenceSummary evidence;
-    if (class_id == binding.person) {
-      if (binding.person_name >= 0) {
-        OfferAtomic(a.atomic_values(binding.person_name),
-                    b.atomic_values(binding.person_name), kEvPersonName,
-                    p.person_name_seed, PersonNameFieldSimilarity, &evidence);
-        // Mirror the graph builder: dissimilar names on both sides are
-        // explicit zero evidence, not missing information.
-        if (!a.atomic_values(binding.person_name).empty() &&
-            !b.atomic_values(binding.person_name).empty() &&
-            !evidence.Has(kEvPersonName)) {
-          evidence.Offer(kEvPersonName, 0.0);
-        }
+    bool any_evidence = false;
+    bool skip = false;
+    for (const AtomicChannel& row : ClassChannels(channels, class_id)) {
+      if (row.gated && !any_evidence) {
+        skip = true;
+        break;
       }
-      if (binding.person_email >= 0) {
-        OfferAtomic(a.atomic_values(binding.person_email),
-                    b.atomic_values(binding.person_email), kEvPersonEmail,
-                    p.person_email_seed, EmailFieldSimilarity, &evidence);
-      }
-    } else if (class_id == binding.article) {
-      if (binding.article_title >= 0) {
-        OfferAtomic(a.atomic_values(binding.article_title),
-                    b.atomic_values(binding.article_title), kEvArticleTitle,
-                    p.article_title_seed, TitleFieldSimilarity, &evidence);
-      }
-      if (!evidence.Has(kEvArticleTitle)) continue;  // Titles required.
-      if (binding.article_year >= 0) {
-        OfferAtomic(a.atomic_values(binding.article_year),
-                    b.atomic_values(binding.article_year), kEvArticleYear,
-                    p.year_seed, YearFieldSimilarity, &evidence);
-      }
-      if (binding.article_pages >= 0) {
-        OfferAtomic(a.atomic_values(binding.article_pages),
-                    b.atomic_values(binding.article_pages), kEvArticlePages,
-                    p.pages_seed, PagesFieldSimilarity, &evidence);
-      }
-    } else if (class_id == binding.venue) {
-      if (binding.venue_name >= 0) {
-        OfferAtomic(a.atomic_values(binding.venue_name),
-                    b.atomic_values(binding.venue_name), kEvVenueName,
-                    p.venue_name_seed, VenueNameFieldSimilarity, &evidence);
-      }
-      if (!evidence.Has(kEvVenueName)) continue;  // Names required.
-      if (binding.venue_year >= 0) {
-        OfferAtomic(a.atomic_values(binding.venue_year),
-                    b.atomic_values(binding.venue_year), kEvVenueYear,
-                    p.year_seed, YearFieldSimilarity, &evidence);
-      }
-      if (binding.venue_location >= 0) {
-        OfferAtomic(a.atomic_values(binding.venue_location),
-                    b.atomic_values(binding.venue_location),
-                    kEvVenueLocation, p.location_seed,
-                    LocationFieldSimilarity, &evidence);
-      }
+      any_evidence = OfferRow(row, a, b, &evidence) || any_evidence;
     }
+    if (skip) continue;
 
     ++result.stats.num_recomputations;
     const double sim = sims[class_id]->Compute(evidence);

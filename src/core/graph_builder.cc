@@ -1,12 +1,12 @@
 #include "core/graph_builder.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/candidates.h"
 #include "runtime/parallel.h"
-#include "sim/comparators.h"
 #include "sim/evidence.h"
 #include "sim/value_store.h"
 #include "strsim/email.h"
@@ -65,9 +65,10 @@ constexpr int64_t kBuildChunk = 256;
 // arrays (scratch reused across the lane's blocks — zero steady-state
 // allocation), sweeps each evidence kind over the whole block, and then
 // assembles every pair's StagedEvidence in cross-product order, channel by
-// channel. The gated article/venue secondary channels gather in a second
+// channel. The channels are the rows of the class in the AtomicChannels
+// table: wave 1 gathers the ungated rows; the gated rows gather in a second
 // wave after wave-1 assembly, so they are compared only for pairs whose
-// primary channel produced evidence.
+// ungated rows produced evidence.
 
 constexpr int kScoreBlock = 256;
 
@@ -86,22 +87,23 @@ struct TaskRange {
   int32_t end = 0;
 };
 
-/// Wave-1 gather record for one candidate pair in a block.
+/// Gather record for one candidate pair in a block.
 struct PairPlan {
   int64_t out_index = -1;  ///< Position in the staged[] array.
   RefId r1 = kInvalidRef;
   RefId r2 = kInvalidRef;
   int class_id = -1;
-  TaskRange name, email, ne_ab, ne_ba;  ///< Person channels.
-  TaskRange primary;                    ///< Article title / venue name.
-  TaskRange secondary1, secondary2;     ///< Year+pages / year+location.
-  bool both_have_names = false;
+  /// The class's channel rows. Their task ranges start at
+  /// lane.ranges[first_range]: one per row direction, in row order.
+  std::span<const AtomicChannel> rows;
+  int32_t first_range = 0;
 };
 
-/// Per-lane batch scratch: task arrays per evidence kind and the block's
-/// pair plans.
+/// Per-lane batch scratch: task arrays per evidence kind, the block's task
+/// ranges and its pair plans.
 struct BatchLane {
   std::vector<SimTask> tasks[kNumEvidence];
+  std::vector<TaskRange> ranges;
   std::vector<PairPlan> plan;
 };
 
@@ -120,7 +122,9 @@ class GraphBuilder {
         values_(&built.values),
         built_(&built),
         store_(built.feature_store.get()),
-        memo_(built.sim_memo.get()) {
+        memo_(built.sim_memo.get()),
+        channels_(AtomicChannels(binding_, options.params,
+                                 options.evidence_level)) {
     ConfigureMemoBudget();
   }
 
@@ -285,46 +289,20 @@ class GraphBuilder {
 
   // ---- Blocked batch scoring ---------------------------------------------
 
-  /// Seed threshold for an evidence channel.
-  double SeedFor(int evidence) const {
-    const SimParams& p = options_.params;
-    switch (evidence) {
-      case kEvPersonName:
-        return p.person_name_seed;
-      case kEvPersonEmail:
-        return p.person_email_seed;
-      case kEvPersonNameEmail:
-        return p.name_email_seed;
-      case kEvArticleTitle:
-        return p.article_title_seed;
-      case kEvArticleYear:
-      case kEvVenueYear:
-        return p.year_seed;
-      case kEvArticlePages:
-        return p.pages_seed;
-      case kEvVenueName:
-        return p.venue_name_seed;
-      case kEvVenueLocation:
-        return p.location_seed;
-      default:
-        return 0.0;
-    }
-  }
-
-  /// Records one channel's value cross product as tasks, one comparison
-  /// each.
-  TaskRange GatherAtomic(const std::vector<std::string>& values1,
-                         const std::vector<std::string>& values2,
-                         ValueDomain domain1, ValueDomain domain2,
-                         int evidence, StageScratch& scratch,
+  /// Records x's attr_a values against y's attr_b values as tasks, one
+  /// comparison each.
+  TaskRange GatherAtomic(const AtomicChannel& row, const Reference& x,
+                         const Reference& y, StageScratch& scratch,
                          BatchLane& lane) const {
-    std::vector<SimTask>& tasks = lane.tasks[evidence];
+    const ValueDomain domain1{row.class_id, row.attr_a};
+    const ValueDomain domain2{row.class_id, row.attr_b};
+    std::vector<SimTask>& tasks = lane.tasks[row.evidence];
     TaskRange range;
     range.begin = static_cast<int32_t>(tasks.size());
-    for (const std::string& raw1 : values1) {
+    for (const std::string& raw1 : x.atomic_values(row.attr_a)) {
       const ValueId v1 = values_->Find(domain1, raw1);
       RECON_CHECK_NE(v1, kInvalidValue);
-      for (const std::string& raw2 : values2) {
+      for (const std::string& raw2 : y.atomic_values(row.attr_b)) {
         const ValueId v2 = values_->Find(domain2, raw2);
         RECON_CHECK_NE(v2, kInvalidValue);
         ++scratch.pair_comparisons;
@@ -339,38 +317,17 @@ class GraphBuilder {
     return range;
   }
 
-  /// Gathers every unconditional person channel (all four are staged
-  /// regardless of what earlier channels produced).
-  void GatherPerson(const Reference& a, const Reference& b,
-                    StageScratch& scratch, BatchLane& lane,
-                    PairPlan* plan) const {
-    const ValueDomain name_domain{binding_.person, binding_.person_name};
-    const ValueDomain email_domain{binding_.person, binding_.person_email};
-    if (binding_.person_name >= 0) {
-      plan->name = GatherAtomic(a.atomic_values(binding_.person_name),
-                                b.atomic_values(binding_.person_name),
-                                name_domain, name_domain, kEvPersonName,
-                                scratch, lane);
-      plan->both_have_names =
-          !a.atomic_values(binding_.person_name).empty() &&
-          !b.atomic_values(binding_.person_name).empty();
-    }
-    if (binding_.person_email >= 0) {
-      plan->email = GatherAtomic(a.atomic_values(binding_.person_email),
-                                 b.atomic_values(binding_.person_email),
-                                 email_domain, email_domain, kEvPersonEmail,
-                                 scratch, lane);
-    }
-    if (options_.evidence_level >= EvidenceLevel::kNameEmail &&
-        binding_.person_name >= 0 && binding_.person_email >= 0) {
-      plan->ne_ab = GatherAtomic(a.atomic_values(binding_.person_name),
-                                 b.atomic_values(binding_.person_email),
-                                 name_domain, email_domain,
-                                 kEvPersonNameEmail, scratch, lane);
-      plan->ne_ba = GatherAtomic(b.atomic_values(binding_.person_name),
-                                 a.atomic_values(binding_.person_email),
-                                 name_domain, email_domain,
-                                 kEvPersonNameEmail, scratch, lane);
+  /// Calls fn(row, x, y, slot) for every direction of every channel row of
+  /// the pair: a against b, and for a cross-attribute row then b against
+  /// a. `slot` indexes the direction's task range in lane.ranges.
+  template <typename Fn>
+  void ForEachDirection(const PairPlan& plan, Fn&& fn) const {
+    const Reference& a = dataset_.reference(plan.r1);
+    const Reference& b = dataset_.reference(plan.r2);
+    int32_t slot = plan.first_range;
+    for (const AtomicChannel& row : plan.rows) {
+      fn(row, a, b, slot++);
+      if (row.cross()) fn(row, b, a, slot++);
     }
   }
 
@@ -395,72 +352,55 @@ class GraphBuilder {
     }
   }
 
-  /// Replays one channel's swept tasks into the pair's staged evidence in
-  /// gather (= cross-product) order: statics for equal values, a value
-  /// node when the memoized similarity reaches the channel seed.
-  void AssembleRange(const TaskRange& range, int evidence,
-                     bool propagate_merge, const BatchLane& lane,
-                     StagedEvidence* staged) const {
-    const std::vector<SimTask>& tasks = lane.tasks[evidence];
-    const double seed = SeedFor(evidence);
-    for (int32_t i = range.begin; i < range.end; ++i) {
-      const SimTask& t = tasks[i];
-      if (t.is_static) {
-        staged->statics.emplace_back(evidence, t.static_sim);
-        continue;
-      }
-      const double sim = t.memo_sim;
-      if (sim >= seed) {
-        staged->value_nodes.push_back(
-            {t.v1, t.v2, sim, evidence, propagate_merge});
-      }
+  /// Sweeps the gated or the ungated rows, in table order.
+  void SweepRows(bool gated, StageScratch& scratch, BatchLane& lane) const {
+    for (const AtomicChannel& row : channels_) {
+      if (row.gated == gated) SweepTasks(row.evidence, scratch, lane);
     }
   }
 
-  /// Person assembly: name channel, the explicit-zero static when both
-  /// sides had names but none matched (dissimilar names are soft negative
-  /// evidence — the name channel must not read as "unknown"), the email
-  /// channel, the shared-email scan (every email pair was compared, and
-  /// equal values or sim 1 mean a shared key), the two name/email cross
-  /// channels, then the constraints.
-  void AssemblePerson(const PairPlan& plan, const BatchLane& lane,
-                      StagedPair* out) const {
-    StagedEvidence* staged = &out->evidence;
-    AssembleRange(plan.name, kEvPersonName, /*propagate_merge=*/false, lane,
-                  staged);
-    if (plan.both_have_names) {
-      bool any_name_evidence = false;
-      for (const auto& [evidence, sim] : staged->statics) {
-        if (evidence == kEvPersonName) any_name_evidence = true;
+  /// Replays one direction's swept tasks into the pair's staged evidence in
+  /// gather (= cross-product) order: statics for equal values, a value
+  /// node when the memoized similarity reaches the row's seed, and the
+  /// row's explicit zero when values were compared but none was seeded.
+  void AssembleRange(const AtomicChannel& row, const TaskRange& range,
+                     const BatchLane& lane, StagedEvidence* staged) const {
+    const std::vector<SimTask>& tasks = lane.tasks[row.evidence];
+    bool any = false;
+    for (int32_t i = range.begin; i < range.end; ++i) {
+      const SimTask& t = tasks[i];
+      if (t.is_static) {
+        staged->statics.emplace_back(row.evidence, t.static_sim);
+        any = true;
+        continue;
       }
-      for (const auto& spec : staged->value_nodes) {
-        if (spec.evidence == kEvPersonName) any_name_evidence = true;
-      }
-      if (!any_name_evidence) {
-        staged->statics.emplace_back(kEvPersonName, 0.0);
-      }
-    }
-    AssembleRange(plan.email, kEvPersonEmail, /*propagate_merge=*/false,
-                  lane, staged);
-    bool shared_email = false;
-    for (const auto& [evidence, sim] : staged->statics) {
-      if (evidence == kEvPersonEmail && sim >= 1.0) shared_email = true;
-    }
-    for (const auto& spec : staged->value_nodes) {
-      if (spec.evidence == kEvPersonEmail && spec.sim >= 1.0) {
-        shared_email = true;
+      const double sim = t.memo_sim;
+      if (sim >= row.seed) {
+        staged->value_nodes.push_back(
+            {t.v1, t.v2, sim, row.evidence, row.propagate_merge});
+        any = true;
       }
     }
-    AssembleRange(plan.ne_ab, kEvPersonNameEmail, /*propagate_merge=*/false,
-                  lane, staged);
-    AssembleRange(plan.ne_ba, kEvPersonNameEmail, /*propagate_merge=*/false,
-                  lane, staged);
-    if (options_.constraints && !shared_email) {
-      const Reference& a = dataset_.reference(plan.r1);
-      const Reference& b = dataset_.reference(plan.r2);
-      out->non_merge =
-          ViolatesNameConstraint(a, b) || ViolatesAccountConstraint(a, b);
+    if (row.zero_when_dissimilar && range.end > range.begin && !any) {
+      staged->statics.emplace_back(row.evidence, 0.0);
     }
+  }
+
+  /// Constraints 2 and 3 for a person pair, unless it shares an email:
+  /// every email pair was compared, and equal values or sim 1 mean a
+  /// shared key.
+  void MarkPersonConstraints(const PairPlan& plan, StagedPair* out) const {
+    if (!options_.constraints) return;
+    for (const auto& [evidence, sim] : out->evidence.statics) {
+      if (evidence == kEvPersonEmail && sim >= 1.0) return;
+    }
+    for (const auto& spec : out->evidence.value_nodes) {
+      if (spec.evidence == kEvPersonEmail && spec.sim >= 1.0) return;
+    }
+    const Reference& a = dataset_.reference(plan.r1);
+    const Reference& b = dataset_.reference(plan.r2);
+    out->non_merge =
+        ViolatesNameConstraint(a, b) || ViolatesAccountConstraint(a, b);
   }
 
   /// Stages candidate positions [begin, end) block by block. The budget is
@@ -475,11 +415,12 @@ class GraphBuilder {
     for (int64_t base = begin; base < end; base += kScoreBlock) {
       const int64_t block_end = std::min(end, base + kScoreBlock);
       for (auto& tasks : lane.tasks) tasks.clear();
+      lane.ranges.clear();
       lane.plan.clear();
       bool abandoned = false;
 
-      // Wave 1: gather the channels every pair stages unconditionally —
-      // all four person channels, article titles, venue names.
+      // Wave 1: gather every pair's ungated rows; the gated rows get empty
+      // ranges until wave 2.
       for (int64_t i = base; i < block_end; ++i) {
         if ((i - base) % 64 == 0 && budget_->ShouldAbandonParallelWork()) {
           abandoned = true;
@@ -494,106 +435,55 @@ class GraphBuilder {
         plan.r1 = out->r1;
         plan.r2 = out->r2;
         plan.class_id = out->class_id;
-        const Reference& a = dataset_.reference(plan.r1);
-        const Reference& b = dataset_.reference(plan.r2);
-        if (plan.class_id == binding_.person) {
-          GatherPerson(a, b, scratch, lane, &plan);
-        } else if (plan.class_id == binding_.article &&
-                   binding_.article_title >= 0) {
-          const ValueDomain domain{binding_.article, binding_.article_title};
-          plan.primary = GatherAtomic(
-              a.atomic_values(binding_.article_title),
-              b.atomic_values(binding_.article_title), domain, domain,
-              kEvArticleTitle, scratch, lane);
-        } else if (plan.class_id == binding_.venue &&
-                   binding_.venue_name >= 0) {
-          const ValueDomain domain{binding_.venue, binding_.venue_name};
-          plan.primary = GatherAtomic(a.atomic_values(binding_.venue_name),
-                                      b.atomic_values(binding_.venue_name),
-                                      domain, domain, kEvVenueName, scratch,
-                                      lane);
-        }
+        plan.rows = ClassChannels(channels_, plan.class_id);
+        plan.first_range = static_cast<int32_t>(lane.ranges.size());
+        ForEachDirection(plan, [&](const AtomicChannel& row,
+                                   const Reference& x, const Reference& y,
+                                   int32_t) {
+          lane.ranges.push_back(row.gated
+                                    ? TaskRange{}
+                                    : GatherAtomic(row, x, y, scratch, lane));
+        });
         lane.plan.push_back(plan);
       }
 
-      SweepTasks(kEvPersonName, scratch, lane);
-      SweepTasks(kEvPersonEmail, scratch, lane);
-      SweepTasks(kEvPersonNameEmail, scratch, lane);
-      SweepTasks(kEvArticleTitle, scratch, lane);
-      SweepTasks(kEvVenueName, scratch, lane);
+      SweepRows(/*gated=*/false, scratch, lane);
 
-      // Wave-1 assembly, and wave-2 gather for the pairs that earned it:
-      // article year/pages and venue year/location are staged only when
-      // the primary channel produced evidence: titles (and venue names)
-      // are required evidence, so without them the pair is not worth a
-      // node.
-      for (PairPlan& plan : lane.plan) {
+      // Wave-1 assembly (and the person constraints), then the wave-2
+      // gather for the pairs that earned it.
+      for (const PairPlan& plan : lane.plan) {
         StagedPair* out = &(*staged)[plan.out_index];
+        ForEachDirection(plan, [&](const AtomicChannel& row,
+                                   const Reference&, const Reference&,
+                                   int32_t slot) {
+          if (!row.gated) {
+            AssembleRange(row, lane.ranges[slot], lane, &out->evidence);
+          }
+        });
         if (plan.class_id == binding_.person) {
-          AssemblePerson(plan, lane, out);
-          continue;
+          MarkPersonConstraints(plan, out);
         }
-        const Reference& a = dataset_.reference(plan.r1);
-        const Reference& b = dataset_.reference(plan.r2);
-        if (plan.class_id == binding_.article) {
-          AssembleRange(plan.primary, kEvArticleTitle,
-                        /*propagate_merge=*/false, lane, &out->evidence);
-          if (out->evidence.empty()) continue;
-          if (binding_.article_year >= 0) {
-            const ValueDomain domain{binding_.article, binding_.article_year};
-            plan.secondary1 = GatherAtomic(
-                a.atomic_values(binding_.article_year),
-                b.atomic_values(binding_.article_year), domain, domain,
-                kEvArticleYear, scratch, lane);
+        if (out->evidence.empty()) continue;
+        ForEachDirection(plan, [&](const AtomicChannel& row,
+                                   const Reference& x, const Reference& y,
+                                   int32_t slot) {
+          if (row.gated) {
+            lane.ranges[slot] = GatherAtomic(row, x, y, scratch, lane);
           }
-          if (binding_.article_pages >= 0) {
-            const ValueDomain domain{binding_.article,
-                                     binding_.article_pages};
-            plan.secondary2 = GatherAtomic(
-                a.atomic_values(binding_.article_pages),
-                b.atomic_values(binding_.article_pages), domain, domain,
-                kEvArticlePages, scratch, lane);
-          }
-        } else if (plan.class_id == binding_.venue) {
-          AssembleRange(plan.primary, kEvVenueName,
-                        /*propagate_merge=*/true, lane, &out->evidence);
-          if (out->evidence.empty()) continue;
-          if (binding_.venue_year >= 0) {
-            const ValueDomain domain{binding_.venue, binding_.venue_year};
-            plan.secondary1 = GatherAtomic(
-                a.atomic_values(binding_.venue_year),
-                b.atomic_values(binding_.venue_year), domain, domain,
-                kEvVenueYear, scratch, lane);
-          }
-          if (binding_.venue_location >= 0) {
-            const ValueDomain domain{binding_.venue,
-                                     binding_.venue_location};
-            plan.secondary2 = GatherAtomic(
-                a.atomic_values(binding_.venue_location),
-                b.atomic_values(binding_.venue_location), domain, domain,
-                kEvVenueLocation, scratch, lane);
-          }
-        }
+        });
       }
 
-      SweepTasks(kEvArticleYear, scratch, lane);
-      SweepTasks(kEvArticlePages, scratch, lane);
-      SweepTasks(kEvVenueYear, scratch, lane);
-      SweepTasks(kEvVenueLocation, scratch, lane);
+      SweepRows(/*gated=*/true, scratch, lane);
 
       for (const PairPlan& plan : lane.plan) {
         StagedEvidence* staged_ev = &(*staged)[plan.out_index].evidence;
-        if (plan.class_id == binding_.article) {
-          AssembleRange(plan.secondary1, kEvArticleYear,
-                        /*propagate_merge=*/false, lane, staged_ev);
-          AssembleRange(plan.secondary2, kEvArticlePages,
-                        /*propagate_merge=*/false, lane, staged_ev);
-        } else if (plan.class_id == binding_.venue) {
-          AssembleRange(plan.secondary1, kEvVenueYear,
-                        /*propagate_merge=*/false, lane, staged_ev);
-          AssembleRange(plan.secondary2, kEvVenueLocation,
-                        /*propagate_merge=*/false, lane, staged_ev);
-        }
+        ForEachDirection(plan, [&](const AtomicChannel& row,
+                                   const Reference&, const Reference&,
+                                   int32_t slot) {
+          if (row.gated) {
+            AssembleRange(row, lane.ranges[slot], lane, staged_ev);
+          }
+        });
       }
 
       if (abandoned) return;
@@ -836,6 +726,8 @@ class GraphBuilder {
   /// Owned by built_ (shared_ptr).
   ValueStore* store_;
   SimMemo* memo_;
+  /// The atomic channels at or below options_.evidence_level.
+  std::vector<AtomicChannel> channels_;
 };
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "core/schema_binding.h"
 
+#include <algorithm>
+
+#include "sim/evidence.h"
+
 namespace recon {
 
 SchemaBinding SchemaBinding::Resolve(const Schema& schema) {
@@ -48,6 +52,58 @@ ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
   add(b.venue, b.venue_year, FeatureKind::kYear);
   add(b.venue, b.venue_location, FeatureKind::kLocation);
   return schema;
+}
+
+std::vector<AtomicChannel> AtomicChannels(const SchemaBinding& b,
+                                          const SimParams& p,
+                                          EvidenceLevel level) {
+  const AtomicChannel rows[] = {
+      {.class_id = b.person, .evidence = kEvPersonName,
+       .attr_a = b.person_name, .attr_b = b.person_name,
+       .seed = p.person_name_seed, .zero_when_dissimilar = true},
+      {.class_id = b.person, .evidence = kEvPersonEmail,
+       .attr_a = b.person_email, .attr_b = b.person_email,
+       .seed = p.person_email_seed},
+      {.class_id = b.person, .evidence = kEvPersonNameEmail,
+       .attr_a = b.person_name, .attr_b = b.person_email,
+       .seed = p.name_email_seed, .level = EvidenceLevel::kNameEmail},
+      {.class_id = b.article, .evidence = kEvArticleTitle,
+       .attr_a = b.article_title, .attr_b = b.article_title,
+       .seed = p.article_title_seed},
+      {.class_id = b.article, .evidence = kEvArticleYear,
+       .attr_a = b.article_year, .attr_b = b.article_year,
+       .seed = p.year_seed, .gated = true},
+      {.class_id = b.article, .evidence = kEvArticlePages,
+       .attr_a = b.article_pages, .attr_b = b.article_pages,
+       .seed = p.pages_seed, .gated = true},
+      {.class_id = b.venue, .evidence = kEvVenueName,
+       .attr_a = b.venue_name, .attr_b = b.venue_name,
+       .seed = p.venue_name_seed, .propagate_merge = true},
+      {.class_id = b.venue, .evidence = kEvVenueYear,
+       .attr_a = b.venue_year, .attr_b = b.venue_year,
+       .seed = p.year_seed, .gated = true},
+      {.class_id = b.venue, .evidence = kEvVenueLocation,
+       .attr_a = b.venue_location, .attr_b = b.venue_location,
+       .seed = p.location_seed, .gated = true},
+  };
+  std::vector<AtomicChannel> table;
+  for (const AtomicChannel& row : rows) {
+    if (row.class_id >= 0 && row.attr_a >= 0 && row.attr_b >= 0 &&
+        row.level <= level) {
+      table.push_back(row);
+    }
+  }
+  return table;
+}
+
+std::span<const AtomicChannel> ClassChannels(
+    std::span<const AtomicChannel> table, int class_id) {
+  const auto of_class = [&](const AtomicChannel& c) {
+    return c.class_id == class_id;
+  };
+  const auto first = std::find_if(table.begin(), table.end(), of_class);
+  const auto last = std::find_if_not(first, table.end(), of_class);
+  return {first, last};
 }
 
 std::vector<std::unique_ptr<ClassSimilarity>> MakeClassSimilarities(

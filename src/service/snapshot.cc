@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "core/candidates.h"
@@ -17,60 +18,55 @@ std::string QualifiedKey(int class_id, const std::string& key) {
   return std::to_string(class_id) + '|' + key;
 }
 
-/// The name-like attribute of a class (what the main query text targets).
-int NameAttribute(const SchemaBinding& b, int class_id) {
-  if (class_id == b.person) return b.person_name;
-  if (class_id == b.article) return b.article_title;
-  if (class_id == b.venue) return b.venue_name;
-  return -1;
+/// The name-like attribute of a class (what the main query text targets):
+/// its first channel row's attr_a, or -1 without rows.
+int NameAttribute(std::span<const AtomicChannel> channels, int class_id) {
+  const std::span<const AtomicChannel> rows = ClassChannels(channels, class_id);
+  return rows.empty() ? -1 : rows.front().attr_a;
 }
 
-/// One real-valued evidence channel of the query-vs-profile comparison:
-/// analyzed query values against the candidate profile's `attr` values.
-struct AtomicChannel {
-  int evidence = 0;
-  double seed = 0.0;
-  int attr = -1;
-  /// Person-name rule (§3.1): both sides carry values but none are even
-  /// seed-similar -> offer explicit zero evidence (dissimilar names are
-  /// soft negative evidence, not "unknown").
-  bool zero_when_dissimilar = false;
-  std::vector<std::string> raw;
-  std::vector<ValueFeatures> features;
+/// The analyses of a reference's atomic values, per attribute, for the
+/// attributes with a feature kind (empty for the rest) — the form
+/// EntityInfo::features and BlockingKeys take.
+std::vector<std::vector<ValueFeatures>> AnalyzeValues(
+    const Reference& ref, const ValueKindSchema& kinds) {
+  std::vector<std::vector<ValueFeatures>> features(ref.num_attributes());
+  for (int attr = 0; attr < ref.num_attributes(); ++attr) {
+    const FeatureKind kind = kinds.KindOf(ValueDomain{ref.class_id(), attr});
+    if (kind == FeatureKind::kGeneric) continue;
+    for (const std::string& value : ref.atomic_values(attr)) {
+      features[attr].push_back(AnalyzeValue(value, kind));
+    }
+  }
+  return features;
+}
+
+/// One direction of an atomic channel row: the query's `probe_attr`
+/// values against the candidate profile's `profile_attr` values.
+struct QueryChannel {
+  const AtomicChannel* row = nullptr;
+  int probe_attr = -1;
+  int profile_attr = -1;
 };
 
-/// An association channel: query strings against the names of the entities
-/// the candidate is linked to via `assoc_attr`.
+/// An association channel: a query string against the names of the
+/// entities the candidate is linked to via `assoc_attr`, compared on the
+/// linked class's name row.
 struct AssocChannel {
   int evidence = 0;
-  double seed = 0.0;
   int assoc_attr = -1;
-  int target_name_attr = -1;
-  std::vector<ValueFeatures> features;
+  const AtomicChannel* target_name = nullptr;
+  ValueFeatures features;
 };
-
-/// The per-class comparison plan for one query, built once and reused for
-/// every candidate.
-struct QueryPlan {
-  int class_id = -1;
-  std::vector<AtomicChannel> channels;
-  std::vector<AssocChannel> assoc_channels;
-};
-
-void AddQueryValues(AtomicChannel* channel, FeatureKind kind,
-                    const std::vector<std::string>& values) {
-  for (const std::string& raw : values) {
-    channel->raw.push_back(raw);
-    channel->features.push_back(AnalyzeValue(raw, kind));
-  }
-}
 
 }  // namespace
 
-std::vector<EntityId> Snapshot::CandidateEntities(const Reference& probe,
-                                                  int class_id) const {
+std::vector<EntityId> Snapshot::CandidateEntities(
+    const Reference& probe,
+    const std::vector<std::vector<ValueFeatures>>& features,
+    int class_id) const {
   std::vector<EntityId> out;
-  for (const std::string& key : BlockingKeys(probe, binding_, {})) {
+  for (const std::string& key : BlockingKeys(probe, binding_, features)) {
     const std::string qualified = QualifiedKey(class_id, key);
     const BlockShard& shard = ShardOf(qualified);
     const auto it = shard.blocks.find(qualified);
@@ -135,13 +131,16 @@ QueryResult Snapshot::Query(const ReconQuery& query,
   std::vector<ScoredCandidate> scored;
   for (const int class_id : class_ids) {
     const ClassDef& cls = schema.class_def(class_id);
-    const int name_attr = NameAttribute(binding_, class_id);
-    if (name_attr < 0) continue;
+    const std::span<const AtomicChannel> rows =
+        ClassChannels(channels_, class_id);
+    if (rows.empty()) continue;
 
     // Probe reference: main text lands on the name-like attribute,
     // properties on their named attributes.
     Reference probe(class_id, cls.num_attributes());
-    if (!query.text.empty()) probe.AddAtomicValue(name_attr, query.text);
+    if (!query.text.empty()) {
+      probe.AddAtomicValue(rows.front().attr_a, query.text);
+    }
     for (const auto& [attr_name, value] : query.properties) {
       const int attr = cls.FindAttribute(attr_name);
       if (attr < 0 || value.empty()) continue;
@@ -151,89 +150,53 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         probe.AddAtomicValue(attr, value);
       }
     }
+    const std::vector<std::vector<ValueFeatures>> features =
+        AnalyzeValues(probe, kinds_);
 
-    // Build the comparison plan: which evidence channels this class's
-    // S_rv reads, mirroring the graph builder's pair staging.
-    QueryPlan plan;
-    plan.class_id = class_id;
-    const SimParams& p = params_;
-    auto add_atomic = [&](int evidence, double seed, int probe_attr,
-                          int profile_attr, FeatureKind kind,
-                          bool zero_rule) {
-      if (probe_attr < 0 || profile_attr < 0) return;
-      if (probe.atomic_values(probe_attr).empty()) return;
-      AtomicChannel channel;
-      channel.evidence = evidence;
-      channel.seed = seed;
-      channel.attr = profile_attr;
-      channel.zero_when_dissimilar = zero_rule;
-      AddQueryValues(&channel, kind, probe.atomic_values(probe_attr));
-      plan.channels.push_back(std::move(channel));
+    // The comparison plan: both directions of the class's channel rows
+    // where the query has values. Queries see no wave-2 gate.
+    std::vector<QueryChannel> channels;
+    auto add_direction = [&](const AtomicChannel& row, int probe_attr,
+                             int profile_attr) {
+      if (!probe.atomic_values(probe_attr).empty()) {
+        channels.push_back({&row, probe_attr, profile_attr});
+      }
     };
-    if (class_id == binding_.person) {
-      add_atomic(kEvPersonName, p.person_name_seed, binding_.person_name,
-                 binding_.person_name, FeatureKind::kPersonName,
-                 /*zero_rule=*/true);
-      add_atomic(kEvPersonEmail, p.person_email_seed, binding_.person_email,
-                 binding_.person_email, FeatureKind::kEmail,
-                 /*zero_rule=*/false);
-      // Cross-attribute name~email evidence, both directions.
-      add_atomic(kEvPersonNameEmail, p.name_email_seed, binding_.person_name,
-                 binding_.person_email, FeatureKind::kPersonName,
-                 /*zero_rule=*/false);
-      add_atomic(kEvPersonNameEmail, p.name_email_seed, binding_.person_email,
-                 binding_.person_name, FeatureKind::kEmail,
-                 /*zero_rule=*/false);
-    } else if (class_id == binding_.article) {
-      add_atomic(kEvArticleTitle, p.article_title_seed, binding_.article_title,
-                 binding_.article_title, FeatureKind::kTitle,
-                 /*zero_rule=*/false);
-      add_atomic(kEvArticleYear, p.year_seed, binding_.article_year,
-                 binding_.article_year, FeatureKind::kYear,
-                 /*zero_rule=*/false);
-      add_atomic(kEvArticlePages, p.pages_seed, binding_.article_pages,
-                 binding_.article_pages, FeatureKind::kPages,
-                 /*zero_rule=*/false);
-    } else if (class_id == binding_.venue) {
-      add_atomic(kEvVenueName, p.venue_name_seed, binding_.venue_name,
-                 binding_.venue_name, FeatureKind::kVenueName,
-                 /*zero_rule=*/false);
-      add_atomic(kEvVenueYear, p.year_seed, binding_.venue_year,
-                 binding_.venue_year, FeatureKind::kYear,
-                 /*zero_rule=*/false);
-      add_atomic(kEvVenueLocation, p.location_seed, binding_.venue_location,
-                 binding_.venue_location, FeatureKind::kLocation,
-                 /*zero_rule=*/false);
+    for (const AtomicChannel& row : rows) {
+      add_direction(row, row.attr_a, row.attr_b);
+      if (row.cross()) add_direction(row, row.attr_b, row.attr_a);
     }
     // Association properties (Article.authoredBy -> person names,
     // Article.publishedIn -> venue names): the online stand-in for the
     // graph's kEvArticleAuthors / kEvArticleVenue real-valued neighbors.
+    std::vector<AssocChannel> assoc_channels;
     for (const auto& [attr_name, value] : query.properties) {
       const int attr = cls.FindAttribute(attr_name);
-      if (attr < 0 || value.empty()) continue;
-      if (cls.attributes[attr].kind != AttrKind::kAssociation) continue;
+      if (attr < 0 || value.empty() || class_id != binding_.article) continue;
       AssocChannel assoc;
-      if (class_id == binding_.article && attr == binding_.article_authors) {
+      int target_class = -1;
+      if (attr == binding_.article_authors) {
         assoc.evidence = kEvArticleAuthors;
-        assoc.seed = p.person_name_seed;
-        assoc.target_name_attr = binding_.person_name;
-        assoc.features.push_back(
-            AnalyzeValue(value, FeatureKind::kPersonName));
-      } else if (class_id == binding_.article &&
-                 attr == binding_.article_venue) {
+        target_class = binding_.person;
+      } else if (attr == binding_.article_venue) {
         assoc.evidence = kEvArticleVenue;
-        assoc.seed = p.venue_name_seed;
-        assoc.target_name_attr = binding_.venue_name;
-        assoc.features.push_back(AnalyzeValue(value, FeatureKind::kVenueName));
+        target_class = binding_.venue;
       } else {
         continue;
       }
+      const std::span<const AtomicChannel> target =
+          ClassChannels(channels_, target_class);
+      if (target.empty()) continue;
       assoc.assoc_attr = attr;
-      plan.assoc_channels.push_back(std::move(assoc));
+      assoc.target_name = &target.front();
+      assoc.features = AnalyzeValue(
+          value, kinds_.KindOf(ValueDomain{target_class,
+                                           assoc.target_name->attr_a}));
+      assoc_channels.push_back(std::move(assoc));
     }
 
     const std::vector<EntityId> candidates =
-        CandidateEntities(probe, class_id);
+        CandidateEntities(probe, features, class_id);
 
     for (const EntityId candidate : candidates) {
       if (budget != nullptr && budget->Probe(ProbePoint::kCandidates)) {
@@ -242,48 +205,47 @@ QueryResult Snapshot::Query(const ReconQuery& query,
       }
       EvidenceSummary summary;
       const EntityInfo& info = *entities_[candidate];
-      for (const AtomicChannel& channel : plan.channels) {
+      for (const QueryChannel& channel : channels) {
+        const AtomicChannel& row = *channel.row;
+        const std::vector<std::string>& query_values =
+            probe.atomic_values(channel.probe_attr);
+        const std::vector<ValueFeatures>& query_features =
+            features[channel.probe_attr];
         const std::vector<std::string>& profile_values =
-            info.profile.atomic_values(channel.attr);
+            info.profile.atomic_values(channel.profile_attr);
         const std::vector<ValueFeatures>& profile_features =
-            info.features[channel.attr];
+            info.features[channel.profile_attr];
         bool offered = false;
-        for (size_t q = 0; q < channel.features.size(); ++q) {
+        for (size_t q = 0; q < query_values.size(); ++q) {
           for (size_t v = 0; v < profile_values.size(); ++v) {
-            const ValueFeatures& pf = profile_features[v];
             double sim;
-            if (channel.raw[q] == profile_values[v]) {
+            if (query_values[q] == profile_values[v]) {
               // Equal values are one graph element: full double precision.
-              sim = FeaturePairSimilarity(channel.evidence,
-                                          channel.features[q], pf);
+              sim = FeaturePairSimilarity(row.evidence, query_features[q],
+                                          profile_features[v]);
             } else {
               // Non-equal pairs round through float, exactly as the batch
               // path's similarity memo stores them.
               sim = static_cast<float>(FeaturePairSimilarity(
-                  channel.evidence, channel.features[q], pf));
-              if (sim < channel.seed) continue;
+                  row.evidence, query_features[q], profile_features[v]));
+              if (sim < row.seed) continue;
             }
-            summary.Offer(channel.evidence, sim);
+            summary.Offer(row.evidence, sim);
             offered = true;
           }
         }
-        if (channel.zero_when_dissimilar && !offered &&
-            !channel.features.empty() && !profile_values.empty()) {
-          summary.Offer(channel.evidence, 0.0);
+        if (row.zero_when_dissimilar && !offered && !profile_values.empty()) {
+          summary.Offer(row.evidence, 0.0);
         }
       }
-      for (const AssocChannel& assoc : plan.assoc_channels) {
+      for (const AssocChannel& assoc : assoc_channels) {
+        const AtomicChannel& name = *assoc.target_name;
         for (const EntityId target : linked(candidate, assoc.assoc_attr)) {
           for (const ValueFeatures& pf :
-               entities_[target]->features[assoc.target_name_attr]) {
-            for (const ValueFeatures& qf : assoc.features) {
-              const double sim = static_cast<float>(
-                  FeaturePairSimilarity(assoc.evidence == kEvArticleAuthors
-                                            ? kEvPersonName
-                                            : kEvVenueName,
-                                        qf, pf));
-              if (sim >= assoc.seed) summary.Offer(assoc.evidence, sim);
-            }
+               entities_[target]->features[name.attr_a]) {
+            const double sim = static_cast<float>(
+                FeaturePairSimilarity(name.evidence, assoc.features, pf));
+            if (sim >= name.seed) summary.Offer(assoc.evidence, sim);
           }
         }
       }
@@ -322,10 +284,10 @@ QueryResult Snapshot::Query(const ReconQuery& query,
 namespace {
 
 /// Builds the EntityInfo of one cluster (`members` ascending).
-std::shared_ptr<const EntityInfo> BuildEntity(const Dataset& dataset,
-                                              std::vector<RefId> members,
-                                              const SchemaBinding& binding,
-                                              const ValueKindSchema& kinds) {
+std::shared_ptr<const EntityInfo> BuildEntity(
+    const Dataset& dataset, std::vector<RefId> members,
+    const SchemaBinding& binding, const ValueKindSchema& kinds,
+    std::span<const AtomicChannel> channels) {
   const int class_id = dataset.reference(members.front()).class_id();
   const ClassDef& cls = dataset.schema().class_def(class_id);
   const int num_attrs = cls.num_attributes();
@@ -352,7 +314,7 @@ std::shared_ptr<const EntityInfo> BuildEntity(const Dataset& dataset,
   }
 
   const Reference& profile = info->profile;
-  const int name_attr = NameAttribute(binding, class_id);
+  const int name_attr = NameAttribute(channels, class_id);
   if (name_attr >= 0) info->display_name = profile.FirstValue(name_attr);
   for (int attr = 0; attr < num_attrs && info->display_name.empty(); ++attr) {
     if (cls.attributes[attr].kind == AttrKind::kAtomic) {
@@ -365,16 +327,14 @@ std::shared_ptr<const EntityInfo> BuildEntity(const Dataset& dataset,
   int64_t bytes = static_cast<int64_t>(
       sizeof(EntityInfo) + info->members.size() * sizeof(RefId) +
       info->display_name.size());
-  info->features.resize(num_attrs);
+  info->features = AnalyzeValues(profile, kinds);
   for (int attr = 0; attr < num_attrs; ++attr) {
     bytes += static_cast<int64_t>(info->link_refs[attr].size() * sizeof(RefId));
-    if (cls.attributes[attr].kind != AttrKind::kAtomic) continue;
-    const FeatureKind kind = kinds.KindOf(ValueDomain{class_id, attr});
     for (const std::string& value : profile.atomic_values(attr)) {
       bytes += static_cast<int64_t>(sizeof(std::string) + value.size());
-      if (kind == FeatureKind::kGeneric) continue;
-      info->features[attr].push_back(AnalyzeValue(value, kind));
-      bytes += info->features[attr].back().ApproximateBytes();
+    }
+    for (const ValueFeatures& f : info->features[attr]) {
+      bytes += f.ApproximateBytes();
     }
   }
   for (const std::string& key :
@@ -411,6 +371,9 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
                       ? previous->schema_
                       : std::make_shared<const Schema>(dataset.schema());
   snap->binding_ = SchemaBinding::Resolve(dataset.schema());
+  snap->kinds_ = MakeValueKindSchema(snap->binding_);
+  snap->channels_ =
+      AtomicChannels(snap->binding_, options.params, options.evidence_level);
   const Schema& schema = *snap->schema_;
 
   // One entity per cluster, in the order of the clusters' smallest
@@ -476,10 +439,10 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
       if (i >= 0) members[i].push_back(r);
     }
   }
-  const ValueKindSchema kinds = MakeValueKindSchema(snap->binding_);
   for (size_t i = 0; i < rebuilt.size(); ++i) {
     snap->entities_[rebuilt[i]] =
-        BuildEntity(dataset, std::move(members[i]), snap->binding_, kinds);
+        BuildEntity(dataset, std::move(members[i]), snap->binding_,
+                    snap->kinds_, snap->channels_);
   }
 
   // Candidate index. Start from the previous generation's shards and

@@ -183,8 +183,11 @@ class Snapshot {
   }
 
   /// Candidate entities of one class for a probe reference, ascending.
-  std::vector<EntityId> CandidateEntities(const Reference& probe,
-                                          int class_id) const;
+  /// `features` are the probe's value analyses, as BlockingKeys takes them.
+  std::vector<EntityId> CandidateEntities(
+      const Reference& probe,
+      const std::vector<std::vector<ValueFeatures>>& features,
+      int class_id) const;
 
   uint64_t generation_ = 0;
   int num_references_ = 0;
@@ -199,6 +202,9 @@ class Snapshot {
   int64_t num_blocking_keys_ = 0;
   int64_t index_bytes_ = 0;
   SchemaBinding binding_;
+  ValueKindSchema kinds_;
+  /// The atomic channels at or below the service's evidence level.
+  std::vector<AtomicChannel> channels_;
   std::vector<std::unique_ptr<ClassSimilarity>> class_sims_;
   SimParams params_;
   int max_block_size_ = 1000;

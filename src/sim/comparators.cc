@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/evidence.h"
 #include "sim/value_store.h"
 #include "strsim/email.h"
 #include "strsim/person_name.h"
@@ -101,6 +102,31 @@ double LocationFieldSimilarity(const std::string& a, const std::string& b) {
 double LocationFieldSimilarity(const ValueFeatures& a,
                                const ValueFeatures& b) {
   return strsim::LocationSimilarity(a.location, b.location);
+}
+
+double FieldSimilarity(int evidence, const std::string& a,
+                       const std::string& b) {
+  switch (evidence) {
+    case kEvPersonName:
+      return PersonNameFieldSimilarity(a, b);
+    case kEvPersonEmail:
+      return EmailFieldSimilarity(a, b);
+    case kEvPersonNameEmail:
+      return NameEmailFieldSimilarity(a, b);
+    case kEvArticleTitle:
+      return TitleFieldSimilarity(a, b);
+    case kEvArticleYear:
+    case kEvVenueYear:
+      return YearFieldSimilarity(a, b);
+    case kEvArticlePages:
+      return PagesFieldSimilarity(a, b);
+    case kEvVenueName:
+      return VenueNameFieldSimilarity(a, b);
+    case kEvVenueLocation:
+      return LocationFieldSimilarity(a, b);
+    default:
+      return 0.0;
+  }
 }
 
 }  // namespace recon

@@ -80,6 +80,13 @@ double LocationFieldSimilarity(const std::string& a, const std::string& b);
 double LocationFieldSimilarity(const ValueFeatures& a,
                                const ValueFeatures& b);
 
+/// Scores two raw values on an evidence channel with that channel's field
+/// comparator: the raw-string twin of FeaturePairSimilarity, with an
+/// identical result. For kEvPersonNameEmail, `a` is the name and `b` the
+/// email. Returns 0 for channels without an atomic comparator.
+double FieldSimilarity(int evidence, const std::string& a,
+                       const std::string& b);
+
 }  // namespace recon
 
 #endif  // RECON_SIM_COMPARATORS_H_

@@ -32,8 +32,6 @@ int64_t ValueFeatures::ApproximateBytes() const {
   bytes += StringBytes(name.last);
   bytes += StringBytes(email.account) + StringBytes(email.server);
   bytes += StringBytes(title.normalized) + StringVectorBytes(title.tokens);
-  bytes += static_cast<int64_t>(tfidf.entries.capacity() *
-                                sizeof(std::pair<int, double>));
   bytes += StringBytes(venue.lower) + StringBytes(venue.content) +
            StringBytes(venue.acronym) + StringVectorBytes(venue.tokens) +
            StringVectorBytes(venue.raw_content) +
@@ -88,12 +86,6 @@ void ValueStore::Sync(const ValuePool& pool) {
        id < static_cast<ValueId>(target); ++id) {
     const FeatureKind kind = schema_.KindOf(pool.DomainOf(id));
     ValueFeatures f = AnalyzeValue(pool.StringOf(id), kind);
-    if (kind == FeatureKind::kTitle) {
-      // Grow the corpus model first so a title's own tokens always count
-      // toward its document frequencies, then vectorize against it.
-      title_model_.AddDocument(f.title.tokens);
-      f.tfidf = title_model_.Vectorize(f.title.tokens);
-    }
     approximate_bytes_ += f.ApproximateBytes();
     features_.push_back(std::move(f));
   }

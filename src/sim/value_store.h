@@ -5,7 +5,7 @@
 // distinct value used to be re-parsed and re-tokenized hundreds of times.
 // The ValueStore analyzes every distinct interned value exactly once —
 // lowercase form, PersonName parse, email parse, normalized title + tokens,
-// venue token views, character n-gram set, Soundex, TF-IDF vector — and
+// venue token views, character n-gram set, Soundex — and
 // shares the resulting ValueFeatures read-only across pool threads. The
 // SimMemo on top caches pairwise comparator results keyed by
 // (evidence, min(ValueId), max(ValueId)) with a hard byte bound, so
@@ -27,7 +27,6 @@
 #include "graph/value_pool.h"
 #include "strsim/email.h"
 #include "strsim/person_name.h"
-#include "strsim/tfidf.h"
 #include "strsim/title.h"
 #include "strsim/tokens.h"
 #include "strsim/venue.h"
@@ -73,7 +72,6 @@ struct ValueFeatures {
   strsim::PersonName name;          ///< kPersonName.
   strsim::EmailAddress email;       ///< kEmail.
   strsim::TitleFeatures title;      ///< kTitle.
-  strsim::TfIdfVector tfidf;        ///< kTitle; filled by ValueStore::Sync.
   strsim::VenueFeatures venue;      ///< kVenueName.
   strsim::YearFeatures year;        ///< kYear.
   strsim::PagesFeatures pages;      ///< kPages.
@@ -83,8 +81,7 @@ struct ValueFeatures {
   int64_t ApproximateBytes() const;
 };
 
-/// Analyzes one raw value. The TF-IDF vector is left empty — it needs corpus
-/// statistics that only the ValueStore holds.
+/// Analyzes one raw value.
 ValueFeatures AnalyzeValue(const std::string& raw, FeatureKind kind);
 
 /// Feature table parallel to a ValuePool: features(id) is the analysis of
@@ -121,13 +118,9 @@ class ValueStore {
   /// Rough heap footprint of the feature table.
   int64_t approximate_bytes() const { return approximate_bytes_; }
 
-  /// Incremental TF-IDF model over every title value seen so far.
-  const strsim::TfIdfModel& title_model() const { return title_model_; }
-
  private:
   ValueKindSchema schema_;
   std::vector<ValueFeatures> features_;
-  strsim::TfIdfModel title_model_;
   int64_t approximate_bytes_ = 0;
 };
 

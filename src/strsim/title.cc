@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "strsim/edit_distance.h"
-#include "strsim/tfidf.h"
 #include "strsim/tokens.h"
 #include "util/string_util.h"
 
@@ -22,20 +21,16 @@ TitleFeatures AnalyzeTitle(std::string_view title) {
   return features;
 }
 
-double TitleSimilarity(std::string_view a, std::string_view b,
-                       const TfIdfModel* model) {
-  return TitleSimilarity(AnalyzeTitle(a), AnalyzeTitle(b), model);
+double TitleSimilarity(std::string_view a, std::string_view b) {
+  return TitleSimilarity(AnalyzeTitle(a), AnalyzeTitle(b));
 }
 
-double TitleSimilarity(const TitleFeatures& a, const TitleFeatures& b,
-                       const TfIdfModel* model) {
+double TitleSimilarity(const TitleFeatures& a, const TitleFeatures& b) {
   if (a.normalized.empty() || b.normalized.empty()) return 0.0;
   if (a.normalized == b.normalized) return 1.0;
 
   const double edit = EditSimilarity(a.normalized, b.normalized);
-  const double token_sim = (model != nullptr)
-                               ? model->Similarity(a.tokens, b.tokens)
-                               : JaccardSimilarity(a.tokens, b.tokens);
+  const double token_sim = JaccardSimilarity(a.tokens, b.tokens);
   return std::clamp(std::max(edit, token_sim), 0.0, 1.0);
 }
 

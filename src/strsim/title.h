@@ -10,8 +10,6 @@
 
 namespace recon::strsim {
 
-class TfIdfModel;
-
 /// Lowercases, strips punctuation, and collapses whitespace.
 std::string NormalizeTitle(std::string_view title);
 
@@ -27,14 +25,11 @@ struct TitleFeatures {
 TitleFeatures AnalyzeTitle(std::string_view title);
 
 /// Title similarity in [0, 1]: the max of normalized edit similarity and
-/// token-set similarity. When `model` is non-null, token similarity is
-/// TF-IDF-weighted cosine (rare words dominate); otherwise plain Jaccard.
-double TitleSimilarity(std::string_view a, std::string_view b,
-                       const TfIdfModel* model = nullptr);
+/// token-set Jaccard similarity.
+double TitleSimilarity(std::string_view a, std::string_view b);
 
 /// Feature-level overload; identical result to the raw-string form.
-double TitleSimilarity(const TitleFeatures& a, const TitleFeatures& b,
-                       const TfIdfModel* model = nullptr);
+double TitleSimilarity(const TitleFeatures& a, const TitleFeatures& b);
 
 /// A parsed page range.
 struct PageRange {

@@ -19,6 +19,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "baseline/fellegi_sunter.h"
+#include "baseline/indep_dec.h"
 #include "core/candidates.h"
 #include "core/graph_builder.h"
 #include "core/premerge.h"
@@ -231,6 +233,67 @@ TEST(StagedRunTest, PimStagedLayersMatchRun) {
 
 TEST(StagedRunTest, CoraStagedLayersMatchRun) {
   ExpectStagedMatchesRun(SmallCora());
+}
+
+// ---- Baseline goldens ------------------------------------------------------
+//
+// IndepDec and Fellegi-Sunter read the same per-class channel table as the
+// graph build. These rows pin their exact partitions, merge sequences and
+// counters on PIM A 0.04x and Cora.
+
+Dataset TinyPim() {
+  return datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigA(), 0.04));
+}
+
+struct BaselineGolden {
+  const char* run;
+  Fingerprint want;
+};
+
+constexpr BaselineGolden kBaselineGolden[] = {
+    {"IndepDec PIM-A", {0x524877e1d6976c04ull, 792, 0, 1866, 0, 0}},
+    {"IndepDec Cora", {0xa07391065973c660ull, 13194, 0, 30182, 0, 0}},
+    {"FellegiSunter PIM-A", {0x129035f47af49a2full, 3982, 0, 13291, 0, 0}},
+    {"FellegiSunter Cora", {0x890316c400354368ull, 2319, 0, 41640, 0, 0}},
+};
+
+void ExpectBaselineGolden(const std::string& run,
+                          const ReconcileResult& result) {
+  const Fingerprint fp = FingerprintOf(result);
+  if (RegenMode()) {
+    std::printf(
+        "    {\"%s\", {0x%016llxull, %lld, %lld, %lld, %lld, %lld}},\n",
+        run.c_str(), static_cast<unsigned long long>(fp.hash),
+        static_cast<long long>(fp.merges), static_cast<long long>(fp.folds),
+        static_cast<long long>(fp.recomputations),
+        static_cast<long long>(fp.nodes), static_cast<long long>(fp.edges));
+    return;
+  }
+  for (const BaselineGolden& row : kBaselineGolden) {
+    if (run == row.run) {
+      ExpectFingerprint(row.want, fp);
+      return;
+    }
+  }
+  ADD_FAILURE() << "no golden row for " << run;
+}
+
+TEST(BaselineGoldenTest, IndepDecPim) {
+  ExpectBaselineGolden("IndepDec PIM-A", IndepDec().Run(TinyPim()));
+}
+
+TEST(BaselineGoldenTest, IndepDecCora) {
+  ExpectBaselineGolden("IndepDec Cora", IndepDec().Run(SmallCora()));
+}
+
+TEST(BaselineGoldenTest, FellegiSunterPim) {
+  ExpectBaselineGolden("FellegiSunter PIM-A", FellegiSunter().Run(TinyPim()));
+}
+
+TEST(BaselineGoldenTest, FellegiSunterCora) {
+  ExpectBaselineGolden("FellegiSunter Cora",
+                       FellegiSunter().Run(SmallCora()));
 }
 
 }  // namespace

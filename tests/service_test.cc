@@ -4,6 +4,7 @@
 // concurrent query threads racing a live ingest/flush loop.
 
 #include <atomic>
+#include <bit>
 #include <set>
 #include <string>
 #include <thread>
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reconciler.h"
+#include "datagen/pim_generator.h"
 #include "service/handlers.h"
 #include "service/service.h"
 #include "service/snapshot.h"
@@ -131,6 +134,143 @@ TEST(ServiceTest, ExpiredDeadlineDegradesInsteadOfStalling) {
   EXPECT_TRUE(answer.results[0].degraded);
   // Degraded, not failed: whatever was scored before the stop is returned.
   EXPECT_GE(answer.results[0].num_scored, 0);
+}
+
+// ---- Query scoring ---------------------------------------------------------
+
+/// Queries over every 11th person and every 3rd article and venue
+/// reference of `data`: person names alone and
+/// emails alone, article titles with their atomic properties and, in a
+/// second query, with an author's and the venue's names, venue names with
+/// their atomic properties, and every fifth name query untyped.
+std::vector<ReconQuery> GoldenQueries(const Dataset& data) {
+  const Schema& schema = data.schema();
+  const SchemaBinding b = SchemaBinding::Resolve(schema);
+  std::vector<ReconQuery> out;
+  auto query = [&](const std::string& text, int class_id) {
+    ReconQuery q;
+    q.text = text;
+    if (out.size() % 5 != 4) q.type = schema.class_def(class_id).name;
+    return q;
+  };
+  auto add_property = [&](ReconQuery* q, int class_id, int attr,
+                          const std::string& value) {
+    if (attr < 0 || value.empty()) return;
+    q->properties.emplace_back(schema.class_def(class_id).attributes[attr].name,
+                               value);
+  };
+  std::vector<int> seen(schema.num_classes());
+  for (RefId id = 0; id < data.num_references(); ++id) {
+    const Reference& ref = data.reference(id);
+    const int c = ref.class_id();
+    if (seen[c]++ % (c == b.person ? 11 : 3) != 0) continue;
+    if (c == b.person) {
+      if (!ref.FirstValue(b.person_name).empty()) {
+        out.push_back(query(ref.FirstValue(b.person_name), c));
+      }
+      if (!ref.FirstValue(b.person_email).empty()) {
+        ReconQuery q = query("", c);
+        add_property(&q, c, b.person_email, ref.FirstValue(b.person_email));
+        out.push_back(q);
+      }
+    } else if (c == b.article) {
+      ReconQuery q = query(ref.FirstValue(b.article_title), c);
+      add_property(&q, c, b.article_year, ref.FirstValue(b.article_year));
+      add_property(&q, c, b.article_pages, ref.FirstValue(b.article_pages));
+      out.push_back(q);
+      ReconQuery linked = query(ref.FirstValue(b.article_title), c);
+      for (const RefId author : ref.associations(b.article_authors)) {
+        add_property(&linked, c, b.article_authors,
+                     data.reference(author).FirstValue(b.person_name));
+        break;
+      }
+      for (const RefId venue : ref.associations(b.article_venue)) {
+        add_property(&linked, c, b.article_venue,
+                     data.reference(venue).FirstValue(b.venue_name));
+      }
+      out.push_back(linked);
+    } else if (c == b.venue) {
+      ReconQuery q = query(ref.FirstValue(b.venue_name), c);
+      add_property(&q, c, b.venue_year, ref.FirstValue(b.venue_year));
+      add_property(&q, c, b.venue_location, ref.FirstValue(b.venue_location));
+      out.push_back(q);
+    }
+  }
+  return out;
+}
+
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins Snapshot::Query's scoring on a small PIM B snapshot: per result the
+// candidate entity ids, the score bits, match and num_scored.
+TEST(ServiceTest, QueryScoringGolden) {
+  const Dataset data = datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigB(), 0.025));
+  const ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  const std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
+      data, Reconciler(options).Run(data).cluster, options, 0);
+  const std::vector<ReconQuery> queries = GoldenQueries(data);
+  int linked_authors = 0;
+  int linked_venues = 0;
+  for (const ReconQuery& query : queries) {
+    for (const auto& [attr, value] : query.properties) {
+      linked_authors += attr == "authoredBy" ? 1 : 0;
+      linked_venues += attr == "publishedIn" ? 1 : 0;
+    }
+  }
+  EXPECT_GT(linked_authors, 0);
+  EXPECT_GT(linked_venues, 0);
+  uint64_t h = 0xcbf29ce484222325ull;
+  int64_t scored = 0;
+  int matches = 0;
+  for (const ReconQuery& query : queries) {
+    const QueryResult result = snapshot->Query(query);
+    h = Fnv1a(h, static_cast<uint64_t>(result.num_scored));
+    h = Fnv1a(h, result.candidates.size());
+    for (const ScoredCandidate& c : result.candidates) {
+      h = Fnv1a(h, static_cast<uint64_t>(c.entity));
+      h = Fnv1a(h, std::bit_cast<uint64_t>(c.score));
+      h = Fnv1a(h, c.match ? 1 : 0);
+      matches += c.match ? 1 : 0;
+    }
+    scored += result.num_scored;
+  }
+  EXPECT_EQ(queries.size(), 175u);
+  EXPECT_EQ(scored, 525);
+  EXPECT_EQ(matches, 160);
+  EXPECT_EQ(h, 0x300e4fa084ca71b5ull);
+}
+
+// Name~email evidence is a kNameEmail channel: a kAttrWise service must not
+// score a name query against an entity that only has a matching email.
+TEST(ServiceTest, QueryHonorsEvidenceLevel) {
+  Dataset data(BuildPimSchema());
+  const int person = data.schema().RequireClass("Person");
+  const RefId r = data.NewReference(person, 0);
+  data.mutable_reference(r).AddAtomicValue(
+      data.schema().RequireAttribute(person, "email"),
+      "robert.epstein@cs.example.edu");
+  ReconQuery query;
+  query.text = "Robert Epstein";
+  query.type = "Person";
+  auto score = [&](EvidenceLevel level) {
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.evidence_level = level;
+    const QueryResult result =
+        BuildSnapshot(data, {0}, options, 0)->Query(query);
+    EXPECT_EQ(result.candidates.size(), 1u);
+    return result.candidates.empty() ? -1.0 : result.candidates[0].score;
+  };
+  // The account pattern alone: person_ne_only_scale * 0.95, through float.
+  const double contact = score(EvidenceLevel::kContact);
+  EXPECT_EQ(contact, 0.89299998879432674);
+  EXPECT_LT(score(EvidenceLevel::kAttrWise), contact);
 }
 
 // ---- Ingest / snapshot isolation -------------------------------------------

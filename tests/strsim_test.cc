@@ -7,7 +7,6 @@
 #include "strsim/email.h"
 #include "strsim/jaro_winkler.h"
 #include "strsim/person_name.h"
-#include "strsim/tfidf.h"
 #include "strsim/title.h"
 #include "strsim/tokens.h"
 #include "strsim/venue.h"
@@ -115,42 +114,6 @@ TEST(TokensTest, MongeElkanForgivesTokenNoise) {
   const std::vector<std::string> a = {"query", "optimization"};
   const std::vector<std::string> b = {"qeury", "optimizaton"};
   EXPECT_GT(SymmetricMongeElkan(a, b), 0.85);
-}
-
-// ---- TF-IDF -------------------------------------------------------------------
-
-TEST(TfIdfTest, RareTokensDominate) {
-  TfIdfModel model;
-  // "database" is ubiquitous; "reconciliation" is rare.
-  for (int i = 0; i < 50; ++i) model.AddDocument({"database", "systems"});
-  model.AddDocument({"reconciliation", "database"});
-  model.AddDocument({"reconciliation", "linkage"});
-
-  const double rare_match =
-      model.Similarity({"reconciliation", "database"},
-                       {"reconciliation", "linkage"});
-  const double common_match =
-      model.Similarity({"reconciliation", "database"},
-                       {"database", "linkage"});
-  EXPECT_GT(rare_match, common_match);
-}
-
-TEST(TfIdfTest, IdenticalDocsScoreOne) {
-  TfIdfModel model;
-  model.AddDocument({"a", "b"});
-  EXPECT_NEAR(model.Similarity({"a", "b"}, {"a", "b"}), 1.0, 1e-9);
-}
-
-TEST(TfIdfTest, SharedOovTokensMatch) {
-  TfIdfModel model;
-  model.AddDocument({"known"});
-  EXPECT_GT(model.Similarity({"unseen", "known"}, {"unseen", "known"}), 0.99);
-}
-
-TEST(TfIdfTest, DisjointDocsScoreZero) {
-  TfIdfModel model;
-  model.Fit({{"a", "b"}, {"c", "d"}});
-  EXPECT_DOUBLE_EQ(model.Similarity({"a", "b"}, {"c", "d"}), 0.0);
 }
 
 // ---- Person names ---------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,9 @@
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
+#include "core/schema_binding.h"
 #include "sim/comparators.h"
+#include "sim/evidence.h"
 #include "sim/value_store.h"
 
 namespace recon {
@@ -116,97 +119,100 @@ TEST(ValueStoreTest, UnregisteredDomainsGetGenericFeatures) {
 
 // ---- Feature / raw comparator equivalence --------------------------------
 
-/// Every comparator must score a pair of precomputed features exactly as it
-/// scores the raw strings — the bit-level contract behind the byte-identical
-/// output guarantee.
+// ---- The channel table ---------------------------------------------------
+
+std::vector<int> EvidenceOf(std::span<const AtomicChannel> rows) {
+  std::vector<int> out;
+  for (const AtomicChannel& row : rows) out.push_back(row.evidence);
+  return out;
+}
+
+TEST(AtomicChannelsTest, RowsInTableOrderWithUnboundAndHigherLevelsOmitted) {
+  const SchemaBinding pim = SchemaBinding::Resolve(BuildPimSchema());
+  const std::vector<AtomicChannel> table = AtomicChannels(pim, SimParams{});
+  EXPECT_EQ(EvidenceOf(table),
+            (std::vector<int>{kEvPersonName, kEvPersonEmail,
+                              kEvPersonNameEmail, kEvArticleTitle,
+                              kEvArticleYear, kEvArticlePages, kEvVenueName,
+                              kEvVenueYear, kEvVenueLocation}));
+  EXPECT_EQ(EvidenceOf(ClassChannels(table, pim.article)),
+            (std::vector<int>{kEvArticleTitle, kEvArticleYear,
+                              kEvArticlePages}));
+  EXPECT_TRUE(ClassChannels(table, -1).empty());
+  // The name~email row appears once, reads name against email, and only
+  // from kNameEmail up.
+  const AtomicChannel& ne = table[2];
+  EXPECT_EQ(ne.attr_a, pim.person_name);
+  EXPECT_EQ(ne.attr_b, pim.person_email);
+  EXPECT_TRUE(ne.cross());
+  EXPECT_EQ(ne.level, EvidenceLevel::kNameEmail);
+  EXPECT_EQ(EvidenceOf(ClassChannels(
+                AtomicChannels(pim, SimParams{}, EvidenceLevel::kAttrWise),
+                pim.person)),
+            (std::vector<int>{kEvPersonName, kEvPersonEmail}));
+  // Only names carry the zero rule and only venue names propagate merges;
+  // years, pages and locations wait for the class's ungated rows.
+  for (const AtomicChannel& row : table) {
+    EXPECT_EQ(row.zero_when_dissimilar, row.evidence == kEvPersonName);
+    EXPECT_EQ(row.propagate_merge, row.evidence == kEvVenueName);
+    EXPECT_EQ(row.gated, row.evidence == kEvArticleYear ||
+                             row.evidence == kEvArticlePages ||
+                             row.evidence == kEvVenueYear ||
+                             row.evidence == kEvVenueLocation);
+  }
+  // Cora binds no Person.email: its rows and the cross row go.
+  const SchemaBinding cora = SchemaBinding::Resolve(BuildCoraSchema());
+  EXPECT_EQ(EvidenceOf(ClassChannels(AtomicChannels(cora, SimParams{}),
+                                     cora.person)),
+            (std::vector<int>{kEvPersonName}));
+}
+
+/// Every channel row of the AtomicChannels table must score a pair of
+/// precomputed features exactly as it scores the raw strings — the
+/// bit-level contract behind the byte-identical output guarantee. A
+/// cross-attribute row is checked with the features in both argument
+/// orders of the kind-dispatching feature form.
 void ExpectComparatorEquivalence(const Dataset& dataset,
                                  const std::string& label) {
   SCOPED_TRACE(label);
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
-
-  auto check = [&](int class_id, int attr, FeatureKind kind, auto raw_fn,
-                   auto feature_fn) {
-    const std::vector<std::string> values =
-        DistinctValues(dataset, class_id, attr);
-    std::vector<ValueFeatures> features;
-    features.reserve(values.size());
-    for (const std::string& v : values) {
-      features.push_back(AnalyzeValue(v, kind));
-    }
-    for (size_t i = 0; i < values.size(); ++i) {
-      for (size_t j = i; j < values.size(); ++j) {
-        const double raw = raw_fn(values[i], values[j]);
-        const double feat = feature_fn(features[i], features[j]);
-        ASSERT_EQ(raw, feat)
-            << "\"" << values[i] << "\" vs \"" << values[j] << "\"";
+  const ValueKindSchema kinds = MakeValueKindSchema(binding);
+  const std::vector<AtomicChannel> table =
+      AtomicChannels(binding, SimParams{});
+  ASSERT_FALSE(table.empty());
+  for (const AtomicChannel& row : table) {
+    SCOPED_TRACE(EvidenceName(row.evidence));
+    const size_t cap = row.cross() ? 24 : 48;
+    const std::vector<std::string> values_a =
+        DistinctValues(dataset, row.class_id, row.attr_a, cap);
+    const std::vector<std::string> values_b =
+        DistinctValues(dataset, row.class_id, row.attr_b, cap);
+    EXPECT_FALSE(values_a.empty());
+    auto analyze = [&](const std::vector<std::string>& values, int attr) {
+      std::vector<ValueFeatures> features;
+      for (const std::string& v : values) {
+        features.push_back(
+            AnalyzeValue(v, kinds.KindOf(ValueDomain{row.class_id, attr})));
       }
-    }
-  };
-
-  check(binding.person, binding.person_name, FeatureKind::kPersonName,
-        [](const std::string& a, const std::string& b) {
-          return PersonNameFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return PersonNameFieldSimilarity(a, b);
-        });
-  check(binding.person, binding.person_email, FeatureKind::kEmail,
-        [](const std::string& a, const std::string& b) {
-          return EmailFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return EmailFieldSimilarity(a, b);
-        });
-  check(binding.article, binding.article_title, FeatureKind::kTitle,
-        [](const std::string& a, const std::string& b) {
-          return TitleFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return TitleFieldSimilarity(a, b);
-        });
-  check(binding.article, binding.article_year, FeatureKind::kYear,
-        [](const std::string& a, const std::string& b) {
-          return YearFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return YearFieldSimilarity(a, b);
-        });
-  check(binding.article, binding.article_pages, FeatureKind::kPages,
-        [](const std::string& a, const std::string& b) {
-          return PagesFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return PagesFieldSimilarity(a, b);
-        });
-  check(binding.venue, binding.venue_name, FeatureKind::kVenueName,
-        [](const std::string& a, const std::string& b) {
-          return VenueNameFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return VenueNameFieldSimilarity(a, b);
-        });
-  check(binding.venue, binding.venue_location, FeatureKind::kLocation,
-        [](const std::string& a, const std::string& b) {
-          return LocationFieldSimilarity(a, b);
-        },
-        [](const ValueFeatures& a, const ValueFeatures& b) {
-          return LocationFieldSimilarity(a, b);
-        });
-
-  // Cross-attribute: person name against email, both argument orders of the
-  // kind-dispatching feature form.
-  const std::vector<std::string> names =
-      DistinctValues(dataset, binding.person, binding.person_name, 24);
-  const std::vector<std::string> emails =
-      DistinctValues(dataset, binding.person, binding.person_email, 24);
-  for (const std::string& n : names) {
-    const ValueFeatures fn = AnalyzeValue(n, FeatureKind::kPersonName);
-    for (const std::string& e : emails) {
-      const ValueFeatures fe = AnalyzeValue(e, FeatureKind::kEmail);
-      const double raw = NameEmailFieldSimilarity(n, e);
-      ASSERT_EQ(raw, NameEmailFieldSimilarity(fn, fe)) << n << " vs " << e;
-      ASSERT_EQ(raw, FeaturePairSimilarity(kEvPersonNameEmail, fn, fe));
-      ASSERT_EQ(raw, FeaturePairSimilarity(kEvPersonNameEmail, fe, fn));
+      return features;
+    };
+    const std::vector<ValueFeatures> features_a =
+        analyze(values_a, row.attr_a);
+    const std::vector<ValueFeatures> features_b =
+        analyze(values_b, row.attr_b);
+    for (size_t i = 0; i < values_a.size(); ++i) {
+      // A same-attribute row is symmetric: each unordered pair once.
+      for (size_t j = row.cross() ? 0 : i; j < values_b.size(); ++j) {
+        const double raw = FieldSimilarity(row.evidence, values_a[i],
+                                           values_b[j]);
+        ASSERT_EQ(raw, FeaturePairSimilarity(row.evidence, features_a[i],
+                                             features_b[j]))
+            << "\"" << values_a[i] << "\" vs \"" << values_b[j] << "\"";
+        if (row.cross()) {
+          ASSERT_EQ(raw, FeaturePairSimilarity(row.evidence, features_b[j],
+                                               features_a[i]));
+        }
+      }
     }
   }
 }

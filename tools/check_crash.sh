@@ -25,7 +25,7 @@ SOAK_CYCLES="${2:-3}"
 echo "== [1/3] configure + build ${ASAN_DIR} (-DRECON_SANITIZE=address-undefined)"
 cmake -B "${ASAN_DIR}" -S . -DRECON_SANITIZE=address-undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${ASAN_DIR}" -j
+cmake --build "${ASAN_DIR}" -j "$(nproc)"
 
 echo
 echo "== [2/3] fault-injected crash sweep under ASan + UBSan"

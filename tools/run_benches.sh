@@ -30,7 +30,7 @@ BENCH_DIR="${BUILD_DIR}/bench"
 
 if [[ ! -d "${BENCH_DIR}" ]]; then
   echo "error: ${BENCH_DIR} not found; build first:" >&2
-  echo "  cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j" >&2
+  echo "  cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j \"\$(nproc)\"" >&2
   exit 1
 fi
 
