@@ -58,55 +58,6 @@ struct alignas(64) StageScratch {
 /// this many items; each chunk boundary is one kBuild budget probe.
 constexpr int64_t kBuildChunk = 256;
 
-// ---- Blocked batch scoring (DESIGN.md §16) ------------------------------
-//
-// Lanes do not score pair-at-a-time. Each lane gathers the ValueId cross
-// products of up to kScoreBlock candidate pairs into per-evidence task
-// arrays (scratch reused across the lane's blocks — zero steady-state
-// allocation), sweeps each evidence kind over the whole block, and then
-// assembles every pair's StagedEvidence in cross-product order, channel by
-// channel. The channels are the rows of the class in the AtomicChannels
-// table: wave 1 gathers the ungated rows; the gated rows gather in a second
-// wave after wave-1 assembly, so they are compared only for pairs whose
-// ungated rows produced evidence.
-
-constexpr int kScoreBlock = 256;
-
-/// One cross-product comparison gathered for a block sweep.
-struct SimTask {
-  ValueId v1 = kInvalidValue;
-  ValueId v2 = kInvalidValue;
-  float memo_sim = 0;     ///< Non-static result (memo float rounding).
-  double static_sim = 0;  ///< v1 == v2 result at double precision.
-  bool is_static = false;
-};
-
-/// Half-open range into a per-evidence task array.
-struct TaskRange {
-  int32_t begin = 0;
-  int32_t end = 0;
-};
-
-/// Gather record for one candidate pair in a block.
-struct PairPlan {
-  int64_t out_index = -1;  ///< Position in the staged[] array.
-  RefId r1 = kInvalidRef;
-  RefId r2 = kInvalidRef;
-  int class_id = -1;
-  /// The class's channel rows. Their task ranges start at
-  /// lane.ranges[first_range]: one per row direction, in row order.
-  std::span<const AtomicChannel> rows;
-  int32_t first_range = 0;
-};
-
-/// Per-lane batch scratch: task arrays per evidence kind, the block's task
-/// ranges and its pair plans.
-struct BatchLane {
-  std::vector<SimTask> tasks[kNumEvidence];
-  std::vector<TaskRange> ranges;
-  std::vector<PairPlan> plan;
-};
-
 class GraphBuilder {
  public:
   GraphBuilder(const Dataset& dataset, const ReconcilerOptions& options,
@@ -169,7 +120,7 @@ class GraphBuilder {
   void SeedPairs(const std::vector<std::pair<RefId, RefId>>& pairs) {
     const int64_t n = static_cast<int64_t>(pairs.size());
     std::vector<StagedPair> staged(pairs.size());
-    StageBlocked(pairs, &staged);
+    StagePairs(pairs, &staged);
     built_->num_value_analyses = store_->num_analyses();
     for (int64_t i = 0; i < n; ++i) {
       if (i % kBuildChunk == 0) {
@@ -181,19 +132,18 @@ class GraphBuilder {
     ReportGraphMemory();
   }
 
-  /// Blocked lanes over the candidate order.
-  void StageBlocked(const std::vector<std::pair<RefId, RefId>>& pairs,
-                    std::vector<StagedPair>* staged) {
+  /// Stages contiguous spans of the candidate order in parallel lanes.
+  void StagePairs(const std::vector<std::pair<RefId, RefId>>& pairs,
+                  std::vector<StagedPair>* staged) {
     const int64_t n = static_cast<int64_t>(pairs.size());
     const runtime::BlockPlan plan =
         runtime::PlanBlocks(options_.num_threads, 0, n, /*grain=*/0);
     std::vector<StageScratch> scratch(plan.num_lanes);
-    std::vector<BatchLane> batch(plan.num_lanes);
     runtime::ParallelForBlocked(
         options_.num_threads, 0, n, plan.grain,
         [&](const runtime::Block& block) {
-          StageSpanBatched(pairs, block.begin, block.end, scratch[block.lane],
-                           batch[block.lane], staged);
+          StageSpan(pairs, block.begin, block.end, scratch[block.lane],
+                    staged);
         });
     budget_->ResolveAsyncStop();
     // Serial, lane-order accumulation keeps the totals deterministic.
@@ -287,18 +237,21 @@ class GraphBuilder {
     return store_->features(id);
   }
 
-  // ---- Blocked batch scoring ---------------------------------------------
+  // ---- Pair staging -----------------------------------------------------
 
-  /// Records x's attr_a values against y's attr_b values as tasks, one
-  /// comparison each.
-  TaskRange GatherAtomic(const AtomicChannel& row, const Reference& x,
-                         const Reference& y, StageScratch& scratch,
-                         BatchLane& lane) const {
+  /// Compares x's attr_a values with y's attr_b values on `row`, in
+  /// cross-product order: equal values give a static at double precision,
+  /// the rest go through the shared memo (rounded through float) and become
+  /// a value node when they reach the row's seed. A zero_when_dissimilar
+  /// row offers its explicit zero when values were compared but none was
+  /// seeded.
+  void StageRow(const AtomicChannel& row, const Reference& x,
+                const Reference& y, StageScratch& scratch,
+                StagedEvidence* staged) const {
     const ValueDomain domain1{row.class_id, row.attr_a};
     const ValueDomain domain2{row.class_id, row.attr_b};
-    std::vector<SimTask>& tasks = lane.tasks[row.evidence];
-    TaskRange range;
-    range.begin = static_cast<int32_t>(tasks.size());
+    bool compared = false;
+    bool any = false;
     for (const std::string& raw1 : x.atomic_values(row.attr_a)) {
       const ValueId v1 = values_->Find(domain1, raw1);
       RECON_CHECK_NE(v1, kInvalidValue);
@@ -306,90 +259,51 @@ class GraphBuilder {
         const ValueId v2 = values_->Find(domain2, raw2);
         RECON_CHECK_NE(v2, kInvalidValue);
         ++scratch.pair_comparisons;
-        SimTask t;
-        t.v1 = v1;
-        t.v2 = v2;
-        t.is_static = (v1 == v2);
-        tasks.push_back(t);
-      }
-    }
-    range.end = static_cast<int32_t>(tasks.size());
-    return range;
-  }
-
-  /// Calls fn(row, x, y, slot) for every direction of every channel row of
-  /// the pair: a against b, and for a cross-attribute row then b against
-  /// a. `slot` indexes the direction's task range in lane.ranges.
-  template <typename Fn>
-  void ForEachDirection(const PairPlan& plan, Fn&& fn) const {
-    const Reference& a = dataset_.reference(plan.r1);
-    const Reference& b = dataset_.reference(plan.r2);
-    int32_t slot = plan.first_range;
-    for (const AtomicChannel& row : plan.rows) {
-      fn(row, a, b, slot++);
-      if (row.cross()) fn(row, b, a, slot++);
-    }
-  }
-
-  /// Scores every gathered task of one evidence kind: equal values at
-  /// double precision, the rest through the shared memo (rounded through
-  /// float).
-  void SweepTasks(int evidence, StageScratch& scratch,
-                  BatchLane& lane) const {
-    for (SimTask& t : lane.tasks[evidence]) {
-      if (t.is_static) {
-        t.static_sim = FeaturePairSimilarity(
-            evidence, store_->features(t.v1), store_->features(t.v2));
-      } else {
-        t.memo_sim = memo_->LookupOrCompute(
-            evidence, t.v1, t.v2,
+        compared = true;
+        if (v1 == v2) {
+          staged->statics.emplace_back(
+              row.evidence,
+              FeaturePairSimilarity(row.evidence, store_->features(v1),
+                                    store_->features(v2)));
+          any = true;
+          continue;
+        }
+        const double sim = memo_->LookupOrCompute(
+            row.evidence, v1, v2,
             [&] {
-              return FeaturePairSimilarity(evidence, store_->features(t.v1),
-                                           store_->features(t.v2));
+              return FeaturePairSimilarity(row.evidence, store_->features(v1),
+                                           store_->features(v2));
             },
             &scratch.memo_hits, &scratch.memo_misses);
+        if (sim >= row.seed) {
+          staged->value_nodes.push_back(
+              {v1, v2, sim, row.evidence, row.propagate_merge});
+          any = true;
+        }
       }
     }
-  }
-
-  /// Sweeps the gated or the ungated rows, in table order.
-  void SweepRows(bool gated, StageScratch& scratch, BatchLane& lane) const {
-    for (const AtomicChannel& row : channels_) {
-      if (row.gated == gated) SweepTasks(row.evidence, scratch, lane);
-    }
-  }
-
-  /// Replays one direction's swept tasks into the pair's staged evidence in
-  /// gather (= cross-product) order: statics for equal values, a value
-  /// node when the memoized similarity reaches the row's seed, and the
-  /// row's explicit zero when values were compared but none was seeded.
-  void AssembleRange(const AtomicChannel& row, const TaskRange& range,
-                     const BatchLane& lane, StagedEvidence* staged) const {
-    const std::vector<SimTask>& tasks = lane.tasks[row.evidence];
-    bool any = false;
-    for (int32_t i = range.begin; i < range.end; ++i) {
-      const SimTask& t = tasks[i];
-      if (t.is_static) {
-        staged->statics.emplace_back(row.evidence, t.static_sim);
-        any = true;
-        continue;
-      }
-      const double sim = t.memo_sim;
-      if (sim >= row.seed) {
-        staged->value_nodes.push_back(
-            {t.v1, t.v2, sim, row.evidence, row.propagate_merge});
-        any = true;
-      }
-    }
-    if (row.zero_when_dissimilar && range.end > range.begin && !any) {
+    if (row.zero_when_dissimilar && compared && !any) {
       staged->statics.emplace_back(row.evidence, 0.0);
+    }
+  }
+
+  /// Stages the rows of `rows` whose gated flag equals `gated`, in table
+  /// order; a cross-attribute row goes a against b, then b against a.
+  void StageRows(std::span<const AtomicChannel> rows, bool gated,
+                 const Reference& a, const Reference& b, StageScratch& scratch,
+                 StagedEvidence* staged) const {
+    for (const AtomicChannel& row : rows) {
+      if (row.gated != gated) continue;
+      StageRow(row, a, b, scratch, staged);
+      if (row.cross()) StageRow(row, b, a, scratch, staged);
     }
   }
 
   /// Constraints 2 and 3 for a person pair, unless it shares an email:
   /// every email pair was compared, and equal values or sim 1 mean a
   /// shared key.
-  void MarkPersonConstraints(const PairPlan& plan, StagedPair* out) const {
+  void MarkPersonConstraints(const Reference& a, const Reference& b,
+                             StagedPair* out) const {
     if (!options_.constraints) return;
     for (const auto& [evidence, sim] : out->evidence.statics) {
       if (evidence == kEvPersonEmail && sim >= 1.0) return;
@@ -397,96 +311,35 @@ class GraphBuilder {
     for (const auto& spec : out->evidence.value_nodes) {
       if (spec.evidence == kEvPersonEmail && spec.sim >= 1.0) return;
     }
-    const Reference& a = dataset_.reference(plan.r1);
-    const Reference& b = dataset_.reference(plan.r2);
     out->non_merge =
         ViolatesNameConstraint(a, b) || ViolatesAccountConstraint(a, b);
   }
 
-  /// Stages candidate positions [begin, end) block by block. The budget is
-  /// checked every 64 gathered pairs; an abandon (cancel / deadline already
-  /// decided the run) truncates the gather, but the pairs already gathered
-  /// still sweep and assemble. A default-constructed StagedPair applies as
-  /// a no-op, so `staged` stays safe to consume.
-  void StageSpanBatched(const std::vector<std::pair<RefId, RefId>>& pairs,
-                        int64_t begin, int64_t end, StageScratch& scratch,
-                        BatchLane& lane,
-                        std::vector<StagedPair>* staged) const {
-    for (int64_t base = begin; base < end; base += kScoreBlock) {
-      const int64_t block_end = std::min(end, base + kScoreBlock);
-      for (auto& tasks : lane.tasks) tasks.clear();
-      lane.ranges.clear();
-      lane.plan.clear();
-      bool abandoned = false;
-
-      // Wave 1: gather every pair's ungated rows; the gated rows get empty
-      // ranges until wave 2.
-      for (int64_t i = base; i < block_end; ++i) {
-        if ((i - base) % 64 == 0 && budget_->ShouldAbandonParallelWork()) {
-          abandoned = true;
-          break;
-        }
-        StagedPair* out = &(*staged)[i];
-        out->r1 = pairs[i].first;
-        out->r2 = pairs[i].second;
-        out->class_id = dataset_.reference(out->r1).class_id();
-        PairPlan plan;
-        plan.out_index = i;
-        plan.r1 = out->r1;
-        plan.r2 = out->r2;
-        plan.class_id = out->class_id;
-        plan.rows = ClassChannels(channels_, plan.class_id);
-        plan.first_range = static_cast<int32_t>(lane.ranges.size());
-        ForEachDirection(plan, [&](const AtomicChannel& row,
-                                   const Reference& x, const Reference& y,
-                                   int32_t) {
-          lane.ranges.push_back(row.gated
-                                    ? TaskRange{}
-                                    : GatherAtomic(row, x, y, scratch, lane));
-        });
-        lane.plan.push_back(plan);
+  /// Stages candidate positions [begin, end) one pair at a time (§3.1
+  /// step 1): the class's ungated rows, the person constraints, and the
+  /// gated rows only for a pair that already has evidence. The budget is
+  /// checked every 64 pairs; an abandon (cancel / deadline already decided
+  /// the run) leaves the rest of the span unstaged. A default-constructed
+  /// StagedPair applies as a no-op, so `staged` stays safe to consume.
+  void StageSpan(const std::vector<std::pair<RefId, RefId>>& pairs,
+                 int64_t begin, int64_t end, StageScratch& scratch,
+                 std::vector<StagedPair>* staged) const {
+    for (int64_t i = begin; i < end; ++i) {
+      if ((i - begin) % 64 == 0 && budget_->ShouldAbandonParallelWork()) {
+        return;
       }
-
-      SweepRows(/*gated=*/false, scratch, lane);
-
-      // Wave-1 assembly (and the person constraints), then the wave-2
-      // gather for the pairs that earned it.
-      for (const PairPlan& plan : lane.plan) {
-        StagedPair* out = &(*staged)[plan.out_index];
-        ForEachDirection(plan, [&](const AtomicChannel& row,
-                                   const Reference&, const Reference&,
-                                   int32_t slot) {
-          if (!row.gated) {
-            AssembleRange(row, lane.ranges[slot], lane, &out->evidence);
-          }
-        });
-        if (plan.class_id == binding_.person) {
-          MarkPersonConstraints(plan, out);
-        }
-        if (out->evidence.empty()) continue;
-        ForEachDirection(plan, [&](const AtomicChannel& row,
-                                   const Reference& x, const Reference& y,
-                                   int32_t slot) {
-          if (row.gated) {
-            lane.ranges[slot] = GatherAtomic(row, x, y, scratch, lane);
-          }
-        });
-      }
-
-      SweepRows(/*gated=*/true, scratch, lane);
-
-      for (const PairPlan& plan : lane.plan) {
-        StagedEvidence* staged_ev = &(*staged)[plan.out_index].evidence;
-        ForEachDirection(plan, [&](const AtomicChannel& row,
-                                   const Reference&, const Reference&,
-                                   int32_t slot) {
-          if (row.gated) {
-            AssembleRange(row, lane.ranges[slot], lane, staged_ev);
-          }
-        });
-      }
-
-      if (abandoned) return;
+      StagedPair* out = &(*staged)[i];
+      out->r1 = pairs[i].first;
+      out->r2 = pairs[i].second;
+      const Reference& a = dataset_.reference(out->r1);
+      const Reference& b = dataset_.reference(out->r2);
+      out->class_id = a.class_id();
+      const std::span<const AtomicChannel> rows =
+          ClassChannels(channels_, out->class_id);
+      StageRows(rows, /*gated=*/false, a, b, scratch, &out->evidence);
+      if (out->class_id == binding_.person) MarkPersonConstraints(a, b, out);
+      if (out->evidence.empty()) continue;
+      StageRows(rows, /*gated=*/true, a, b, scratch, &out->evidence);
     }
   }
 

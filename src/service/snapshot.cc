@@ -154,7 +154,7 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         AnalyzeValues(probe, kinds_);
 
     // The comparison plan: both directions of the class's channel rows
-    // where the query has values. Queries see no wave-2 gate.
+    // where the query has values. Queries compare the gated rows too.
     std::vector<QueryChannel> channels;
     auto add_direction = [&](const AtomicChannel& row, int probe_attr,
                              int profile_attr) {
@@ -168,11 +168,14 @@ QueryResult Snapshot::Query(const ReconQuery& query,
     }
     // Association properties (Article.authoredBy -> person names,
     // Article.publishedIn -> venue names): the online stand-in for the
-    // graph's kEvArticleAuthors / kEvArticleVenue real-valued neighbors.
+    // graph's kEvArticleAuthors / kEvArticleVenue real-valued neighbors,
+    // which the graph build wires only from kArticle up.
     std::vector<AssocChannel> assoc_channels;
+    const bool wired = class_id == binding_.article &&
+                       evidence_level_ >= EvidenceLevel::kArticle;
     for (const auto& [attr_name, value] : query.properties) {
       const int attr = cls.FindAttribute(attr_name);
-      if (attr < 0 || value.empty() || class_id != binding_.article) continue;
+      if (attr < 0 || value.empty() || !wired) continue;
       AssocChannel assoc;
       int target_class = -1;
       if (attr == binding_.article_authors) {
@@ -372,6 +375,7 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
                       : std::make_shared<const Schema>(dataset.schema());
   snap->binding_ = SchemaBinding::Resolve(dataset.schema());
   snap->kinds_ = MakeValueKindSchema(snap->binding_);
+  snap->evidence_level_ = options.evidence_level;
   snap->channels_ =
       AtomicChannels(snap->binding_, options.params, options.evidence_level);
   const Schema& schema = *snap->schema_;

@@ -52,7 +52,7 @@ struct ReconQuery {
   /// (attribute name, value) constraints. Atomic attributes feed their
   /// evidence channel directly; association attributes (Article.authoredBy,
   /// Article.publishedIn) are matched against the names of the entities the
-  /// candidate is linked to.
+  /// candidate is linked to, at evidence level kArticle and above.
   std::vector<std::pair<std::string, std::string>> properties;
   /// Maximum candidates returned.
   int limit = 10;
@@ -203,7 +203,8 @@ class Snapshot {
   int64_t index_bytes_ = 0;
   SchemaBinding binding_;
   ValueKindSchema kinds_;
-  /// The atomic channels at or below the service's evidence level.
+  /// The service's evidence level, and the atomic channels at or below it.
+  EvidenceLevel evidence_level_ = EvidenceLevel::kContact;
   std::vector<AtomicChannel> channels_;
   std::vector<std::unique_ptr<ClassSimilarity>> class_sims_;
   SimParams params_;

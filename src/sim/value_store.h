@@ -183,9 +183,10 @@ class SimMemo {
   int64_t max_bytes() const { return max_bytes_; }
 
   /// Returns the memoized similarity for (evidence, v1, v2), computing it
-  /// via `compute` (a double() callable) on first sight. Stores float — the
-  /// same rounding the per-lane raw caches apply. `hits`/`misses` are
-  /// per-lane counters owned by the caller (no contention).
+  /// via `compute` (a double() callable) on first sight. Returns float, so
+  /// a result rounds the same whether it was memoized, computed or
+  /// bypassed. `hits`/`misses` are per-lane counters owned by the caller
+  /// (no contention).
   template <typename Compute>
   float LookupOrCompute(int evidence, ValueId v1, ValueId v2,
                         Compute&& compute, int64_t* hits, int64_t* misses) {
@@ -227,8 +228,8 @@ class SimMemo {
     return bypasses_.load(std::memory_order_relaxed);
   }
 
-  /// Key for (evidence, v1, v2) with the ids order-normalized. Shared
-  /// with the per-lane raw caches so both memo layers key identically.
+  /// Key for (evidence, v1, v2) with the ids order-normalized, so both
+  /// argument orders share one entry.
   static MemoKey MakeKey(int evidence, ValueId v1, ValueId v2) {
     const uint64_t lo = static_cast<uint64_t>(
         static_cast<uint32_t>(std::min(v1, v2)));

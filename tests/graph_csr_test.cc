@@ -235,6 +235,117 @@ TEST(StagedRunTest, CoraStagedLayersMatchRun) {
   ExpectStagedMatchesRun(SmallCora());
 }
 
+// ---- Pair staging on hand-built pairs --------------------------------------
+//
+// §3.1 step 1 for single candidate pairs: which channel rows are compared,
+// how often, and which evidence they leave on the pair's node.
+
+class StagingTest : public ::testing::Test {
+ protected:
+  StagingTest() : data_(BuildPimSchema()) {
+    const Schema& s = data_.schema();
+    person_ = s.RequireClass("Person");
+    article_ = s.RequireClass("Article");
+    p_name_ = s.RequireAttribute(person_, "name");
+    p_email_ = s.RequireAttribute(person_, "email");
+    a_title_ = s.RequireAttribute(article_, "title");
+    a_year_ = s.RequireAttribute(article_, "year");
+  }
+
+  RefId Person(const std::vector<std::string>& names,
+               const std::vector<std::string>& emails) {
+    const RefId id = data_.NewReference(person_, -1);
+    for (const std::string& n : names) {
+      data_.mutable_reference(id).AddAtomicValue(p_name_, n);
+    }
+    for (const std::string& e : emails) {
+      data_.mutable_reference(id).AddAtomicValue(p_email_, e);
+    }
+    return id;
+  }
+
+  RefId Article(const std::string& title, const std::string& year) {
+    const RefId id = data_.NewReference(article_, -1);
+    data_.mutable_reference(id).AddAtomicValue(a_title_, title);
+    data_.mutable_reference(id).AddAtomicValue(a_year_, year);
+    return id;
+  }
+
+  /// Builds the graph over exactly the candidate pair (r1, r2).
+  BuiltGraph Build(RefId r1, RefId r2,
+                   EvidenceLevel level = EvidenceLevel::kContact) {
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.evidence_level = level;
+    const CandidateList candidates = {{r1, r2}};
+    BuildOverrides overrides;
+    overrides.candidates = &candidates;
+    return BuildDependencyGraph(data_, options, nullptr, overrides);
+  }
+
+  /// The static evidence of `evidence` on node m, or -1 when it has none.
+  static double StaticOf(const BuiltGraph& built, NodeId m, int evidence) {
+    for (const StaticReal& s : built.graph->static_real(m)) {
+      if (s.type == evidence) return s.sim;
+    }
+    return -1.0;
+  }
+
+  Dataset data_;
+  int person_ = -1;
+  int article_ = -1;
+  int p_name_ = -1;
+  int p_email_ = -1;
+  int a_title_ = -1;
+  int a_year_ = -1;
+};
+
+TEST_F(StagingTest, UnrelatedTitlesGateTheYear) {
+  const RefId a = Article("Reference reconciliation in complex spaces", "2005");
+  const RefId b = Article("Bitmap indexes for warehouse queries", "2005");
+  const BuiltGraph built = Build(a, b);
+  EXPECT_EQ(built.graph->FindRefPair(a, b), kInvalidNode);
+  // Only the title was compared; the equal year was never looked at.
+  EXPECT_EQ(built.num_pair_comparisons, 1);
+}
+
+TEST_F(StagingTest, SimilarTitlesEarnTheYear) {
+  const RefId a = Article("Reference reconciliation in complex spaces", "2005");
+  const RefId b = Article("Reference reconciliation in complex space", "2005");
+  const BuiltGraph built = Build(a, b);
+  const NodeId m = built.graph->FindRefPair(a, b);
+  ASSERT_NE(m, kInvalidNode);
+  EXPECT_EQ(built.num_pair_comparisons, 2);
+  EXPECT_EQ(StaticOf(built, m, kEvArticleYear), 1.0);
+  bool title_node = false;
+  for (const Edge& e : built.graph->in_edges(m)) {
+    title_node |= e.evidence == kEvArticleTitle;
+  }
+  EXPECT_TRUE(title_node);
+}
+
+TEST_F(StagingTest, DissimilarNamesOfferAnExplicitZero) {
+  const RefId a = Person({"Alice Smith"}, {"shared@example.org"});
+  const RefId b = Person({"Robert Jones"}, {"shared@example.org"});
+  const BuiltGraph built = Build(a, b);
+  const NodeId m = built.graph->FindRefPair(a, b);
+  ASSERT_NE(m, kInvalidNode);
+  EXPECT_EQ(StaticOf(built, m, kEvPersonName), 0.0);
+  EXPECT_EQ(StaticOf(built, m, kEvPersonEmail), 1.0);
+  // A shared email lifts constraints 2 and 3.
+  EXPECT_NE(built.graph->node(m).state, NodeState::kNonMerge);
+}
+
+TEST_F(StagingTest, NameEmailRowComparesBothDirections) {
+  const RefId a =
+      Person({"Alice Smith", "A. Smith"}, {"asmith@example.org"});
+  const RefId b = Person({"Alice Smyth"},
+                         {"alice@example.com", "smyth@example.net"});
+  // Names 2x1, emails 1x2, name~email 2x2 + 1x1.
+  EXPECT_EQ(Build(a, b).num_pair_comparisons, 2 + 2 + 5);
+  EXPECT_EQ(Build(a, b, EvidenceLevel::kAttrWise).num_pair_comparisons,
+            2 + 2);
+}
+
 // ---- Baseline goldens ------------------------------------------------------
 //
 // IndepDec and Fellegi-Sunter read the same per-class channel table as the

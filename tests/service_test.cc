@@ -273,6 +273,41 @@ TEST(ServiceTest, QueryHonorsEvidenceLevel) {
   EXPECT_LT(score(EvidenceLevel::kAttrWise), contact);
 }
 
+// Article <-> person evidence is wired from kArticle up: below it, an
+// authoredBy property must not change an article's score.
+TEST(ServiceTest, QueryScoresAssociationsFromArticleLevel) {
+  Dataset data(BuildPimSchema());
+  const Schema& schema = data.schema();
+  const int person = schema.RequireClass("Person");
+  const int article = schema.RequireClass("Article");
+  const RefId p = data.NewReference(person, 0);
+  data.mutable_reference(p).AddAtomicValue(
+      schema.RequireAttribute(person, "name"), "Michael Stonebraker");
+  const RefId a = data.NewReference(article, 1);
+  data.mutable_reference(a).AddAtomicValue(
+      schema.RequireAttribute(article, "title"), "The design of Postgres");
+  data.mutable_reference(a).AddAssociation(
+      schema.RequireAttribute(article, "authoredBy"), p);
+  auto score = [&](EvidenceLevel level, bool with_author) {
+    ReconQuery query;
+    query.text = "The design of Postgres";
+    query.type = "Article";
+    if (with_author) query.properties = {{"authoredBy", "Michael Stonebraker"}};
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.evidence_level = level;
+    const QueryResult result =
+        BuildSnapshot(data, {0, 1}, options, 0)->Query(query);
+    EXPECT_EQ(result.candidates.size(), 1u);
+    return result.candidates.empty() ? -1.0 : result.candidates[0].score;
+  };
+  for (const EvidenceLevel level :
+       {EvidenceLevel::kAttrWise, EvidenceLevel::kNameEmail}) {
+    EXPECT_EQ(score(level, true), score(level, false));
+  }
+  EXPECT_GT(score(EvidenceLevel::kArticle, true),
+            score(EvidenceLevel::kArticle, false));
+}
+
 // ---- Ingest / snapshot isolation -------------------------------------------
 
 TEST(ServiceTest, IngestWithoutFlushStagesOnly) {
