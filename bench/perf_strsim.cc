@@ -123,14 +123,6 @@ void BM_VenueNameSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_VenueNameSimilarity);
 
-void BM_NgramSimilarity(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::strsim::NgramSimilarity(
-        "approximate query answering", "approximate query processing"));
-  }
-}
-BENCHMARK(BM_NgramSimilarity);
-
 // ---- Cold vs. warm: the per-pair cost once per-value analysis has been
 // hoisted into the ValueStore (DESIGN.md §11). Each *_Warm twin scores
 // from precomputed features; the gap against its cold sibling is exactly
@@ -149,17 +141,6 @@ void BM_PersonNameFieldSimilarityWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PersonNameFieldSimilarityWarm);
-
-void BM_NgramSetJaccardWarm(benchmark::State& state) {
-  const recon::strsim::NgramSet a =
-      recon::strsim::BuildNgramSet("approximate query answering", 3);
-  const recon::strsim::NgramSet b =
-      recon::strsim::BuildNgramSet("approximate query processing", 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::strsim::NgramSetJaccard(a, b));
-  }
-}
-BENCHMARK(BM_NgramSetJaccardWarm);
 
 void BM_TitleSimilarity(benchmark::State& state) {
   const std::string a =

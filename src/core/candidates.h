@@ -32,11 +32,12 @@ using CandidateList = std::vector<std::pair<RefId, RefId>>;
 /// Generates candidate pairs for all classes of `dataset`.
 /// With options.use_blocking == false, returns all same-class pairs.
 /// Otherwise this is the first batch of a fresh CandidateIndex, which
-/// probes `budget` as documented there. When `pool`/`store` are given
-/// (values interned and synced beforehand, as the graph builder does), key
-/// extraction reuses the precomputed features instead of re-parsing; the
-/// keys are identical either way. `num_dropped_blocks` (optional) receives
-/// the number of blocks over options.max_block_size.
+/// probes `budget` as documented there. Keys are computed from value
+/// features: when `pool`/`store` are given (values interned and synced
+/// beforehand, as the graph builder does) they are read from the store,
+/// and any value the store does not cover is analyzed with AnalyzeValue,
+/// so the keys are identical either way. `num_dropped_blocks` (optional)
+/// receives the number of blocks over options.max_block_size.
 CandidateList GenerateCandidates(const Dataset& dataset,
                                  const SchemaBinding& binding,
                                  const ReconcilerOptions& options,
@@ -48,8 +49,9 @@ CandidateList GenerateCandidates(const Dataset& dataset,
 /// Blocking keys of one reference (exposed for tests): lowercased name
 /// tokens (nickname-canonicalized), parsed last names, email account cores,
 /// title tokens, venue content tokens and acronyms, depending on class.
-/// `pool`/`store` (optional) supply precomputed value features; keys are
-/// identical with or without them.
+/// `pool`/`store` (optional) supply precomputed value features; values
+/// without one are analyzed with AnalyzeValue, so keys are identical with
+/// or without them.
 std::vector<std::string> BlockingKeys(const Dataset& dataset, RefId ref,
                                       const SchemaBinding& binding,
                                       const ValuePool* pool = nullptr,
@@ -57,7 +59,8 @@ std::vector<std::string> BlockingKeys(const Dataset& dataset, RefId ref,
 
 /// The same keys for a reference whose values are analyzed already:
 /// `features[attr][i]` is the analysis of `ref.atomic_values(attr)[i]`
-/// (values without an analysis, `features` empty included, are parsed).
+/// (values without an analysis, `features` empty included, are analyzed
+/// with AnalyzeValue).
 std::vector<std::string> BlockingKeys(
     const Reference& ref, const SchemaBinding& binding,
     const std::vector<std::vector<ValueFeatures>>& features);

@@ -2,7 +2,6 @@
 
 #include "sim/comparators.h"
 #include "sim/evidence.h"
-#include "strsim/phonetic.h"
 #include "util/string_util.h"
 
 namespace recon {
@@ -23,10 +22,7 @@ int64_t StringVectorBytes(const std::vector<std::string>& v) {
 
 int64_t ValueFeatures::ApproximateBytes() const {
   int64_t bytes = static_cast<int64_t>(sizeof(ValueFeatures));
-  bytes += StringBytes(lower) + StringBytes(soundex);
-  bytes += StringBytes(ngrams.padded) +
-           static_cast<int64_t>(ngrams.grams.capacity() *
-                                sizeof(std::pair<uint64_t, uint32_t>));
+  bytes += StringBytes(lower);
   bytes += static_cast<int64_t>(name.given.capacity() * sizeof(strsim::GivenName));
   for (const auto& g : name.given) bytes += static_cast<int64_t>(g.text.capacity());
   bytes += StringBytes(name.last);
@@ -46,13 +42,10 @@ ValueFeatures AnalyzeValue(const std::string& raw, FeatureKind kind) {
   ValueFeatures f;
   f.kind = kind;
   f.lower = ToLower(raw);
-  f.ngrams = strsim::BuildNgramSet(raw, 3);
   switch (kind) {
     case FeatureKind::kPersonName:
       f.name = strsim::ParsePersonName(raw);
-      f.soundex =
-          strsim::Soundex(f.name.last.empty() ? f.lower : f.name.last);
-      return f;
+      break;
     case FeatureKind::kEmail:
       f.email = strsim::ParseEmail(raw);
       break;
@@ -74,7 +67,6 @@ ValueFeatures AnalyzeValue(const std::string& raw, FeatureKind kind) {
     case FeatureKind::kGeneric:
       break;
   }
-  f.soundex = strsim::Soundex(f.lower);
   return f;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "strsim/jaro_winkler.h"
-#include "util/string_util.h"
 
 namespace recon::strsim {
 
@@ -52,105 +52,6 @@ double OverlapCoefficient(const std::vector<std::string>& a,
   const size_t smaller = std::min(c.size_a, c.size_b);
   if (smaller == 0) return (c.size_a == c.size_b) ? 1.0 : 0.0;
   return static_cast<double>(c.intersection) / static_cast<double>(smaller);
-}
-
-std::vector<std::string> CharacterNgrams(std::string_view s, int n) {
-  std::vector<std::string> grams;
-  if (s.empty() || n <= 0) return grams;
-  std::string padded;
-  padded.reserve(s.size() + 2 * (n - 1));
-  padded.append(n - 1, '#');
-  padded.append(ToLower(s));
-  padded.append(n - 1, '$');
-  for (size_t i = 0; i + n <= padded.size(); ++i) {
-    grams.push_back(padded.substr(i, n));
-  }
-  return grams;
-}
-
-double NgramSimilarity(std::string_view a, std::string_view b, int n) {
-  if (a.empty() && b.empty()) return 1.0;
-  return NgramSetJaccard(BuildNgramSet(a, n), BuildNgramSet(b, n));
-}
-
-namespace {
-
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const char c : s) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
-
-NgramSet BuildNgramSet(std::string_view s, int n) {
-  NgramSet set;
-  set.n = n;
-  if (s.empty() || n <= 0) return set;
-  set.padded.reserve(s.size() + 2 * (n - 1));
-  set.padded.append(n - 1, '#');
-  set.padded.append(ToLower(s));
-  set.padded.append(n - 1, '$');
-  const size_t count = set.padded.size() - n + 1;
-  set.grams.reserve(count);
-  const std::string_view padded(set.padded);
-  for (size_t i = 0; i < count; ++i) {
-    set.grams.emplace_back(Fnv1a(padded.substr(i, n)),
-                           static_cast<uint32_t>(i));
-  }
-  // Order by (hash, gram text) and deduplicate by the grams themselves, so
-  // two distinct grams that collide in hash both survive.
-  auto gram_at = [&](const std::pair<uint64_t, uint32_t>& g) {
-    return padded.substr(g.second, n);
-  };
-  std::sort(set.grams.begin(), set.grams.end(),
-            [&](const auto& x, const auto& y) {
-              if (x.first != y.first) return x.first < y.first;
-              return gram_at(x) < gram_at(y);
-            });
-  set.grams.erase(std::unique(set.grams.begin(), set.grams.end(),
-                              [&](const auto& x, const auto& y) {
-                                return x.first == y.first &&
-                                       gram_at(x) == gram_at(y);
-                              }),
-                  set.grams.end());
-  return set;
-}
-
-double NgramSetJaccard(const NgramSet& a, const NgramSet& b) {
-  if (a.grams.empty() && b.grams.empty()) return 1.0;
-  // Merge walk over the two sorted sets. Both are ordered by (hash, gram
-  // text), so comparing hashes first and falling back to the gram bytes on
-  // equal hashes is a total order — collision-safe set intersection.
-  size_t i = 0;
-  size_t j = 0;
-  size_t common = 0;
-  while (i < a.grams.size() && j < b.grams.size()) {
-    const uint64_t ha = a.grams[i].first;
-    const uint64_t hb = b.grams[j].first;
-    if (ha < hb) {
-      ++i;
-    } else if (hb < ha) {
-      ++j;
-    } else {
-      const std::string_view ga = a.gram(i);
-      const std::string_view gb = b.gram(j);
-      if (ga == gb) {
-        ++common;
-        ++i;
-        ++j;
-      } else if (ga < gb) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-  }
-  const size_t unions = a.grams.size() + b.grams.size() - common;
-  return static_cast<double>(common) / static_cast<double>(unions);
 }
 
 double MongeElkanSimilarity(const std::vector<std::string>& a,

@@ -1,13 +1,10 @@
-// Token-set similarity measures (Jaccard, Dice, overlap, n-grams) and the
-// Monge-Elkan hybrid comparator.
+// Token-set similarity measures (Jaccard, Dice, overlap) and the Monge-Elkan
+// hybrid comparator.
 
 #ifndef RECON_STRSIM_TOKENS_H_
 #define RECON_STRSIM_TOKENS_H_
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace recon::strsim {
@@ -24,41 +21,6 @@ double DiceSimilarity(const std::vector<std::string>& a,
 /// Overlap coefficient |A ∩ B| / min(|A|, |B|) over de-duplicated tokens.
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b);
-
-/// Character n-grams of `s` (lowercased), padded with '#'/'$' sentinels so
-/// prefixes/suffixes are weighted. Returns the empty vector when s is empty.
-std::vector<std::string> CharacterNgrams(std::string_view s, int n);
-
-/// Jaccard over character n-grams. In [0, 1].
-double NgramSimilarity(std::string_view a, std::string_view b, int n = 3);
-
-/// A precomputed character n-gram set: the padded lowercase form plus its
-/// distinct n-grams as (hash, offset) pairs, sorted by hash then gram text.
-/// Built once per distinct value, it replaces materializing a
-/// std::vector<std::string> of grams per comparison; the offsets keep the
-/// actual gram bytes reachable, so hash collisions fall back to comparing
-/// the grams themselves and never corrupt set arithmetic.
-struct NgramSet {
-  int n = 0;
-  std::string padded;  ///< '#'-prefixed, '$'-suffixed lowercase form.
-  /// Distinct grams as (FNV-1a hash, offset into `padded`), sorted by
-  /// (hash, gram text).
-  std::vector<std::pair<uint64_t, uint32_t>> grams;
-
-  std::string_view gram(size_t i) const {
-    return std::string_view(padded).substr(grams[i].second,
-                                           static_cast<size_t>(n));
-  }
-  size_t size() const { return grams.size(); }
-};
-
-/// Builds the n-gram set of `s` (lowercased, sentinel-padded exactly like
-/// CharacterNgrams). Empty for empty input or n <= 0.
-NgramSet BuildNgramSet(std::string_view s, int n);
-
-/// Jaccard over two prebuilt n-gram sets (same `n` expected). 1.0 when both
-/// are empty; equals JaccardSimilarity over CharacterNgrams by construction.
-double NgramSetJaccard(const NgramSet& a, const NgramSet& b);
 
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
 /// `b`. Asymmetric; SymmetricMongeElkan averages both directions.

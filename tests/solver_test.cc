@@ -13,7 +13,6 @@
 #include "core/solver.h"
 #include "eval/metrics.h"
 #include "model/dataset.h"
-#include "strsim/phonetic.h"
 
 namespace recon {
 namespace {
@@ -497,31 +496,6 @@ TEST_F(CacheInvalidationTest, UnmergedStrongNeighbor) {
             static_cast<float>(sim.Compute(stale)));
   EXPECT_EQ(Score(author), static_cast<float>(sim.Compute(remaining)));
   EXPECT_NE(graph().node(author).state, NodeState::kMerged);
-}
-
-// ---- Soundex ------------------------------------------------------------------
-
-TEST(SoundexTest, ClassicCodes) {
-  EXPECT_EQ(strsim::Soundex("Robert"), "R163");
-  EXPECT_EQ(strsim::Soundex("Rupert"), "R163");
-  EXPECT_EQ(strsim::Soundex("Ashcraft"), "A261");
-  EXPECT_EQ(strsim::Soundex("Ashcroft"), "A261");
-  EXPECT_EQ(strsim::Soundex("Tymczak"), "T522");
-  EXPECT_EQ(strsim::Soundex("Pfister"), "P236");
-  EXPECT_EQ(strsim::Soundex("Honeyman"), "H555");
-}
-
-TEST(SoundexTest, EdgeCases) {
-  EXPECT_EQ(strsim::Soundex(""), "");
-  EXPECT_EQ(strsim::Soundex("123"), "");
-  EXPECT_EQ(strsim::Soundex("A"), "A000");
-  EXPECT_EQ(strsim::Soundex("  o'Brien "), "O165");
-}
-
-TEST(SoundexTest, Equality) {
-  EXPECT_TRUE(strsim::SoundexEqual("Stonebraker", "Stonebreaker"));
-  EXPECT_FALSE(strsim::SoundexEqual("Wong", "Epstein"));
-  EXPECT_FALSE(strsim::SoundexEqual("", ""));
 }
 
 }  // namespace

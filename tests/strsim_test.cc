@@ -98,18 +98,6 @@ TEST(TokensTest, DuplicatesCollapse) {
   EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "a", "b"}, {"a", "b", "b"}), 1.0);
 }
 
-TEST(TokensTest, CharacterNgrams) {
-  const auto grams = CharacterNgrams("ab", 2);
-  EXPECT_EQ(grams, (std::vector<std::string>{"#a", "ab", "b$"}));
-  EXPECT_TRUE(CharacterNgrams("", 3).empty());
-}
-
-TEST(TokensTest, NgramSimilarityCatchesTypos) {
-  EXPECT_GT(NgramSimilarity("stonebraker", "stonebaker"), 0.5);
-  EXPECT_LT(NgramSimilarity("stonebraker", "widom"), 0.1);
-  EXPECT_DOUBLE_EQ(NgramSimilarity("same", "same"), 1.0);
-}
-
 TEST(TokensTest, MongeElkanForgivesTokenNoise) {
   const std::vector<std::string> a = {"query", "optimization"};
   const std::vector<std::string> b = {"qeury", "optimizaton"};

@@ -76,8 +76,11 @@ void PrintUsage(std::ostream& out) {
          "  --evidence attr|ne|article|contact   evidence level (ablation)\n"
          "  --threads N             graph-build worker threads, 0..1024\n"
          "                          (0 = all hardware threads); the solve\n"
-         "                          runs on one thread. Output is\n"
-         "                          byte-identical for every N\n"
+         "                          runs on one thread. Partitions and\n"
+         "                          graph counters are identical for every\n"
+         "                          N; an evicting memo may split its\n"
+         "                          lookups into hits and misses\n"
+         "                          differently\n"
          "\n"
          "execution budget (DESIGN.md §10) — on exhaustion the run "
          "never aborts;\n"
@@ -401,7 +404,8 @@ int main(int argc, char** argv) {
               << " pair comparisons, " << result.stats.num_value_analyses
               << " value analyses; memo " << result.stats.num_sim_memo_hits
               << " hits / " << result.stats.num_sim_memo_misses
-              << " misses (" << result.stats.sim_memo_bytes
+              << " misses, " << result.stats.num_sim_memo_evictions
+              << " evictions (" << result.stats.sim_memo_bytes
               << " B, store " << result.stats.value_store_bytes << " B); "
               << result.stats.num_dropped_blocks
               << " blocks over the cap dropped\n";
