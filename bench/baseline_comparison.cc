@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   FellegiSunterOptions fs_options;
   fs_options.blocking = bench::WithBenchThreads(fs_options.blocking);
   const FellegiSunter fs(fs_options);
-  const IndepDec indep(bench::WithBenchThreads(ReconcilerOptions::IndepDec()));
+  const Reconciler indep(
+      bench::WithBenchThreads(ReconcilerOptions::IndepDec()));
   const Reconciler dep(bench::WithBenchThreads(ReconcilerOptions::DepGraph()));
   const auto c_fs = fs.Run(dataset).cluster;
   const auto c_in = indep.Run(dataset).cluster;

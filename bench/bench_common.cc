@@ -73,7 +73,7 @@ std::vector<datagen::PimConfig> ScaledPimConfigs() {
 Comparison CompareOnClass(const Dataset& dataset, int class_id) {
   Comparison out;
   const int threads = BenchThreads();
-  const IndepDec indep(WithBenchThreads(ReconcilerOptions::IndepDec()));
+  const Reconciler indep(WithBenchThreads(ReconcilerOptions::IndepDec()));
   out.indep =
       EvaluateClass(dataset, indep.Run(dataset).cluster, class_id, threads);
   const Reconciler depgraph(WithBenchThreads(ReconcilerOptions::DepGraph()));

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"

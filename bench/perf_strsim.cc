@@ -16,7 +16,6 @@
 #include "strsim/title.h"
 #include "strsim/tokens.h"
 #include "strsim/venue.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -96,11 +95,28 @@ void BM_PersonNameParse(benchmark::State& state) {
 }
 BENCHMARK(BM_PersonNameParse);
 
+// ---- Cold vs. warm. A cold row analyzes both values with AnalyzeValue and
+// scores them with the field comparator, on every iteration: the cost of
+// a comparison whose values were never seen. Each *_Warm twin scores from
+// precomputed features; the gap against its cold sibling is exactly what
+// the ValueStore (DESIGN.md §11) saves on every repeated comparison.
+
+/// Analyzes `a` and `b` as `kind` and scores them with `comparator`.
+template <typename Comparator>
+double ColdSimilarity(Comparator comparator, const std::string& a,
+                      recon::FeatureKind kind_a, const std::string& b,
+                      recon::FeatureKind kind_b) {
+  return comparator(recon::AnalyzeValue(a, kind_a),
+                    recon::AnalyzeValue(b, kind_b));
+}
+
 void BM_PersonNameFieldSimilarity(benchmark::State& state) {
   const std::string a = "Robert S. Epstein";
   const std::string b = "Epstein, R.S.";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::PersonNameFieldSimilarity(a, b));
+    benchmark::DoNotOptimize(ColdSimilarity(
+        recon::PersonNameFieldSimilarity, a, recon::FeatureKind::kPersonName,
+        b, recon::FeatureKind::kPersonName));
   }
 }
 BENCHMARK(BM_PersonNameFieldSimilarity);
@@ -109,7 +125,9 @@ void BM_NameEmailSimilarity(benchmark::State& state) {
   const std::string name = "Stonebraker, M.";
   const std::string email = "stonebraker@csail.mit.edu";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::NameEmailFieldSimilarity(name, email));
+    benchmark::DoNotOptimize(ColdSimilarity(
+        recon::NameEmailFieldSimilarity, name,
+        recon::FeatureKind::kPersonName, email, recon::FeatureKind::kEmail));
   }
 }
 BENCHMARK(BM_NameEmailSimilarity);
@@ -118,26 +136,20 @@ void BM_VenueNameSimilarity(benchmark::State& state) {
   const std::string a = "ACM SIGMOD";
   const std::string b = "ACM Conference on Management of Data";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::VenueNameFieldSimilarity(a, b));
+    benchmark::DoNotOptimize(ColdSimilarity(
+        recon::VenueNameFieldSimilarity, a, recon::FeatureKind::kVenueName,
+        b, recon::FeatureKind::kVenueName));
   }
 }
 BENCHMARK(BM_VenueNameSimilarity);
 
-// ---- Cold vs. warm: the per-pair cost once per-value analysis has been
-// hoisted into the ValueStore (DESIGN.md §11). Each *_Warm twin scores
-// from precomputed features; the gap against its cold sibling is exactly
-// what the store saves on every repeated comparison.
-
 void BM_PersonNameFieldSimilarityWarm(benchmark::State& state) {
-  const std::string a = "Robert S. Epstein";
-  const std::string b = "Epstein, R.S.";
-  const recon::strsim::PersonName pa = recon::strsim::ParsePersonName(a);
-  const recon::strsim::PersonName pb = recon::strsim::ParsePersonName(b);
-  const std::string la = recon::ToLower(a);
-  const std::string lb = recon::ToLower(b);
+  const recon::ValueFeatures a = recon::AnalyzeValue(
+      "Robert S. Epstein", recon::FeatureKind::kPersonName);
+  const recon::ValueFeatures b =
+      recon::AnalyzeValue("Epstein, R.S.", recon::FeatureKind::kPersonName);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        recon::PersonNameFieldSimilarity(pa, la, pb, lb));
+    benchmark::DoNotOptimize(recon::PersonNameFieldSimilarity(a, b));
   }
 }
 BENCHMARK(BM_PersonNameFieldSimilarityWarm);
@@ -148,7 +160,9 @@ void BM_TitleSimilarity(benchmark::State& state) {
   const std::string b =
       "Distributed query procesing in relational database systems";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recon::TitleFieldSimilarity(a, b));
+    benchmark::DoNotOptimize(ColdSimilarity(
+        recon::TitleFieldSimilarity, a, recon::FeatureKind::kTitle, b,
+        recon::FeatureKind::kTitle));
   }
 }
 BENCHMARK(BM_TitleSimilarity);

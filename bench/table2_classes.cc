@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   for (const auto& config : bench::ScaledPimConfigs()) {
     const Dataset dataset = datagen::GeneratePim(config);
-    const IndepDec baseline(
+    const Reconciler baseline(
         bench::WithBenchThreads(ReconcilerOptions::IndepDec()));
     const Reconciler depgraph(
         bench::WithBenchThreads(ReconcilerOptions::DepGraph()));

@@ -7,7 +7,7 @@
 
 #include "core/candidates.h"
 #include "core/schema_binding.h"
-#include "sim/comparators.h"
+#include "sim/value_store.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "util/union_find.h"
@@ -25,16 +25,19 @@ enum Outcome : uint8_t {
   kNumOutcomes = 4,
 };
 
-Outcome CompareField(const Reference& a, const Reference& b,
+/// A reference's analyzed atomic values, per attribute (AnalyzeValues).
+using RefFeatures = std::vector<std::vector<ValueFeatures>>;
+
+Outcome CompareField(const RefFeatures& a, const RefFeatures& b,
                      const AtomicChannel& field,
                      const FellegiSunterOptions& options) {
-  const auto& values_a = a.atomic_values(field.attr_a);
-  const auto& values_b = b.atomic_values(field.attr_b);
+  const std::vector<ValueFeatures>& values_a = a[field.attr_a];
+  const std::vector<ValueFeatures>& values_b = b[field.attr_b];
   if (values_a.empty() || values_b.empty()) return kMissing;
   double best = 0;
-  for (const auto& va : values_a) {
-    for (const auto& vb : values_b) {
-      best = std::max(best, FieldSimilarity(field.evidence, va, vb));
+  for (const ValueFeatures& va : values_a) {
+    for (const ValueFeatures& vb : values_b) {
+      best = std::max(best, FeaturePairSimilarity(field.evidence, va, vb));
     }
   }
   if (best >= options.agree_threshold) return kAgree;
@@ -50,16 +53,23 @@ struct ClassVectors {
   int num_fields = 0;
 };
 
-ClassVectors BuildVectors(const Dataset& dataset, int class_id,
-                          std::span<const AtomicChannel> fields,
+ClassVectors BuildVectors(const Dataset& dataset, const ValueKindSchema& kinds,
+                          int class_id, std::span<const AtomicChannel> fields,
                           const CandidateList& candidates,
                           const FellegiSunterOptions& options) {
   ClassVectors out;
   out.num_fields = static_cast<int>(fields.size());
+  // Each candidate reference is analyzed once, when first compared.
+  std::vector<RefFeatures> features(dataset.num_references());
+  const auto features_of = [&](RefId id) -> const RefFeatures& {
+    RefFeatures& f = features[id];
+    if (f.empty()) f = AnalyzeValues(dataset.reference(id), kinds);
+    return f;
+  };
   for (const auto& [r1, r2] : candidates) {
-    const Reference& a = dataset.reference(r1);
-    if (a.class_id() != class_id) continue;
-    const Reference& b = dataset.reference(r2);
+    if (dataset.reference(r1).class_id() != class_id) continue;
+    const RefFeatures& a = features_of(r1);
+    const RefFeatures& b = features_of(r2);
     out.pairs.emplace_back(r1, r2);
     for (const AtomicChannel& field : fields) {
       out.outcomes.push_back(CompareField(a, b, field, options));
@@ -136,9 +146,9 @@ FellegiSunterModel FellegiSunter::FitClass(const Dataset& dataset,
                      EvidenceLevel::kAttrWise);
   const CandidateList candidates =
       GenerateCandidates(dataset, binding, options_.blocking);
-  const ClassVectors vectors =
-      BuildVectors(dataset, class_id, ClassChannels(channels, class_id),
-                   candidates, options_);
+  const ClassVectors vectors = BuildVectors(
+      dataset, MakeValueKindSchema(binding), class_id,
+      ClassChannels(channels, class_id), candidates, options_);
   std::vector<double> posteriors;
   return FitEm(vectors, options_, &posteriors);
 }
@@ -157,6 +167,7 @@ ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
   const std::vector<AtomicChannel> channels =
       AtomicChannels(binding, options_.blocking.params,
                      EvidenceLevel::kAttrWise);
+  const ValueKindSchema kinds = MakeValueKindSchema(binding);
 
   for (int class_id = 0; class_id < dataset.schema().num_classes();
        ++class_id) {
@@ -164,7 +175,7 @@ ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
         ClassChannels(channels, class_id);
     if (fields.empty()) continue;
     const ClassVectors vectors =
-        BuildVectors(dataset, class_id, fields, candidates, options_);
+        BuildVectors(dataset, kinds, class_id, fields, candidates, options_);
     std::vector<double> posteriors;
     FitEm(vectors, options_, &posteriors);
     for (size_t i = 0; i < vectors.pairs.size(); ++i) {

@@ -6,9 +6,12 @@
 // two-class naive-Bayes model, EM estimates each field's agreement
 // probabilities among matches (m) and non-matches (u) without any labels;
 // pairs are classified by posterior match probability and closed
-// transitively. This is the second baseline next to IndepDec, and —
-// unlike it — is *unsupervised but adaptive*: it learns field weights from
-// the dataset itself.
+// transitively. This is the second baseline next to IndepDec (the
+// Reconciler run as ReconcilerOptions::IndepDec()), and — unlike it — is
+// *unsupervised but adaptive*: it learns field weights from the dataset
+// itself. Each candidate reference is analyzed once (AnalyzeValues), and
+// fields are scored by the graph's field comparators
+// (FeaturePairSimilarity).
 
 #ifndef RECON_BASELINE_FELLEGI_SUNTER_H_
 #define RECON_BASELINE_FELLEGI_SUNTER_H_
@@ -49,8 +52,8 @@ struct FellegiSunterModel {
   int iterations = 0;
 };
 
-/// The unsupervised Fellegi-Sunter linker. Fields per class mirror the
-/// attribute set the IndepDec baseline compares (names/emails for Person,
+/// The unsupervised Fellegi-Sunter linker. Fields per class are the
+/// attribute-wise channel rows IndepDec compares (names/emails for Person,
 /// title/year/pages for Article, name/year/location for Venue).
 class FellegiSunter {
  public:

@@ -122,7 +122,8 @@ struct ReconcilerOptions {
 
   /// Returns the IndepDec configuration: attribute-wise evidence, one pass,
   /// no enrichment, no constraints — the "candidate standard reference
-  /// reconciliation approach" of §5.2.
+  /// reconciliation approach" of §5.2. This mode is the repository's one
+  /// IndepDec; the benches, tools and CLI run it through Reconciler.
   static ReconcilerOptions IndepDec() {
     ReconcilerOptions options;
     options.evidence_level = EvidenceLevel::kAttrWise;

@@ -1,6 +1,7 @@
 #include "core/schema_binding.h"
 
 #include <algorithm>
+#include <string>
 
 #include "sim/evidence.h"
 
@@ -52,6 +53,19 @@ ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
   add(b.venue, b.venue_year, FeatureKind::kYear);
   add(b.venue, b.venue_location, FeatureKind::kLocation);
   return schema;
+}
+
+std::vector<std::vector<ValueFeatures>> AnalyzeValues(
+    const Reference& ref, const ValueKindSchema& kinds) {
+  std::vector<std::vector<ValueFeatures>> features(ref.num_attributes());
+  for (int attr = 0; attr < ref.num_attributes(); ++attr) {
+    const FeatureKind kind = kinds.KindOf(ValueDomain{ref.class_id(), attr});
+    if (kind == FeatureKind::kGeneric) continue;
+    for (const std::string& value : ref.atomic_values(attr)) {
+      features[attr].push_back(AnalyzeValue(value, kind));
+    }
+  }
+  return features;
 }
 
 std::vector<AtomicChannel> AtomicChannels(const SchemaBinding& b,

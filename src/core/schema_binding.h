@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/options.h"
+#include "model/reference.h"
 #include "model/schema.h"
 #include "sim/class_sim.h"
 #include "sim/params.h"
@@ -48,6 +49,13 @@ struct SchemaBinding {
 /// graph's value store, InternReferenceValues and the service snapshot all
 /// read this one table, so a value is analyzed the same way everywhere.
 ValueKindSchema MakeValueKindSchema(const SchemaBinding& binding);
+
+/// The analyses of a reference's atomic values, per attribute, for the
+/// attributes with a feature kind in `kinds` (empty for the rest): the
+/// form the snapshot's entity features, BlockingKeys and Fellegi-Sunter's
+/// field comparisons read.
+std::vector<std::vector<ValueFeatures>> AnalyzeValues(
+    const Reference& ref, const ValueKindSchema& kinds);
 
 /// One atomic evidence channel of a class's S_rv (paper §4, Eq. 1): a
 /// reference pair's `attr_a` values are compared with its `attr_b` values

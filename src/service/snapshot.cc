@@ -25,22 +25,6 @@ int NameAttribute(std::span<const AtomicChannel> channels, int class_id) {
   return rows.empty() ? -1 : rows.front().attr_a;
 }
 
-/// The analyses of a reference's atomic values, per attribute, for the
-/// attributes with a feature kind (empty for the rest) — the form
-/// EntityInfo::features and BlockingKeys take.
-std::vector<std::vector<ValueFeatures>> AnalyzeValues(
-    const Reference& ref, const ValueKindSchema& kinds) {
-  std::vector<std::vector<ValueFeatures>> features(ref.num_attributes());
-  for (int attr = 0; attr < ref.num_attributes(); ++attr) {
-    const FeatureKind kind = kinds.KindOf(ValueDomain{ref.class_id(), attr});
-    if (kind == FeatureKind::kGeneric) continue;
-    for (const std::string& value : ref.atomic_values(attr)) {
-      features[attr].push_back(AnalyzeValue(value, kind));
-    }
-  }
-  return features;
-}
-
 /// One direction of an atomic channel row: the query's `probe_attr`
 /// values against the candidate profile's `profile_attr` values.
 struct QueryChannel {

@@ -41,9 +41,9 @@ int64_t ValueFeatures::ApproximateBytes() const {
 ValueFeatures AnalyzeValue(const std::string& raw, FeatureKind kind) {
   ValueFeatures f;
   f.kind = kind;
-  f.lower = ToLower(raw);
   switch (kind) {
     case FeatureKind::kPersonName:
+      f.lower = ToLower(raw);
       f.name = strsim::ParsePersonName(raw);
       break;
     case FeatureKind::kEmail:

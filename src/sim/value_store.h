@@ -4,8 +4,8 @@
 // evidence propagates, and with O(n²) candidate pairs per block each
 // distinct value used to be re-parsed and re-tokenized hundreds of times.
 // The ValueStore analyzes every distinct interned value exactly once into
-// what the comparators and blocking keys read — lowercase form,
-// PersonName parse, email parse, normalized title + tokens, venue token
+// what the comparators and blocking keys read — person names' lowercase
+// form and parse, email parse, normalized title + tokens, venue token
 // views, year, pages, location — and shares the resulting ValueFeatures
 // read-only across pool threads. The SimMemo on top caches pairwise
 // comparator results keyed by (evidence, min(ValueId), max(ValueId)) with a
@@ -35,7 +35,7 @@ namespace recon {
 /// What kind of analysis a value domain needs. Determines which ValueFeatures
 /// fields are populated.
 enum class FeatureKind : int {
-  kGeneric = 0,  ///< Lowercase only.
+  kGeneric = 0,  ///< No analysis: only the kind is recorded.
   kPersonName,
   kEmail,
   kTitle,
@@ -60,12 +60,13 @@ struct ValueKindSchema {
   }
 };
 
-/// Precomputed analysis of one distinct attribute value. Only the fields for
-/// the value's kind are populated (plus the kind-independent ones).
+/// Precomputed analysis of one distinct attribute value. Only `kind` and
+/// the fields for the value's kind are populated.
 struct ValueFeatures {
   FeatureKind kind = FeatureKind::kGeneric;
-  std::string lower;          ///< ToLower(raw); all kinds.
 
+  /// kPersonName: ToLower(raw), for the identical-abbreviation check.
+  std::string lower;
   strsim::PersonName name;          ///< kPersonName.
   strsim::EmailAddress email;       ///< kEmail.
   strsim::TitleFeatures title;      ///< kTitle.
@@ -121,10 +122,11 @@ class ValueStore {
   int64_t approximate_bytes_ = 0;
 };
 
-/// Scores a pair of analyzed values on an evidence channel. Exactly matches
-/// the raw-string field comparator for that channel (value_store_test
-/// checks every channel against it). For kEvPersonNameEmail the name/email
-/// sides are identified by kind, so argument order does not matter.
+/// Scores a pair of analyzed values on an evidence channel with that
+/// channel's field comparator (sim/comparators.h); the one scoring entry
+/// point of the graph build, query scoring and Fellegi-Sunter. For
+/// kEvPersonNameEmail the name/email sides are identified by kind, so
+/// argument order does not matter.
 /// Returns 0 for boolean or derived evidence channels that have no atomic
 /// comparator.
 double FeaturePairSimilarity(int evidence, const ValueFeatures& a,

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "eval/metrics.h"
 #include "model/dataset.h"
@@ -159,7 +158,7 @@ TEST_F(AdversarialTest, IndepDecSurvivesTheSameInputs) {
   Person(11, "");  // Attribute-less.
   const RefId self = Person(12, "Loop Self");
   data_.mutable_reference(self).AddAssociation(contact_, self);
-  const IndepDec baseline;
+  const Reconciler baseline(ReconcilerOptions::IndepDec());
   const ReconcileResult result = baseline.Run(data_);
   EXPECT_EQ(static_cast<int>(result.cluster.size()),
             data_.num_references());

@@ -382,7 +382,7 @@ TEST(BlockingKeysTest, PrecomputedFeatureKeysMatchAnalyzedKeys) {
 
 /// Asserts that GenerateCandidates with the graph's pool and store, as the
 /// graph build calls it, returns the pairs and dropped-block count it
-/// returns without them, as IndepDec and Fellegi-Sunter call it.
+/// returns without them, as Fellegi-Sunter calls it.
 void ExpectStoreCandidatesMatchAnalyzedCandidates(const Dataset& data) {
   const ReconcilerOptions options = ReconcilerOptions::DepGraph();
   const BuiltGraph built = BuildDependencyGraph(data, options);

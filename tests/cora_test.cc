@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/cora_generator.h"
 #include "eval/metrics.h"
@@ -63,7 +62,7 @@ TEST(CoraTest, WrongVenueMentionsDragDownDepGraphVenuePrecision) {
 
 TEST(CoraTest, DepGraphBeatsIndepDecOnEveryClass) {
   const Dataset data = datagen::GenerateCora(SmallCora(13));
-  const IndepDec indep;
+  const Reconciler indep(ReconcilerOptions::IndepDec());
   const Reconciler dep(ReconcilerOptions::DepGraph());
   const auto ci = indep.Run(data).cluster;
   const auto cd = dep.Run(data).cluster;

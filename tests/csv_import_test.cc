@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "extract/csv_import.h"
 #include "model/dataset.h"

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/fellegi_sunter.h"
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"

@@ -1,14 +1,11 @@
 // Cross-module integration tests: full reconciliation runs over generated
-// datasets, checking the paper's qualitative claims at small scale, plus a
-// differential test between the standalone IndepDec baseline and the
-// Reconciler configured as IndepDec.
+// datasets, checking the paper's qualitative claims at small scale.
 
 #include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
@@ -28,7 +25,7 @@ TEST(IntegrationTest, DepGraphBeatsIndepDecOnPersons) {
   const Dataset data = datagen::GeneratePim(SmallPim(42));
   const int person = data.schema().RequireClass("Person");
 
-  const IndepDec baseline;
+  const Reconciler baseline(ReconcilerOptions::IndepDec());
   const PairMetrics indep =
       EvaluateClass(data, baseline.Run(data).cluster, person);
   const Reconciler depgraph(ReconcilerOptions::DepGraph());
@@ -43,33 +40,13 @@ TEST(IntegrationTest, DepGraphBeatsIndepDecOnPersons) {
 TEST(IntegrationTest, DepGraphBeatsIndepDecOnVenues) {
   const Dataset data = datagen::GeneratePim(SmallPim(43));
   const int venue = data.schema().RequireClass("Venue");
-  const IndepDec baseline;
+  const Reconciler baseline(ReconcilerOptions::IndepDec());
   const PairMetrics indep =
       EvaluateClass(data, baseline.Run(data).cluster, venue);
   const Reconciler depgraph(ReconcilerOptions::DepGraph());
   const PairMetrics dep =
       EvaluateClass(data, depgraph.Run(data).cluster, venue);
   EXPECT_GT(dep.recall, indep.recall);
-}
-
-TEST(IntegrationTest, ReconcilerIndepDecMatchesStandaloneBaseline) {
-  // The standalone baseline is an independent implementation of the same
-  // specification; both must produce the same partition.
-  for (const uint64_t seed : {7u, 8u, 9u}) {
-    const Dataset data = datagen::GeneratePim(SmallPim(seed));
-    const IndepDec standalone;
-    const Reconciler configured(ReconcilerOptions::IndepDec());
-    const auto a = standalone.Run(data).cluster;
-    const auto b = configured.Run(data).cluster;
-    ASSERT_EQ(a.size(), b.size());
-    // Compare as partitions (cluster representatives may differ).
-    std::map<int, int> mapping;
-    for (size_t i = 0; i < a.size(); ++i) {
-      auto [it, inserted] = mapping.try_emplace(a[i], b[i]);
-      EXPECT_EQ(it->second, b[i]) << "partition mismatch at ref " << i
-                                  << " (seed " << seed << ")";
-    }
-  }
 }
 
 TEST(IntegrationTest, ModesOrderOnPartitionCounts) {
@@ -162,7 +139,7 @@ TEST(IntegrationTest, CoraDepGraphImprovesVenueRecall) {
   const Dataset data = datagen::GenerateCora(config);
   const int venue = data.schema().RequireClass("Venue");
 
-  const IndepDec baseline;
+  const Reconciler baseline(ReconcilerOptions::IndepDec());
   const PairMetrics indep =
       EvaluateClass(data, baseline.Run(data).cluster, venue);
   const Reconciler depgraph(ReconcilerOptions::DepGraph());

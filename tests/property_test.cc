@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +15,8 @@
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
 #include "invariants.h"
-#include "sim/comparators.h"
+#include "sim/evidence.h"
+#include "sim/value_store.h"
 #include "strsim/edit_distance.h"
 #include "strsim/jaro_winkler.h"
 
@@ -55,15 +57,22 @@ class ComparatorPropertyTest : public ::testing::TestWithParam<StringPair> {};
 
 TEST_P(ComparatorPropertyTest, AllComparatorsBoundedAndSymmetric) {
   const auto& [a, b] = GetParam();
-  using Comparator = double (*)(const std::string&, const std::string&);
-  const Comparator comparators[] = {
-      PersonNameFieldSimilarity, EmailFieldSimilarity, TitleFieldSimilarity,
-      VenueNameFieldSimilarity,  YearFieldSimilarity,  PagesFieldSimilarity,
-      LocationFieldSimilarity,
+  // Each same-attribute field comparator, as its channel and the feature
+  // kind its values are analyzed into.
+  const std::pair<int, FeatureKind> comparators[] = {
+      {kEvPersonName, FeatureKind::kPersonName},
+      {kEvPersonEmail, FeatureKind::kEmail},
+      {kEvArticleTitle, FeatureKind::kTitle},
+      {kEvVenueName, FeatureKind::kVenueName},
+      {kEvArticleYear, FeatureKind::kYear},
+      {kEvArticlePages, FeatureKind::kPages},
+      {kEvVenueLocation, FeatureKind::kLocation},
   };
-  for (const Comparator comparator : comparators) {
-    const double ab = comparator(a, b);
-    const double ba = comparator(b, a);
+  for (const auto& [evidence, kind] : comparators) {
+    const ValueFeatures fa = AnalyzeValue(a, kind);
+    const ValueFeatures fb = AnalyzeValue(b, kind);
+    const double ab = FeaturePairSimilarity(evidence, fa, fb);
+    const double ba = FeaturePairSimilarity(evidence, fb, fa);
     EXPECT_GE(ab, 0.0);
     EXPECT_LE(ab, 1.0);
     EXPECT_DOUBLE_EQ(ab, ba) << "'" << a << "' vs '" << b << "'";

@@ -4,6 +4,7 @@
 #include "sim/comparators.h"
 #include "sim/evidence.h"
 #include "sim/params.h"
+#include "sim/value_store.h"
 
 namespace recon {
 namespace {
@@ -191,17 +192,27 @@ TEST(ClassSimilarityFactoryTest, BuildsAllKnownClasses) {
 
 // ---- Comparators (policy wrappers) --------------------------------------------------
 
+/// Scores two raw values on `evidence` the way the graph does: each is
+/// analyzed as `kind`, then compared by the channel's field comparator.
+double FieldScore(int evidence, FeatureKind kind, const std::string& a,
+                  const std::string& b) {
+  return FeaturePairSimilarity(evidence, AnalyzeValue(a, kind),
+                               AnalyzeValue(b, kind));
+}
+
+double NameScore(const std::string& a, const std::string& b) {
+  return FieldScore(kEvPersonName, FeatureKind::kPersonName, a, b);
+}
+
 TEST(ComparatorsTest, AbbreviatedNamesAreCapped) {
-  EXPECT_LE(PersonNameFieldSimilarity("Wong, E.", "Eugene Wong"),
-            kAbbreviatedNameCap);
+  EXPECT_LE(NameScore("Wong, E.", "Eugene Wong"), kAbbreviatedNameCap);
   // Byte-identical abbreviated strings are equal attribute values and may
   // merge on their own (above the 0.85 merge threshold)...
-  EXPECT_DOUBLE_EQ(PersonNameFieldSimilarity("Wong, E.", "Wong, E."),
+  EXPECT_DOUBLE_EQ(NameScore("Wong, E.", "Wong, E."),
                    kEqualAbbreviatedNameSim);
   // ...but identical bare first names / nicknames stay capped.
-  EXPECT_LE(PersonNameFieldSimilarity("mike", "mike"), kAbbreviatedNameCap);
-  EXPECT_DOUBLE_EQ(
-      PersonNameFieldSimilarity("Eugene Wong", "Eugene Wong"), 1.0);
+  EXPECT_LE(NameScore("mike", "mike"), kAbbreviatedNameCap);
+  EXPECT_DOUBLE_EQ(NameScore("Eugene Wong", "Eugene Wong"), 1.0);
 }
 
 TEST(ComparatorsTest, AllBoundedInUnitInterval) {
@@ -213,13 +224,18 @@ TEST(ComparatorsTest, AllBoundedInUnitInterval) {
       {"1978", "2004"},
       {"", ""},
   };
+  const std::pair<int, FeatureKind> comparators[] = {
+      {kEvPersonName, FeatureKind::kPersonName},
+      {kEvPersonEmail, FeatureKind::kEmail},
+      {kEvArticleTitle, FeatureKind::kTitle},
+      {kEvVenueName, FeatureKind::kVenueName},
+      {kEvArticleYear, FeatureKind::kYear},
+      {kEvArticlePages, FeatureKind::kPages},
+      {kEvVenueLocation, FeatureKind::kLocation},
+  };
   for (const auto& [a, b] : pairs) {
-    for (double sim : {PersonNameFieldSimilarity(a, b),
-                       EmailFieldSimilarity(a, b),
-                       TitleFieldSimilarity(a, b),
-                       VenueNameFieldSimilarity(a, b),
-                       YearFieldSimilarity(a, b), PagesFieldSimilarity(a, b),
-                       LocationFieldSimilarity(a, b)}) {
+    for (const auto& [evidence, kind] : comparators) {
+      const double sim = FieldScore(evidence, kind, a, b);
       EXPECT_GE(sim, 0.0);
       EXPECT_LE(sim, 1.0);
     }

@@ -1,6 +1,7 @@
 // The interned value store + similarity memo (DESIGN.md §11), the graph
-// build's only scoring path. Every feature comparator must score exactly
-// as its raw-string reference does on PIM and Cora values; the memo's
+// build's only scoring path. Every channel must score analyzed PIM and
+// Cora values exactly as strsim's raw-string functions score the raw
+// strings, so the analysis loses nothing those functions read; the memo's
 // counters are deterministic across thread counts {1, 2, 4, 8}; and memo
 // byte bounds down to bypass, alone or under a soft memory budget, leave
 // partitions, merged pairs and stats unchanged on PIM and Cora data,
@@ -24,9 +25,12 @@
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
 #include "core/schema_binding.h"
-#include "sim/comparators.h"
 #include "sim/evidence.h"
 #include "sim/value_store.h"
+#include "strsim/email.h"
+#include "strsim/person_name.h"
+#include "strsim/title.h"
+#include "strsim/venue.h"
 #include "util/string_util.h"
 
 namespace recon {
@@ -114,13 +118,15 @@ TEST(ValueStoreTest, UnregisteredDomainsGetGenericFeatures) {
   ValueKindSchema schema;
   EXPECT_EQ(schema.KindOf(ValueDomain{3, 7}), FeatureKind::kGeneric);
   const ValueFeatures f = AnalyzeValue("Some Raw TEXT", FeatureKind::kGeneric);
-  EXPECT_EQ(f.lower, "some raw text");
+  EXPECT_EQ(f.kind, FeatureKind::kGeneric);
+  // Nothing reads a generic value, so not even a lowercase copy is kept.
+  EXPECT_TRUE(f.lower.empty());
 }
 
 /// The kinds whose ValueFeatures fields `f` populates.
 std::vector<FeatureKind> PopulatedKinds(const ValueFeatures& f) {
   std::vector<FeatureKind> kinds;
-  if (!f.name.given.empty() || !f.name.last.empty()) {
+  if (!f.lower.empty() || !f.name.given.empty() || !f.name.last.empty()) {
     kinds.push_back(FeatureKind::kPersonName);
   }
   if (!f.email.empty()) kinds.push_back(FeatureKind::kEmail);
@@ -149,7 +155,8 @@ TEST(ValueStoreTest, AnalyzeValueFillsOnlyItsKindsFields) {
     SCOPED_TRACE(raw);
     const ValueFeatures f = AnalyzeValue(raw, kind);
     EXPECT_EQ(f.kind, kind);
-    EXPECT_EQ(f.lower, ToLower(raw));
+    // Only person names keep their lowercase form.
+    EXPECT_EQ(f.lower, kind == FeatureKind::kPersonName ? ToLower(raw) : "");
     const std::vector<FeatureKind> expected =
         kind == FeatureKind::kGeneric ? std::vector<FeatureKind>{}
                                       : std::vector<FeatureKind>{kind};
@@ -248,11 +255,50 @@ TEST(AtomicChannelsTest, RowsInTableOrderWithUnboundAndHigherLevelsOmitted) {
             (std::vector<int>{kEvPersonName}));
 }
 
+/// strsim's raw-string function for each atomic channel; it parses both
+/// strings on every call.
+double StrsimRawSimilarity(int evidence, const std::string& a,
+                           const std::string& b) {
+  switch (evidence) {
+    case kEvPersonName:
+      return strsim::PersonNameSimilarity(a, b);
+    case kEvPersonEmail:
+      return strsim::EmailSimilarity(a, b);
+    case kEvPersonNameEmail:
+      return strsim::NameEmailSimilarity(a, b);
+    case kEvArticleTitle:
+      return strsim::TitleSimilarity(a, b);
+    case kEvArticleYear:
+    case kEvVenueYear:
+      return strsim::YearSimilarity(a, b);
+    case kEvArticlePages:
+      return strsim::PagesSimilarity(a, b);
+    case kEvVenueName:
+      return strsim::VenueNameSimilarity(a, b);
+    case kEvVenueLocation:
+      return strsim::LocationSimilarity(a, b);
+    default:
+      ADD_FAILURE() << "no strsim function for " << EvidenceName(evidence);
+      return -1.0;
+  }
+}
+
+/// The channel's score of two analyzed values. Person names are taken
+/// before the field comparator's caps (ComparatorsTest covers those), the
+/// form strsim's raw-string function returns.
+double AnalyzedSimilarity(int evidence, const ValueFeatures& a,
+                          const ValueFeatures& b) {
+  if (evidence == kEvPersonName) {
+    return strsim::PersonNameSimilarity(a.name, b.name);
+  }
+  return FeaturePairSimilarity(evidence, a, b);
+}
+
 /// Every channel row of the AtomicChannels table must score a pair of
-/// precomputed features exactly as it scores the raw strings — the
-/// bit-level contract behind the byte-identical output guarantee. A
-/// cross-attribute row is checked with the features in both argument
-/// orders of the kind-dispatching feature form.
+/// analyzed values exactly as strsim scores the raw strings: AnalyzeValue
+/// keeps everything the comparators read. A cross-attribute row is
+/// checked with the features in both argument orders of the
+/// kind-dispatching feature form.
 void ExpectComparatorEquivalence(const Dataset& dataset,
                                  const std::string& label) {
   SCOPED_TRACE(label);
@@ -284,14 +330,14 @@ void ExpectComparatorEquivalence(const Dataset& dataset,
     for (size_t i = 0; i < values_a.size(); ++i) {
       // A same-attribute row is symmetric: each unordered pair once.
       for (size_t j = row.cross() ? 0 : i; j < values_b.size(); ++j) {
-        const double raw = FieldSimilarity(row.evidence, values_a[i],
-                                           values_b[j]);
-        ASSERT_EQ(raw, FeaturePairSimilarity(row.evidence, features_a[i],
-                                             features_b[j]))
+        const double raw = StrsimRawSimilarity(row.evidence, values_a[i],
+                                               values_b[j]);
+        ASSERT_EQ(raw, AnalyzedSimilarity(row.evidence, features_a[i],
+                                          features_b[j]))
             << "\"" << values_a[i] << "\" vs \"" << values_b[j] << "\"";
         if (row.cross()) {
-          ASSERT_EQ(raw, FeaturePairSimilarity(row.evidence, features_b[j],
-                                               features_a[i]));
+          ASSERT_EQ(raw, AnalyzedSimilarity(row.evidence, features_b[j],
+                                            features_a[i]));
         }
       }
     }

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/cora_generator.h"
 #include "eval/metrics.h"
@@ -18,7 +17,7 @@ int main(int argc, char** argv) {
   if (argc > 2) config.num_citations = atoi(argv[2]);
   const Dataset data = datagen::GenerateCora(config);
 
-  const IndepDec indep;
+  const Reconciler indep(ReconcilerOptions::IndepDec());
   const ReconcileResult ri = indep.Run(data);
   const Reconciler dep(ReconcilerOptions::DepGraph());
   const ReconcileResult rd = dep.Run(data);

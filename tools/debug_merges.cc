@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
 #include "sim/evidence.h"
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
   };
 
   if (use_indep) {
-    const IndepDec indep;
+    const Reconciler indep(ReconcilerOptions::IndepDec());
     const ReconcileResult result = indep.Run(data);
     int shown = 0;
     for (const auto& [r1, r2] : result.merged_pairs) {

@@ -1,10 +1,9 @@
-// Developer tool: per-class IndepDec vs DepGraph quality on one PIM
+// Developer tool: IndepDec vs DepGraph quality, class by class, on one PIM
 // dataset. Usage: quality_check [A|B|C|D] [scale]
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
   }
   const Dataset data = datagen::GeneratePim(config);
 
-  const IndepDec indep;
+  const Reconciler indep(ReconcilerOptions::IndepDec());
   const ReconcileResult ri = indep.Run(data);
   const Reconciler dep(ReconcilerOptions::DepGraph());
   const ReconcileResult rd = dep.Run(data);

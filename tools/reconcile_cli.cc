@@ -1,7 +1,7 @@
 // Command-line reconciler: load a dataset file (see model/text_io.h for
 // the format, or produce one with --demo) or import raw sources
-// (CSV / BibTeX / mbox), run DepGraph or IndepDec, and print the
-// resulting partitions (plus accuracy when gold labels exist).
+// (CSV / BibTeX / mbox), run DepGraph, IndepDec or Fellegi-Sunter, and
+// print the resulting partitions (plus accuracy when gold labels exist).
 //
 // Usage: see PrintUsage() below (reconcile_cli --help).
 //
@@ -27,7 +27,6 @@
 #include <string>
 
 #include "baseline/fellegi_sunter.h"
-#include "baseline/indep_dec.h"
 #include "core/reconciler.h"
 #include "core/schema_binding.h"
 #include "datagen/pim_generator.h"
@@ -72,6 +71,13 @@ void PrintUsage(std::ostream& out) {
          "\n"
          "algorithm:\n"
          "  --algo depgraph|indepdec|fs   (default depgraph)\n"
+         "                          indepdec: attribute-wise evidence, one "
+         "pass,\n"
+         "                          no enrichment or constraints; it "
+         "ignores\n"
+         "                          --evidence and --no-constraints\n"
+         "                          fs: Fellegi-Sunter; it takes no budget "
+         "flags\n"
          "  --no-constraints        disable constraint enforcement (ablation)\n"
          "  --evidence attr|ne|article|contact   evidence level (ablation)\n"
          "  --threads N             graph-build worker threads, 0..1024\n"
@@ -247,6 +253,8 @@ int main(int argc, char** argv) {
   std::string demo_path;
   double demo_scale = 0.03;
   ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  // The last budget flag given, or null: Fellegi-Sunter has no budget.
+  const char* budget_flag = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -282,16 +290,19 @@ int main(int argc, char** argv) {
       }
       options.num_threads = static_cast<int>(threads);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
+      budget_flag = argv[i];
       if (!ParsePositive("--deadline-ms", argv[++i],
                          &options.budget.deadline_ms)) {
         return kExitUsage;
       }
     } else if (arg == "--max-solver-iterations" && i + 1 < argc) {
+      budget_flag = argv[i];
       if (!ParseInt("--max-solver-iterations", argv[++i], 1, kMaxCount,
                     &options.budget.max_solver_iterations)) {
         return kExitUsage;
       }
     } else if (arg == "--max-merges" && i + 1 < argc) {
+      budget_flag = argv[i];
       if (!ParseInt("--max-merges", argv[++i], 1, kMaxCount,
                     &options.budget.max_merges)) {
         return kExitUsage;
@@ -312,6 +323,10 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag " << arg << " (see --help)\n";
       return kExitUsage;
     }
+  }
+  if (algo == "fs" && budget_flag != nullptr) {
+    std::cerr << budget_flag << " does not apply to --algo fs\n";
+    return kExitUsage;
   }
   if (!demo_path.empty()) return Demo(demo_path, demo_scale);
   if (path.empty()) {
@@ -354,7 +369,10 @@ int main(int argc, char** argv) {
 
   ReconcileResult result;
   if (algo == "indepdec") {
-    const IndepDec reconciler(options);
+    ReconcilerOptions indep_options = ReconcilerOptions::IndepDec();
+    indep_options.num_threads = options.num_threads;
+    indep_options.budget = options.budget;
+    const Reconciler reconciler(indep_options);
     result = reconciler.Run(data);
   } else if (algo == "depgraph") {
     const Reconciler reconciler(options);
@@ -399,7 +417,7 @@ int main(int argc, char** argv) {
               << result.stats.num_unmerged_pairs << " merged pairs unmerged; "
               << result.stats.graph_compactions << " pool compactions\n";
   }
-  if (algo == "depgraph" && result.stats.num_pair_comparisons > 0) {
+  if (result.stats.num_pair_comparisons > 0) {
     std::cout << "Scoring: " << result.stats.num_pair_comparisons
               << " pair comparisons, " << result.stats.num_value_analyses
               << " value analyses; memo " << result.stats.num_sim_memo_hits
@@ -410,7 +428,7 @@ int main(int argc, char** argv) {
               << result.stats.num_dropped_blocks
               << " blocks over the cap dropped\n";
   }
-  if (algo == "depgraph") {
+  if (algo != "fs") {
     std::cout << "Stop: " << StopReasonToString(result.stats.stop_reason)
               << " after " << result.stats.solver_iterations
               << " iterations (" << result.stats.num_budget_probes
