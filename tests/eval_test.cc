@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/reconciler.h"
+#include "datagen/pim_generator.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "model/dataset.h"
@@ -148,6 +150,48 @@ TEST(BCubedTest, LessDominatedByLargeEntitiesThanPairwise) {
   const PairMetrics pair = EvaluateClass(data, cluster, person);
   const BCubedMetrics bcubed = EvaluateBCubed(data, cluster, person);
   EXPECT_LT(pair.recall, bcubed.recall);
+}
+
+TEST(MetricsTest, PairMetricsPinnedOnSmallPim) {
+  // Every PairMetrics field of a DepGraph run on PIM A 0.05x, per class.
+  // The doubles are exact: each is a ratio of the pinned pair counts.
+  datagen::PimConfig config = datagen::PimConfigA();
+  config = datagen::ScaleConfig(config, 0.05);
+  const Dataset dataset = datagen::GeneratePim(config);
+  const ReconcileResult result =
+      Reconciler(ReconcilerOptions::DepGraph()).Run(dataset);
+  struct Pin {
+    const char* class_name;
+    double precision;
+    double recall;
+    double f1;
+    int64_t true_pairs;
+    int64_t predicted_pairs;
+    int64_t correct_pairs;
+    int num_partitions;
+    int num_entities;
+  };
+  const Pin pins[] = {
+      {"Person", 0.99854862119013066, 0.94324102001645183, 0.9701071630005641,
+       14588, 13780, 13760, 160, 110},
+      {"Article", 1.0, 1.0, 1.0, 139, 139, 139, 31, 31},
+      {"Venue", 1.0, 0.47916666666666669, 0.647887323943662, 768, 368, 368,
+       19, 6},
+  };
+  ASSERT_EQ(dataset.schema().num_classes(), 3);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.class_name);
+    const PairMetrics m = EvaluateClass(
+        dataset, result.cluster, dataset.schema().RequireClass(pin.class_name));
+    EXPECT_EQ(m.precision, pin.precision);
+    EXPECT_EQ(m.recall, pin.recall);
+    EXPECT_EQ(m.f1, pin.f1);
+    EXPECT_EQ(m.true_pairs, pin.true_pairs);
+    EXPECT_EQ(m.predicted_pairs, pin.predicted_pairs);
+    EXPECT_EQ(m.correct_pairs, pin.correct_pairs);
+    EXPECT_EQ(m.num_partitions, pin.num_partitions);
+    EXPECT_EQ(m.num_entities, pin.num_entities);
+  }
 }
 
 TEST(ReportTest, TablePrinterAligns) {
