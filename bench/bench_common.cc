@@ -72,13 +72,11 @@ std::vector<datagen::PimConfig> ScaledPimConfigs() {
 
 Comparison CompareOnClass(const Dataset& dataset, int class_id) {
   Comparison out;
-  const int threads = BenchThreads();
   const Reconciler indep(WithBenchThreads(ReconcilerOptions::IndepDec()));
-  out.indep =
-      EvaluateClass(dataset, indep.Run(dataset).cluster, class_id, threads);
+  out.indep = EvaluateClass(dataset, indep.Run(dataset).cluster, class_id);
   const Reconciler depgraph(WithBenchThreads(ReconcilerOptions::DepGraph()));
-  out.depgraph = EvaluateClass(dataset, depgraph.Run(dataset).cluster,
-                               class_id, threads);
+  out.depgraph =
+      EvaluateClass(dataset, depgraph.Run(dataset).cluster, class_id);
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "runtime/parallel.h"
 #include "util/logging.h"
 
 namespace recon {
@@ -21,40 +20,19 @@ double FMeasure(double precision, double recall) {
 }
 
 PairMetrics EvaluateClass(const Dataset& dataset,
-                          const std::vector<int>& cluster, int class_id,
-                          int num_threads) {
+                          const std::vector<int>& cluster, int class_id) {
   RECON_CHECK_EQ(static_cast<int>(cluster.size()), dataset.num_references());
 
-  // Per-block count maps, merged in block order. Addition commutes, so the
-  // merged counts equal the serial single-pass counts for any thread count.
-  struct Counts {
-    std::map<int, int64_t> by_cluster;
-    std::map<int, int64_t> by_entity;
-    std::map<std::pair<int, int>, int64_t> contingency;
-  };
-  const int64_t num_refs = dataset.num_references();
-  const runtime::BlockPlan plan =
-      runtime::PlanBlocks(num_threads, 0, num_refs, /*grain=*/4096);
-  std::vector<Counts> blocks(plan.num_blocks);
-  runtime::ParallelForBlocked(
-      num_threads, 0, num_refs, plan.grain, [&](const runtime::Block& block) {
-        Counts& counts = blocks[block.index];
-        for (int64_t id = block.begin; id < block.end; ++id) {
-          if (dataset.reference(id).class_id() != class_id) continue;
-          const int gold = dataset.gold_entity(id);
-          if (gold < 0) continue;
-          ++counts.by_cluster[cluster[id]];
-          ++counts.by_entity[gold];
-          ++counts.contingency[{cluster[id], gold}];
-        }
-      });
   std::map<int, int64_t> by_cluster;
   std::map<int, int64_t> by_entity;
   std::map<std::pair<int, int>, int64_t> contingency;
-  for (Counts& counts : blocks) {
-    for (const auto& [c, n] : counts.by_cluster) by_cluster[c] += n;
-    for (const auto& [e, n] : counts.by_entity) by_entity[e] += n;
-    for (const auto& [cell, n] : counts.contingency) contingency[cell] += n;
+  for (RefId id = 0; id < dataset.num_references(); ++id) {
+    if (dataset.reference(id).class_id() != class_id) continue;
+    const int gold = dataset.gold_entity(id);
+    if (gold < 0) continue;
+    ++by_cluster[cluster[id]];
+    ++by_entity[gold];
+    ++contingency[{cluster[id], gold}];
   }
 
   PairMetrics m;

@@ -26,13 +26,9 @@ struct PairMetrics {
 
 /// Evaluates `cluster` (canonical cluster id per reference) against the
 /// dataset's gold labels, restricted to references of `class_id`.
-/// Unlabeled references (gold -1) are excluded. `num_threads` parallelizes
-/// the pair counting (0 = hardware concurrency, 1 = serial); per-block
-/// counts are merged in block order, so the result is identical for every
-/// value.
+/// Unlabeled references (gold -1) are excluded.
 PairMetrics EvaluateClass(const Dataset& dataset,
-                          const std::vector<int>& cluster, int class_id,
-                          int num_threads = 1);
+                          const std::vector<int>& cluster, int class_id);
 
 /// Averages precision / recall / F over several runs (Table 2/3 rows).
 PairMetrics AverageMetrics(const std::vector<PairMetrics>& runs);

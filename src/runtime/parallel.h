@@ -4,8 +4,8 @@
 // indices; up to `num_threads` lanes claim blocks from an atomic counter.
 // Which lane executes which block is nondeterministic, but the block
 // decomposition itself depends only on (range, grain) — so output written
-// to per-index or per-block slots is equal to the serial result regardless
-// of thread count.
+// to per-index slots is equal to the serial result regardless of thread
+// count.
 //
 // num_threads follows ReconcilerOptions::num_threads: 0 = all hardware
 // threads, 1 = run inline on the calling thread (no pool involved), n > 1 =
@@ -34,33 +34,22 @@ int ResolveNumThreads(int num_threads);
 struct Block {
   int64_t begin = 0;
   int64_t end = 0;
-  /// Block number in serial iteration order; indexes shards.
-  size_t index = 0;
-  /// Executing lane in [0, num_lanes). Two blocks with the same lane never
-  /// run concurrently, so per-lane scratch (caches) needs no locking — but
-  /// the block -> lane assignment is nondeterministic, so lane-indexed
-  /// state must never determine output contents or order.
+  /// Executing lane in [0, ResolveNumThreads(num_threads)). Two blocks with
+  /// the same lane never run concurrently, so per-lane scratch (caches)
+  /// needs no locking — but the block -> lane assignment is
+  /// nondeterministic, so lane-indexed state must never determine output
+  /// contents or order.
   size_t lane = 0;
 };
-
-/// The block decomposition a loop over [begin, end) will use: resolved
-/// grain (> 0) and block count. Compute it up front when sizing per-block
-/// or per-lane scratch for the same loop.
-struct BlockPlan {
-  int64_t grain = 1;
-  size_t num_blocks = 0;
-  int num_lanes = 1;
-};
-BlockPlan PlanBlocks(int num_threads, int64_t begin, int64_t end,
-                     int64_t grain);
 
 namespace internal {
 
 using BlockFn = void (*)(void* ctx, const Block& block);
 
-/// Type-erased core: runs `fn(ctx, block)` for every block of the plan.
-void RunBlocked(const BlockPlan& plan, int64_t begin, int64_t end, void* ctx,
-                BlockFn fn);
+/// Type-erased core: runs `fn(ctx, block)` for every block of
+/// [begin, end) cut at `grain`.
+void RunBlocked(int num_threads, int64_t begin, int64_t end, int64_t grain,
+                void* ctx, BlockFn fn);
 
 }  // namespace internal
 
@@ -70,8 +59,8 @@ template <typename Body>
 void ParallelForBlocked(int num_threads, int64_t begin, int64_t end,
                         int64_t grain, Body&& body) {
   using Fn = std::remove_reference_t<Body>;
-  const BlockPlan plan = PlanBlocks(num_threads, begin, end, grain);
-  internal::RunBlocked(plan, begin, end, const_cast<Fn*>(&body),
+  internal::RunBlocked(num_threads, begin, end, grain,
+                       const_cast<Fn*>(&body),
                        [](void* ctx, const Block& block) {
                          (*static_cast<Fn*>(ctx))(block);
                        });

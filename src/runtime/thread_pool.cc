@@ -7,20 +7,13 @@ namespace recon::runtime {
 
 ThreadPool::ThreadPool(int num_workers) {
   const int n = std::max(1, num_workers);
-  queues_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(
-        [this, i] { WorkerLoop(static_cast<unsigned>(i)); });
-  }
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   wake_cv_.notify_all();
@@ -28,57 +21,36 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  const unsigned slot =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
-    std::lock_guard<std::mutex> lock(queues_[slot]->mu);
-    queues_[slot]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  num_queued_.fetch_add(1, std::memory_order_release);
-  // Holding wake_mu_ while notifying closes the check-then-wait race: a
-  // worker that saw num_queued_ == 0 is either already waiting (and gets
-  // the notify) or still holds wake_mu_ (and we block until it waits).
-  std::lock_guard<std::mutex> lock(wake_mu_);
   wake_cv_.notify_one();
 }
 
 bool ThreadPool::RunOneTask() {
-  const unsigned start =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  return RunTaskFrom(start);
-}
-
-bool ThreadPool::RunTaskFrom(unsigned home) {
-  if (num_queued_.load(std::memory_order_acquire) == 0) return false;
-  const size_t n = queues_.size();
-  for (size_t i = 0; i < n; ++i) {
-    WorkerQueue& queue = *queues_[(home + i) % n];
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(queue.mu);
-      if (queue.tasks.empty()) continue;
-      if (i == 0) {  // Own deque: LIFO for locality.
-        task = std::move(queue.tasks.front());
-        queue.tasks.pop_front();
-      } else {  // Steal from the back.
-        task = std::move(queue.tasks.back());
-        queue.tasks.pop_back();
-      }
-    }
-    num_queued_.fetch_sub(1, std::memory_order_release);
-    task();
-    return true;
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
   }
-  return false;
+  task();
+  return true;
 }
 
-void ThreadPool::WorkerLoop(unsigned home) {
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (RunTaskFrom(home)) continue;
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (num_queued_.load(std::memory_order_acquire) > 0) continue;
-    if (stopping_) return;
-    wake_cv_.wait(lock);
+    wake_cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+    // Stop only once the queue is drained, so every submitted task runs.
+    if (tasks_.empty()) return;
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
   }
 }
 

@@ -1,21 +1,19 @@
-// Work-stealing thread pool: the execution substrate for the blocked
-// parallel loops in runtime/parallel.h (in the spirit of the gbbs/pbbslib
-// scheduler layer that parallel graph algorithms build on).
+// Thread pool: the execution substrate for the blocked parallel loops in
+// runtime/parallel.h and for the HTTP server's connection tasks.
 //
-// Tasks are distributed round-robin across per-worker deques; a worker pops
-// from the front of its own deque and steals from the back of the others.
-// External threads participate through RunOneTask(), which is what makes
-// nested parallel loops deadlock-free: a thread waiting for a loop to finish
+// One mutex-guarded FIFO queue feeds every worker. Its submitters are few
+// (a blocked loop queues one task per extra lane, the server one per
+// accepted connection), so per-worker queues would buy nothing. External
+// threads participate through RunOneTask(), which is what makes nested
+// parallel loops deadlock-free: a thread waiting for a loop to finish
 // keeps executing queued tasks instead of blocking.
 
 #ifndef RECON_RUNTIME_THREAD_POOL_H_
 #define RECON_RUNTIME_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,8 +37,9 @@ class ThreadPool {
   /// calls RunOneTask before a worker gets to it).
   void Submit(std::function<void()> task);
 
-  /// Runs one queued task on the calling thread; returns false when every
-  /// deque was empty. Safe to call from workers and external threads alike.
+  /// Runs the oldest queued task on the calling thread; returns false when
+  /// the queue was empty. Safe to call from workers and external threads
+  /// alike.
   bool RunOneTask();
 
   /// Process-wide pool, created on first use with HardwareConcurrency()
@@ -52,26 +51,13 @@ class ThreadPool {
   static int HardwareConcurrency();
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(unsigned home);
-  /// Pops from queue `home`, else steals, starting the scan at `home`.
-  bool RunTaskFrom(unsigned home);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  /// Queued-but-unstarted task count; lets idle workers sleep without a
-  /// lost-wakeup race (checked under wake_mu_ before waiting).
-  std::atomic<int> num_queued_{0};
-  std::atomic<unsigned> next_queue_{0};
-
-  std::mutex wake_mu_;
+  std::mutex mu_;
   std::condition_variable wake_cv_;
-  bool stopping_ = false;  // Guarded by wake_mu_.
+  std::deque<std::function<void()>> tasks_;  // Guarded by mu_.
+  bool stopping_ = false;                    // Guarded by mu_.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace recon::runtime

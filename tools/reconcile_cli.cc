@@ -394,8 +394,7 @@ int main(int argc, char** argv) {
               << " references -> " << result.NumPartitionsOfClass(data, c)
               << " partitions";
     if (data.NumEntitiesOfClass(c) > 0) {
-      const PairMetrics m =
-          EvaluateClass(data, result.cluster, c, options.num_threads);
+      const PairMetrics m = EvaluateClass(data, result.cluster, c);
       std::cout << "  (gold: " << m.num_entities << " entities, P="
                 << m.precision << " R=" << m.recall << " F=" << m.f1 << ")";
     }
