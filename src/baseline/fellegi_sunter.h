@@ -9,9 +9,9 @@
 // transitively. This is the second baseline next to IndepDec (the
 // Reconciler run as ReconcilerOptions::IndepDec()), and — unlike it — is
 // *unsupervised but adaptive*: it learns field weights from the dataset
-// itself. Each candidate reference is analyzed once (AnalyzeValues), and
-// fields are scored by the graph's field comparators
-// (FeaturePairSimilarity).
+// itself. Each distinct value is interned and analyzed once, as in the graph
+// build (InternReferenceValues), and fields are scored by the graph's
+// field comparators (FeaturePairSimilarity).
 
 #ifndef RECON_BASELINE_FELLEGI_SUNTER_H_
 #define RECON_BASELINE_FELLEGI_SUNTER_H_

@@ -59,12 +59,12 @@ struct BuiltGraph {
 };
 
 /// Interns the atomic attribute values of references >= `first_ref` into
-/// built.values (reference order, then MakeValueKindSchema's attribute
-/// order; idempotent) and syncs built.feature_store over the new values.
-/// Runs before candidate generation, which reads the features, and before
-/// the build step, which expects every value interned.
+/// `pool` (reference order, then the attribute order of `store`'s schema;
+/// idempotent) and syncs `store` over the new values. Runs before
+/// candidate generation, which reads the features, and before the build
+/// step, which expects every value interned.
 void InternReferenceValues(const Dataset& dataset, RefId first_ref,
-                           BuiltGraph& built);
+                           ValuePool& pool, ValueStore& store);
 
 /// Build-time hooks. The default is the ordinary build.
 struct BuildOverrides {

@@ -53,7 +53,8 @@ void IncrementalReconciler::Flush() {
     // Intern and analyze the new batch's values first: candidate
     // generation reads their features, and the build step expects every
     // value interned.
-    InternReferenceValues(dataset_, flushed_until_, built_);
+    InternReferenceValues(dataset_, flushed_until_, built_.values,
+                          *built_.feature_store);
     const CandidateList pairs =
         index_->AddReferences(dataset_, flushed_until_, &built_.values,
                               built_.feature_store.get());

@@ -92,6 +92,9 @@ class ValueStore {
   ValueStore(const ValueStore&) = delete;
   ValueStore& operator=(const ValueStore&) = delete;
 
+  /// The domains whose values this store analyzes, with their kinds.
+  const ValueKindSchema& schema() const { return schema_; }
+
   /// Extends the feature table to cover every ValueId in `pool`, analyzing
   /// only values added since the last Sync. Not thread-safe; call between
   /// parallel phases (after interning, before scoring).
