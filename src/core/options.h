@@ -87,9 +87,6 @@ struct ReconcilerOptions {
   /// Disable blocking entirely (all same-class pairs become candidates).
   /// Only sensible for small datasets and the blocking ablation bench.
   bool use_blocking = true;
-  /// Association wiring skips pairs whose contact-list cross product
-  /// exceeds this bound (guards against mailing-list-like references).
-  int max_assoc_cross = 20000;
 
   /// Threads for the parallel phases of the graph build: candidate
   /// generation (blocking-key extraction) and pairwise evidence staging.

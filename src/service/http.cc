@@ -18,6 +18,11 @@ namespace recon::service {
 namespace {
 
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
+/// Retry-After hint attached to shed responses, seconds.
+constexpr int kRetryAfterSeconds = 1;
+/// listen(2) backlog: the kernel-side accept queue is the second
+/// backpressure stage behind HttpServerOptions::max_inflight.
+constexpr int kListenBacklog = 128;
 /// Client-side response cap for HttpFetch (the server body bound is
 /// HttpServerOptions::max_body_bytes).
 constexpr size_t kMaxFetchBytes = 8 * 1024 * 1024;
@@ -169,15 +174,7 @@ HttpServer::HttpServer(Handler handler, HttpServerOptions options)
       pool_(std::make_unique<runtime::ThreadPool>(
           options.num_threads < 1 ? 1 : options.num_threads)) {
   if (options_.recv_timeout_ms < 1) options_.recv_timeout_ms = 1;
-  if (options_.listen_backlog < 1) options_.listen_backlog = 1;
 }
-
-HttpServer::HttpServer(Handler handler, int num_threads)
-    : HttpServer(std::move(handler), [num_threads] {
-        HttpServerOptions options;
-        options.num_threads = num_threads;
-        return options;
-      }()) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -198,7 +195,7 @@ Status HttpServer::Start(int port) {
     ::close(fd);
     return Status::Internal("bind port " + std::to_string(port) + ": " + err);
   }
-  if (::listen(fd, options_.listen_backlog) < 0) {
+  if (::listen(fd, kListenBacklog) < 0) {
     const std::string err = std::strerror(errno);
     ::close(fd);
     return Status::Internal("listen: " + err);
@@ -280,7 +277,7 @@ void HttpServer::ShedConnection(int fd) {
              std::to_string(options_.max_inflight) +
              " requests in flight\"}";
   res.extra_headers.emplace_back("Retry-After",
-                                 std::to_string(options_.retry_after_s));
+                                 std::to_string(kRetryAfterSeconds));
   SendAll(fd, RenderResponse(res));
   // Close without an RST: the client may still be sending its request; if
   // we close with unread bytes in the receive queue the kernel resets the

@@ -105,7 +105,7 @@ TEST_F(AdversarialTest, MutualContactCycle) {
 
 TEST_F(AdversarialTest, HugeMailingListContactsAreBounded) {
   // One "reference" (a mailing list) in contact with everyone must not
-  // blow up association wiring (max_assoc_cross guard).
+  // blow up association wiring (kMaxAssocCross guard).
   const RefId list = Person(999, "dbgroup", "dbgroup@x.edu");
   for (int i = 0; i < 200; ++i) {
     const RefId p = Person(i, "Member" + std::to_string(i) + " Smith");

@@ -55,9 +55,11 @@ class ServiceSmokeTest : public ::testing::Test {
     options.reconciler = ReconcilerOptions::DepGraph();
     service_ = new ReconService(SmokeDataset(), options);
     handler_ = new ServiceHandler(service_);
+    HttpServerOptions server_options;
+    server_options.num_threads = 2;
     server_ = new HttpServer(
         [](const HttpRequest& req) { return handler_->Handle(req); },
-        /*num_threads=*/2);
+        server_options);
     ASSERT_TRUE(server_->Start(/*port=*/0).ok());
     ASSERT_GT(server_->port(), 0);
   }
