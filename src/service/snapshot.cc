@@ -207,7 +207,8 @@ QueryResult Snapshot::Query(const ReconQuery& query,
           for (size_t v = 0; v < profile_values.size(); ++v) {
             double sim;
             if (query_values[q] == profile_values[v]) {
-              // Equal values are one graph element: full double precision.
+              // Equal values are one graph element, scored here in double
+              // although the graph stores its static as a float.
               sim = FeaturePairSimilarity(row.evidence, query_features[q],
                                           profile_features[v]);
             } else {
