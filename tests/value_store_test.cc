@@ -508,6 +508,19 @@ TEST(ValueStoreTest, AnalysesScaleWithDistinctValuesNotPairs) {
             5 * result.stats.num_value_analyses);
 }
 
+TEST(ValueStoreTest, PimBComparisonsOutnumberAnalysesFiveToOne) {
+  // bench/perf_reconcile's value-store gate, at a scale that keeps the
+  // suite fast: a full DepGraph run on PIM B analyzes each distinct value
+  // once, so pair comparisons outnumber value analyses at least 5 to 1
+  // (about 35 to 1 at 0.1x, 182 to 1 at 1x).
+  const Dataset dataset = datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigB(), 0.1));
+  const ReconcileResult result =
+      Reconciler(ReconcilerOptions::DepGraph()).Run(dataset);
+  EXPECT_GE(result.stats.num_pair_comparisons,
+            5 * result.stats.num_value_analyses);
+}
+
 TEST(ValueStoreTest, TinyMemoBoundDegradesWithoutChangingOutput) {
   const Dataset dataset = SmallPim();
   // Lookups (hits + misses) of the evicting run per thread count: one per
