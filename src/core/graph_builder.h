@@ -8,6 +8,7 @@
 #ifndef RECON_CORE_GRAPH_BUILDER_H_
 #define RECON_CORE_GRAPH_BUILDER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,16 @@
 #include "util/budget.h"
 
 namespace recon {
+
+/// The build seeds candidate pairs in windows of this many: a window is
+/// staged in parallel, then applied serially in candidate order, and the
+/// next window reuses its buffers. A constant, so build output never
+/// depends on it.
+inline constexpr int64_t kStageWindow = 65536;
+
+/// Staged pairs are applied (and association wiring probed) in chunks of
+/// this many items; each chunk boundary is one kBuild budget probe.
+inline constexpr int64_t kBuildChunk = 256;
 
 /// Everything the reconciler needs to run the fixed point.
 struct BuiltGraph {

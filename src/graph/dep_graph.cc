@@ -23,21 +23,21 @@ NodeId DependencyGraph::PushNode(Node&& node) {
   return id;
 }
 
-void DependencyGraph::ReserveBuild(size_t expected_pairs) {
-  // Every staged reference pair adds ~1 ref-pair node and on PIM-like
-  // schemas ~2 value nodes; edges come in 1-2 per value node plus the
-  // association wiring. The constants only size first allocations — being
-  // off costs one doubling, not correctness.
-  const size_t nodes = nodes_.size() + expected_pairs * 3;
+void DependencyGraph::ReserveBuild(const GraphGrowth& growth) {
+  // The counts come from evidence already staged, never from the
+  // candidate count: most candidates carry no evidence and add no node, so
+  // a per-candidate estimate would size (and, for the pair indexes, touch)
+  // memory for a graph several times the real one.
+  const size_t nodes = nodes_.size() + growth.ref_pairs + growth.value_pairs;
   ReserveGeometric(nodes_, nodes);
   in_pool_.ReserveSlots(nodes);
   out_pool_.ReserveSlots(nodes);
   static_pool_.ReserveSlots(nodes);
-  in_pool_.ReserveAppend(expected_pairs * 4);
-  out_pool_.ReserveAppend(expected_pairs * 4);
-  static_pool_.ReserveAppend(expected_pairs);
-  ref_pair_index_.Reserve(ref_pair_index_.size() + expected_pairs);
-  value_pair_index_.Reserve(value_pair_index_.size() + expected_pairs * 2);
+  in_pool_.ReserveAppend(growth.edges);
+  out_pool_.ReserveAppend(growth.edges);
+  static_pool_.ReserveAppend(growth.statics);
+  ref_pair_index_.Reserve(ref_pair_index_.size() + growth.ref_pairs);
+  value_pair_index_.Reserve(value_pair_index_.size() + growth.value_pairs);
 }
 
 void DependencyGraph::Compact() {
@@ -46,12 +46,11 @@ void DependencyGraph::Compact() {
   static_pool_.Compact();
   ref_pool_.Compact();
   num_compactions_ += 4;
-  // ReserveBuild sized everything from a candidate-count estimate; the
-  // graph shape is settled now, so stop carrying the over-estimate slack.
-  // Node ids are stable — only capacity changes — and callers already may
-  // not hold Node references across Compact (the pool rewrites move edge
-  // storage too).
-  nodes_.shrink_to_fit();
+  // The pair indexes are touched slot arrays, so their slack is resident:
+  // rehash them to the true entry count. The node array keeps its
+  // capacity. Its slack was reserved but never written, so it holds no
+  // resident memory, and shrink_to_fit would copy every node while the old
+  // array is still live — the peak of a large build — to free nothing.
   ref_pair_index_.ShrinkToFit();
   value_pair_index_.ShrinkToFit();
 }
@@ -104,7 +103,7 @@ DependencyGraph::ChangeSet DependencyGraph::CloseChangeEpoch() {
 
 GraphBytes DependencyGraph::bytes() const {
   GraphBytes b;
-  b.nodes = nodes_.capacity() * sizeof(Node) + static_pool_.data_bytes() +
+  b.nodes = nodes_.size() * sizeof(Node) + static_pool_.data_bytes() +
             static_pool_.slot_bytes();
   b.edges = in_pool_.data_bytes() + in_pool_.slot_bytes() +
             out_pool_.data_bytes() + out_pool_.slot_bytes();

@@ -6,7 +6,7 @@ namespace recon {
 
 ValueId ValuePool::Intern(ValueDomain domain, std::string_view value) {
   auto& domain_map = by_domain_[DomainKey(domain)];
-  auto it = domain_map.find(std::string(value));
+  auto it = domain_map.find(value);
   if (it != domain_map.end()) return it->second;
   const ValueId id = static_cast<ValueId>(strings_.size());
   strings_.emplace_back(value);
@@ -18,7 +18,7 @@ ValueId ValuePool::Intern(ValueDomain domain, std::string_view value) {
 ValueId ValuePool::Find(ValueDomain domain, std::string_view value) const {
   auto domain_it = by_domain_.find(DomainKey(domain));
   if (domain_it == by_domain_.end()) return kInvalidValue;
-  auto it = domain_it->second.find(std::string(value));
+  auto it = domain_it->second.find(value);
   return it == domain_it->second.end() ? kInvalidValue : it->second;
 }
 

@@ -9,6 +9,7 @@
 #define RECON_GRAPH_VALUE_POOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,8 +53,18 @@ class ValuePool {
            static_cast<uint32_t>(d.attr);
   }
 
-  std::unordered_map<uint64_t, std::unordered_map<std::string, ValueId>>
-      by_domain_;
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// build no std::string.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using DomainMap =
+      std::unordered_map<std::string, ValueId, StringHash, std::equal_to<>>;
+
+  std::unordered_map<uint64_t, DomainMap> by_domain_;
   std::vector<std::string> strings_;
   std::vector<ValueDomain> domains_;
 };

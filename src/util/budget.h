@@ -64,9 +64,10 @@ struct Budget {
   int64_t max_solver_iterations = 0;
   /// Maximum merges per solver Run().
   int64_t max_merges = 0;
-  /// Soft cap on the estimated graph memory footprint, checked at build
-  /// staging chunks ("soft": the estimate is nodes/edges arithmetic, not an
-  /// allocator measurement, and the current chunk always completes).
+  /// Soft cap on the estimated build memory footprint — the graph plus the
+  /// live staging window — checked at build staging chunks ("soft": the
+  /// estimate is nodes/edges/buffer arithmetic, not an allocator
+  /// measurement, and the current chunk always completes).
   int64_t soft_max_memory_bytes = 0;
 
   bool HasDeadline() const { return deadline_ms > 0; }
