@@ -94,9 +94,11 @@ class FlatPairIndex {
 
   /// Rehashes down to the smallest table that holds the live entries under
   /// the growth load factor, dropping tombstones. Build-boundary
-  /// counterpart of Reserve(): the reserve sizes the table from a
-  /// candidate-count *estimate*, and once the true entry count is known
-  /// the slack would otherwise be carried for the whole solve.
+  /// counterpart of Reserve(): the build reserves window by window from
+  /// staged counts, which are upper bounds (a staged pair may already
+  /// have its node), and capacity grows by doubling; the slots are
+  /// touched, so that slack would otherwise stay resident for the whole
+  /// solve.
   void ShrinkToFit() {
     size_t cap = kMinCapacity;
     while (cap * 7 / 10 < size_ + 1) cap *= 2;

@@ -120,9 +120,9 @@ class RangePool {
     data_ = std::move(packed);
     reserved_ = data_.size();
     if (keep_capacity) return;
-    // ReserveSlots sizes the range table from a pair-count estimate; now
-    // that the true slot count is known, release the over-estimate slack
-    // (the data buffer is already exact — `packed` was reserved to count).
+    // The range table grew geometrically (ReserveSlots, EnsureSlots); now
+    // that the true slot count is known, release the slack (the data
+    // buffer is already exact — `packed` was reserved to count).
     slots_.shrink_to_fit();
   }
 

@@ -556,9 +556,9 @@ TEST(ValueStoreTest, TinyMemoBoundDegradesWithoutChangingOutput) {
 
 TEST(ValueStoreTest, SoftMemoryBudgetShrinksMemoNotOutput) {
   // A soft memory budget below the default memo bound caps the memo; the
-  // budget estimate itself stays graph-only, so stops (and output) are
-  // identical to a run whose memo is bypassed outright: the memo never
-  // moves a budget stop.
+  // budget estimate counts the graph and the live staging window, never
+  // the memo, so stops (and output) are identical to a run whose memo is
+  // bypassed outright: the memo never moves a budget stop.
   const Dataset dataset = SmallPim();
   ReconcilerOptions options = ReconcilerOptions::DepGraph();
   options.budget.soft_max_memory_bytes = 256 << 10;
