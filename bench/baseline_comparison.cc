@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"Class", "FellegiSunter P/R (F)", "IndepDec P/R (F)",
                       "DepGraph P/R (F)"});
 
-  FellegiSunterOptions fs_options;
-  fs_options.blocking = bench::WithBenchThreads(fs_options.blocking);
-  const FellegiSunter fs(fs_options);
+  const FellegiSunter fs(
+      bench::WithBenchThreads(ReconcilerOptions::IndepDec()));
   const Reconciler indep(
       bench::WithBenchThreads(ReconcilerOptions::IndepDec()));
   const Reconciler dep(bench::WithBenchThreads(ReconcilerOptions::DepGraph()));

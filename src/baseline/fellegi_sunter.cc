@@ -18,6 +18,19 @@ namespace recon {
 
 namespace {
 
+/// EM iterations, and the convergence tolerance on the match prior.
+constexpr int kMaxIterations = 60;
+constexpr double kTolerance = 1e-7;
+/// The match prior EM starts from (EM is seeded deterministically).
+constexpr double kInitialMatchPrior = 0.05;
+/// Posterior P(match | vector) at or above which a pair is linked.
+constexpr double kMatchPosteriorThreshold = 0.9;
+/// Comparison discretization: similarity >= kAgreeThreshold is "agree",
+/// >= kPartialThreshold is "partial", else "disagree"; missing values are
+/// their own outcome.
+constexpr double kAgreeThreshold = 0.90;
+constexpr double kPartialThreshold = 0.60;
+
 /// Comparison outcomes per field.
 enum Outcome : uint8_t {
   kDisagree = 0,
@@ -52,8 +65,8 @@ struct AnalyzedDataset {
 };
 
 Outcome CompareField(const Reference& a, const Reference& b,
-                     const AtomicChannel& field, const AnalyzedDataset& values,
-                     const FellegiSunterOptions& options) {
+                     const AtomicChannel& field,
+                     const AnalyzedDataset& values) {
   const std::vector<std::string>& values_a = a.atomic_values(field.attr_a);
   const std::vector<std::string>& values_b = b.atomic_values(field.attr_b);
   if (values_a.empty() || values_b.empty()) return kMissing;
@@ -68,8 +81,8 @@ Outcome CompareField(const Reference& a, const Reference& b,
                                             values.FeaturesOf(domain_b, raw_b)));
     }
   }
-  if (best >= options.agree_threshold) return kAgree;
-  if (best >= options.partial_threshold) return kPartial;
+  if (best >= kAgreeThreshold) return kAgree;
+  if (best >= kPartialThreshold) return kPartial;
   return kDisagree;
 }
 
@@ -83,8 +96,7 @@ struct ClassVectors {
 
 ClassVectors BuildVectors(const Dataset& dataset,
                           const AnalyzedDataset& values, int class_id,
-                          std::span<const AtomicChannel> fields,
-                          const FellegiSunterOptions& options) {
+                          std::span<const AtomicChannel> fields) {
   ClassVectors out;
   out.num_fields = static_cast<int>(fields.size());
   for (const auto& [r1, r2] : values.candidates) {
@@ -93,7 +105,7 @@ ClassVectors BuildVectors(const Dataset& dataset,
     const Reference& b = dataset.reference(r2);
     out.pairs.emplace_back(r1, r2);
     for (const AtomicChannel& field : fields) {
-      out.outcomes.push_back(CompareField(a, b, field, values, options));
+      out.outcomes.push_back(CompareField(a, b, field, values));
     }
   }
   return out;
@@ -101,18 +113,17 @@ ClassVectors BuildVectors(const Dataset& dataset,
 
 /// EM for the two-class naive-Bayes mixture over outcome vectors.
 FellegiSunterModel FitEm(const ClassVectors& vectors,
-                         const FellegiSunterOptions& options,
                          std::vector<double>* posteriors) {
   FellegiSunterModel model;
   const int fields = vectors.num_fields;
   const size_t n = vectors.pairs.size();
   model.m_probabilities.assign(fields, {0.05, 0.15, 0.75, 0.05});
   model.u_probabilities.assign(fields, {0.70, 0.20, 0.05, 0.05});
-  model.match_prior = options.initial_match_prior;
+  model.match_prior = kInitialMatchPrior;
   posteriors->assign(n, 0.0);
   if (n == 0 || fields == 0) return model;
 
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     ++model.iterations;
     // E step. The log-probabilities are fixed within an iteration, so
     // they are taken once per field and outcome, not once per pair.
@@ -161,7 +172,7 @@ FellegiSunterModel FitEm(const ClassVectors& vectors,
       }
     }
     const bool converged =
-        std::abs(new_prior - model.match_prior) < options.tolerance;
+        std::abs(new_prior - model.match_prior) < kTolerance;
     model.match_prior = new_prior;
     if (converged) break;
   }
@@ -174,20 +185,18 @@ FellegiSunterModel FellegiSunter::FitClass(const Dataset& dataset,
                                            int class_id) const {
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
   const std::vector<AtomicChannel> channels =
-      AtomicChannels(binding, options_.blocking.params,
-                     EvidenceLevel::kAttrWise);
-  const AnalyzedDataset values(dataset, binding, options_.blocking);
-  const ClassVectors vectors =
-      BuildVectors(dataset, values, class_id,
-                   ClassChannels(channels, class_id), options_);
+      AtomicChannels(binding, EvidenceLevel::kAttrWise);
+  const AnalyzedDataset values(dataset, binding, blocking_);
+  const ClassVectors vectors = BuildVectors(
+      dataset, values, class_id, ClassChannels(channels, class_id));
   std::vector<double> posteriors;
-  return FitEm(vectors, options_, &posteriors);
+  return FitEm(vectors, &posteriors);
 }
 
 ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
   Timer timer;
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
-  const AnalyzedDataset values(dataset, binding, options_.blocking);
+  const AnalyzedDataset values(dataset, binding, blocking_);
 
   ReconcileResult result;
   result.stats.num_candidates = static_cast<int>(values.candidates.size());
@@ -195,8 +204,7 @@ ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
   // The fields per class are the attribute-wise channel rows, the
   // attributes IndepDec compares; their seeds are not read.
   const std::vector<AtomicChannel> channels =
-      AtomicChannels(binding, options_.blocking.params,
-                     EvidenceLevel::kAttrWise);
+      AtomicChannels(binding, EvidenceLevel::kAttrWise);
 
   for (int class_id = 0; class_id < dataset.schema().num_classes();
        ++class_id) {
@@ -204,12 +212,12 @@ ReconcileResult FellegiSunter::Run(const Dataset& dataset) const {
         ClassChannels(channels, class_id);
     if (fields.empty()) continue;
     const ClassVectors vectors =
-        BuildVectors(dataset, values, class_id, fields, options_);
+        BuildVectors(dataset, values, class_id, fields);
     std::vector<double> posteriors;
-    FitEm(vectors, options_, &posteriors);
+    FitEm(vectors, &posteriors);
     for (size_t i = 0; i < vectors.pairs.size(); ++i) {
       ++result.stats.num_recomputations;
-      if (posteriors[i] >= options_.match_posterior_threshold) {
+      if (posteriors[i] >= kMatchPosteriorThreshold) {
         closure.Union(vectors.pairs[i].first, vectors.pairs[i].second);
         result.merged_pairs.push_back(vectors.pairs[i]);
         ++result.stats.num_merges;

@@ -25,23 +25,6 @@
 
 namespace recon {
 
-/// EM and decision parameters.
-struct FellegiSunterOptions {
-  /// EM iterations / convergence tolerance on the match prior.
-  int max_iterations = 60;
-  double tolerance = 1e-7;
-  /// Initial guesses (EM is seeded deterministically from these).
-  double initial_match_prior = 0.05;
-  /// Posterior P(match | vector) above which a pair is linked.
-  double match_posterior_threshold = 0.9;
-  /// Comparison discretization: similarity >= hi is "agree", >= lo is
-  /// "partial", else "disagree"; missing values are their own outcome.
-  double agree_threshold = 0.90;
-  double partial_threshold = 0.60;
-  /// Blocking configuration is borrowed from the reconciler options.
-  ReconcilerOptions blocking = ReconcilerOptions::IndepDec();
-};
-
 /// Per-field EM estimates, exposed for inspection and tests.
 struct FellegiSunterModel {
   /// P(outcome | match) and P(outcome | non-match) per field; outcomes
@@ -54,11 +37,14 @@ struct FellegiSunterModel {
 
 /// The unsupervised Fellegi-Sunter linker. Fields per class are the
 /// attribute-wise channel rows IndepDec compares (names/emails for Person,
-/// title/year/pages for Article, name/year/location for Venue).
+/// title/year/pages for Article, name/year/location for Venue). Candidate
+/// pairs come from the blocking configuration of `blocking`; its other
+/// switches are not read.
 class FellegiSunter {
  public:
-  explicit FellegiSunter(FellegiSunterOptions options = {})
-      : options_(std::move(options)) {}
+  explicit FellegiSunter(
+      ReconcilerOptions blocking = ReconcilerOptions::IndepDec())
+      : blocking_(std::move(blocking)) {}
 
   /// Partitions the dataset's references.
   ReconcileResult Run(const Dataset& dataset) const;
@@ -68,7 +54,7 @@ class FellegiSunter {
   FellegiSunterModel FitClass(const Dataset& dataset, int class_id) const;
 
  private:
-  FellegiSunterOptions options_;
+  ReconcilerOptions blocking_;
 };
 
 }  // namespace recon

@@ -8,6 +8,7 @@
 #include "core/candidates.h"
 #include "runtime/parallel.h"
 #include "sim/evidence.h"
+#include "sim/params.h"
 #include "sim/value_store.h"
 #include "strsim/email.h"
 #include "strsim/person_name.h"
@@ -96,8 +97,7 @@ class GraphBuilder {
         built_(&built),
         store_(built.feature_store.get()),
         memo_(built.sim_memo.get()),
-        channels_(AtomicChannels(binding_, options.params,
-                                 options.evidence_level)) {
+        channels_(AtomicChannels(binding_, options.evidence_level)) {
     ConfigureMemoBudget();
   }
 
@@ -244,7 +244,7 @@ class GraphBuilder {
     }
     for (const StagedEvidence& spec : evidence) {
       if (spec.is_static()) continue;
-      const NodeState state = (spec.sim >= options_.params.value_merge_threshold)
+      const NodeState state = (spec.sim >= kSimParams.value_merge_threshold)
                                   ? NodeState::kMerged
                                   : NodeState::kInactive;
       const NodeId n =
@@ -697,8 +697,7 @@ BuiltGraph BuildDependencyGraph(const Dataset& dataset,
   built.feature_store =
       std::make_shared<ValueStore>(MakeValueKindSchema(built.binding));
   built.sim_memo = std::make_shared<SimMemo>();
-  built.class_sims =
-      MakeClassSimilarities(dataset.schema(), built.binding, options.params);
+  built.class_sims = MakeClassSimilarities(dataset.schema(), built.binding);
 
   // Values are interned up front (serially, in reference order — an order
   // fixed regardless of thread count, so ValueIds are stable) and

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/params.h"
 #include "util/budget.h"
 
 namespace recon {
@@ -53,9 +52,6 @@ struct ReconcilerOptions {
   /// Negative evidence (§3.4): non-merge constraints and their
   /// post-fixpoint propagation.
   bool constraints = true;
-
-  /// Similarity parameters (thresholds, weights, beta/gamma).
-  SimParams params;
 
   /// User-confirmed matches and non-matches, injected into the graph as
   /// merged / non-merge nodes before the fixed point.

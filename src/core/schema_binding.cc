@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/evidence.h"
+#include "sim/params.h"
 
 namespace recon {
 
@@ -69,36 +70,35 @@ std::vector<std::vector<ValueFeatures>> AnalyzeValues(
 }
 
 std::vector<AtomicChannel> AtomicChannels(const SchemaBinding& b,
-                                          const SimParams& p,
                                           EvidenceLevel level) {
   const AtomicChannel rows[] = {
       {.class_id = b.person, .evidence = kEvPersonName,
        .attr_a = b.person_name, .attr_b = b.person_name,
-       .seed = p.person_name_seed, .zero_when_dissimilar = true},
+       .seed = kSimParams.person_name_seed, .zero_when_dissimilar = true},
       {.class_id = b.person, .evidence = kEvPersonEmail,
        .attr_a = b.person_email, .attr_b = b.person_email,
-       .seed = p.person_email_seed},
+       .seed = kSimParams.person_email_seed},
       {.class_id = b.person, .evidence = kEvPersonNameEmail,
        .attr_a = b.person_name, .attr_b = b.person_email,
-       .seed = p.name_email_seed, .level = EvidenceLevel::kNameEmail},
+       .seed = kSimParams.name_email_seed, .level = EvidenceLevel::kNameEmail},
       {.class_id = b.article, .evidence = kEvArticleTitle,
        .attr_a = b.article_title, .attr_b = b.article_title,
-       .seed = p.article_title_seed},
+       .seed = kSimParams.article_title_seed},
       {.class_id = b.article, .evidence = kEvArticleYear,
        .attr_a = b.article_year, .attr_b = b.article_year,
-       .seed = p.year_seed, .gated = true},
+       .seed = kSimParams.year_seed, .gated = true},
       {.class_id = b.article, .evidence = kEvArticlePages,
        .attr_a = b.article_pages, .attr_b = b.article_pages,
-       .seed = p.pages_seed, .gated = true},
+       .seed = kSimParams.pages_seed, .gated = true},
       {.class_id = b.venue, .evidence = kEvVenueName,
        .attr_a = b.venue_name, .attr_b = b.venue_name,
-       .seed = p.venue_name_seed, .propagate_merge = true},
+       .seed = kSimParams.venue_name_seed, .propagate_merge = true},
       {.class_id = b.venue, .evidence = kEvVenueYear,
        .attr_a = b.venue_year, .attr_b = b.venue_year,
-       .seed = p.year_seed, .gated = true},
+       .seed = kSimParams.year_seed, .gated = true},
       {.class_id = b.venue, .evidence = kEvVenueLocation,
        .attr_a = b.venue_location, .attr_b = b.venue_location,
-       .seed = p.location_seed, .gated = true},
+       .seed = kSimParams.location_seed, .gated = true},
   };
   std::vector<AtomicChannel> table;
   for (const AtomicChannel& row : rows) {
@@ -121,12 +121,11 @@ std::span<const AtomicChannel> ClassChannels(
 }
 
 std::vector<std::unique_ptr<ClassSimilarity>> MakeClassSimilarities(
-    const Schema& schema, const SchemaBinding& binding,
-    const SimParams& params) {
+    const Schema& schema, const SchemaBinding& binding) {
   std::vector<std::unique_ptr<ClassSimilarity>> sims(schema.num_classes());
   for (const int c : {binding.person, binding.article, binding.venue}) {
     if (c >= 0) {
-      sims[c] = MakeClassSimilarity(schema.class_def(c).name.c_str(), params);
+      sims[c] = MakeClassSimilarity(schema.class_def(c).name.c_str());
     }
   }
   return sims;

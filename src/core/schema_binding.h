@@ -14,7 +14,6 @@
 #include "model/reference.h"
 #include "model/schema.h"
 #include "sim/class_sim.h"
-#include "sim/params.h"
 #include "sim/value_store.h"
 
 namespace recon {
@@ -92,7 +91,7 @@ struct AtomicChannel {
 /// so are the rows above `level`. The graph build, query scoring and both
 /// baselines read this one table.
 std::vector<AtomicChannel> AtomicChannels(
-    const SchemaBinding& binding, const SimParams& params,
+    const SchemaBinding& binding,
     EvidenceLevel level = EvidenceLevel::kContact);
 
 /// The rows of `class_id` in `table`, in table order (a class's rows are
@@ -103,8 +102,7 @@ std::span<const AtomicChannel> ClassChannels(
 /// Similarity functions per class id for the classes the binding knows;
 /// null for every other class.
 std::vector<std::unique_ptr<ClassSimilarity>> MakeClassSimilarities(
-    const Schema& schema, const SchemaBinding& binding,
-    const SimParams& params);
+    const Schema& schema, const SchemaBinding& binding);
 
 }  // namespace recon
 

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "sim/class_sim.h"
+#include "sim/params.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -91,7 +92,7 @@ void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
   const double old_sim = node.sim;
   // Similarities are monotone non-decreasing (§3.2 termination).
   if (computed > node.sim) node.sim = static_cast<float>(computed);
-  const bool increased = node.sim > old_sim + options_.params.epsilon;
+  const bool increased = node.sim > old_sim + kSimParams.epsilon;
 
   // Any raise — even one below epsilon, which re-activates nobody — must
   // reach dependents' caches: a full rescan reads current sims, so the
@@ -104,9 +105,8 @@ void FixedPointSolver::Commit(NodeId id, Node& node, double computed) {
     }
   }
 
-  const double threshold = node.IsRefPair()
-                               ? options_.params.merge_threshold
-                               : options_.params.value_merge_threshold;
+  const double threshold = node.IsRefPair() ? kSimParams.merge_threshold
+                                             : kSimParams.value_merge_threshold;
   if (node.sim >= threshold && node.state != NodeState::kMerged) {
     node.state = NodeState::kMerged;
     if (node.IsRefPair()) merged_log_.push_back(id);

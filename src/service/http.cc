@@ -180,6 +180,10 @@ HttpServer::~HttpServer() { Stop(); }
 
 Status HttpServer::Start(int port) {
   if (listen_fd_ >= 0) return Status::InvalidArgument("server already started");
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(port) +
+                                   " is outside [0, 65535]");
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("socket: " + std::string(std::strerror(errno)));
   const int one = 1;

@@ -71,8 +71,8 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds 0.0.0.0:`port` (0 = ephemeral), starts listening and spawns the
-  /// accept thread. Fails with a status (address in use, ...) instead of
-  /// aborting.
+  /// accept thread. Fails with a status (a port outside [0, 65535],
+  /// address in use, ...) instead of aborting.
   Status Start(int port);
 
   /// The bound port (useful after Start(0)).

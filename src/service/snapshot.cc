@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/candidates.h"
+#include "sim/params.h"
 #include "util/logging.h"
 
 namespace recon::service {
@@ -254,14 +255,14 @@ QueryResult Snapshot::Query(const ReconQuery& query,
                    });
   int above_threshold = 0;
   for (const ScoredCandidate& c : scored) {
-    if (c.score >= params_.merge_threshold) ++above_threshold;
+    if (c.score >= kSimParams.merge_threshold) ++above_threshold;
   }
   const int limit = query.limit > 0 ? std::min(query.limit, 1000) : 10;
   if (static_cast<int>(scored.size()) > limit) scored.resize(limit);
   // Confident auto-match: the unique candidate at or over the merge
   // threshold (an ambiguous pair of high scorers is never auto-matched).
   if (!scored.empty() && above_threshold == 1 &&
-      scored.front().score >= params_.merge_threshold) {
+      scored.front().score >= kSimParams.merge_threshold) {
     scored.front().match = true;
   }
   result.candidates = std::move(scored);
@@ -353,7 +354,6 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   auto snap = std::make_shared<Snapshot>();
   snap->generation_ = generation;
   snap->num_references_ = n;
-  snap->params_ = options.params;
   snap->max_block_size_ = options.max_block_size;
   snap->schema_ = previous != nullptr
                       ? previous->schema_
@@ -361,8 +361,7 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   snap->binding_ = SchemaBinding::Resolve(dataset.schema());
   snap->kinds_ = MakeValueKindSchema(snap->binding_);
   snap->evidence_level_ = options.evidence_level;
-  snap->channels_ =
-      AtomicChannels(snap->binding_, options.params, options.evidence_level);
+  snap->channels_ = AtomicChannels(snap->binding_, options.evidence_level);
   const Schema& schema = *snap->schema_;
 
   // One entity per cluster, in the order of the clusters' smallest
@@ -521,8 +520,7 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   }
 
   // Similarity functions for the classes the binding knows.
-  snap->class_sims_ =
-      MakeClassSimilarities(schema, snap->binding_, options.params);
+  snap->class_sims_ = MakeClassSimilarities(schema, snap->binding_);
 
   // Rough footprint for /stats: entity records, index, dense tables.
   int64_t bytes = snap->index_bytes_;

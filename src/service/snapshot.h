@@ -207,7 +207,6 @@ class Snapshot {
   EvidenceLevel evidence_level_ = EvidenceLevel::kContact;
   std::vector<AtomicChannel> channels_;
   std::vector<std::unique_ptr<ClassSimilarity>> class_sims_;
-  SimParams params_;
   int max_block_size_ = 1000;
   int entities_rebuilt_ = 0;
   int64_t approximate_bytes_ = 0;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "sim/params.h"
 #include "util/logging.h"
 
 namespace recon {
@@ -47,28 +48,28 @@ double PersonSimilarity::Compute(const EvidenceSummary& evidence) const {
   // existence of similarity values).
   double s_rv = 0.0;
   if (has_name && has_email) {
-    s_rv = params_.person_w_name_with_email * name +
-           params_.person_w_email_with_name * email;
+    s_rv = kSimParams.person_w_name_with_email * name +
+           kSimParams.person_w_email_with_name * email;
     if (has_ne) {
-      s_rv = std::max(s_rv, params_.person_w_name_full * name +
-                                params_.person_w_email_full * email +
-                                params_.person_w_ne_full * ne);
+      s_rv = std::max(s_rv, kSimParams.person_w_name_full * name +
+                                kSimParams.person_w_email_full * email +
+                                kSimParams.person_w_ne_full * ne);
     }
   } else if (has_name && has_ne) {
-    s_rv = std::max(name, params_.person_w_name_ne * name +
-                              params_.person_w_ne_ne * ne);
+    s_rv = std::max(name, kSimParams.person_w_name_ne * name +
+                              kSimParams.person_w_ne_ne * ne);
   } else if (has_name) {
     s_rv = name;
   } else if (has_email && has_ne) {
-    s_rv = std::max(params_.person_email_only_scale * email,
-                    params_.person_ne_only_scale * ne);
+    s_rv = std::max(kSimParams.person_email_only_scale * email,
+                    kSimParams.person_ne_only_scale * ne);
   } else if (has_email) {
-    s_rv = params_.person_email_only_scale * email;
+    s_rv = kSimParams.person_email_only_scale * email;
   } else if (has_ne) {
-    s_rv = params_.person_ne_only_scale * ne;
+    s_rv = kSimParams.person_ne_only_scale * ne;
   }
 
-  return ApplyBooleanEvidence(s_rv, evidence, params_.person);
+  return ApplyBooleanEvidence(s_rv, evidence, kSimParams.person);
 }
 
 double ArticleSimilarity::Compute(const EvidenceSummary& evidence) const {
@@ -81,10 +82,10 @@ double ArticleSimilarity::Compute(const EvidenceSummary& evidence) const {
   double aux_weight = 0.0;
   double aux_sum = 0.0;
   const std::pair<Evidence, double> channels[] = {
-      {kEvArticleAuthors, params_.article_w_authors},
-      {kEvArticleVenue, params_.article_w_venue},
-      {kEvArticlePages, params_.article_w_pages},
-      {kEvArticleYear, params_.article_w_year},
+      {kEvArticleAuthors, kSimParams.article_w_authors},
+      {kEvArticleVenue, kSimParams.article_w_venue},
+      {kEvArticlePages, kSimParams.article_w_pages},
+      {kEvArticleYear, kSimParams.article_w_year},
   };
   for (const auto& [channel, weight] : channels) {
     if (evidence.Has(channel)) {
@@ -95,27 +96,27 @@ double ArticleSimilarity::Compute(const EvidenceSummary& evidence) const {
 
   double s_rv;
   if (aux_weight > 0.0) {
-    s_rv = params_.article_w_title * title +
-           (1.0 - params_.article_w_title) * (aux_sum / aux_weight);
+    s_rv = kSimParams.article_w_title * title +
+           (1.0 - kSimParams.article_w_title) * (aux_sum / aux_weight);
   } else {
-    s_rv = params_.article_title_only_scale * title;
+    s_rv = kSimParams.article_title_only_scale * title;
   }
-  return ApplyBooleanEvidence(s_rv, evidence, params_.article);
+  return ApplyBooleanEvidence(s_rv, evidence, kSimParams.article);
 }
 
 double VenueSimilarity::Compute(const EvidenceSummary& evidence) const {
   if (!evidence.Has(kEvVenueName)) return 0.0;
 
   // Renormalized weighted mean over present channels, name-dominated.
-  double weight = params_.venue_w_name;
-  double sum = params_.venue_w_name * evidence.Get(kEvVenueName);
+  double weight = kSimParams.venue_w_name;
+  double sum = kSimParams.venue_w_name * evidence.Get(kEvVenueName);
   if (evidence.Has(kEvVenueYear)) {
-    weight += params_.venue_w_year;
-    sum += params_.venue_w_year * evidence.Get(kEvVenueYear);
+    weight += kSimParams.venue_w_year;
+    sum += kSimParams.venue_w_year * evidence.Get(kEvVenueYear);
   }
   if (evidence.Has(kEvVenueLocation)) {
-    weight += params_.venue_w_location;
-    sum += params_.venue_w_location * evidence.Get(kEvVenueLocation);
+    weight += kSimParams.venue_w_location;
+    sum += kSimParams.venue_w_location * evidence.Get(kEvVenueLocation);
   }
   double s_rv = sum / weight;
   // A venue instance is one year's event: a year mismatch is strong
@@ -126,29 +127,28 @@ double VenueSimilarity::Compute(const EvidenceSummary& evidence) const {
       evidence.Has(kEvVenueYear) && evidence.Get(kEvVenueYear) == 0.0;
   if (evidence.Has(kEvVenueYear) && evidence.Get(kEvVenueYear) < 1.0) {
     const double year = evidence.Get(kEvVenueYear);
-    s_rv *= params_.venue_year_mismatch_penalty +
-            (1.0 - params_.venue_year_mismatch_penalty) * year;
+    s_rv *= kSimParams.venue_year_mismatch_penalty +
+            (1.0 - kSimParams.venue_year_mismatch_penalty) * year;
   }
-  double s = ApplyBooleanEvidence(s_rv, evidence, params_.venue);
+  double s = ApplyBooleanEvidence(s_rv, evidence, kSimParams.venue);
   // Not even a pile of merged articles may equate two venues whose years
   // plainly disagree — it would avalanche through the venue-name value
   // propagation (one bad merge certifies the name pair globally).
   if (hard_year_mismatch) {
-    s = std::min(s, params_.venue_year_mismatch_cap);
+    s = std::min(s, kSimParams.venue_year_mismatch_cap);
   }
   return s;
 }
 
-std::unique_ptr<ClassSimilarity> MakeClassSimilarity(
-    const char* class_name, const SimParams& params) {
+std::unique_ptr<ClassSimilarity> MakeClassSimilarity(const char* class_name) {
   if (std::strcmp(class_name, "Person") == 0) {
-    return std::make_unique<PersonSimilarity>(params);
+    return std::make_unique<PersonSimilarity>();
   }
   if (std::strcmp(class_name, "Article") == 0) {
-    return std::make_unique<ArticleSimilarity>(params);
+    return std::make_unique<ArticleSimilarity>();
   }
   if (std::strcmp(class_name, "Venue") == 0) {
-    return std::make_unique<VenueSimilarity>(params);
+    return std::make_unique<VenueSimilarity>();
   }
   RECON_LOG(Fatal) << "No similarity function for class " << class_name;
   return nullptr;

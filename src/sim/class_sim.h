@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "sim/evidence.h"
-#include "sim/params.h"
 
 namespace recon {
 
@@ -49,39 +48,26 @@ class ClassSimilarity {
 /// evidence.
 class PersonSimilarity : public ClassSimilarity {
  public:
-  explicit PersonSimilarity(const SimParams& params) : params_(params) {}
   double Compute(const EvidenceSummary& evidence) const override;
-
- private:
-  SimParams params_;
 };
 
 /// Article similarity: title-dominated with author / venue / pages / year
 /// corroboration.
 class ArticleSimilarity : public ClassSimilarity {
  public:
-  explicit ArticleSimilarity(const SimParams& params) : params_(params) {}
   double Compute(const EvidenceSummary& evidence) const override;
-
- private:
-  SimParams params_;
 };
 
 /// Venue similarity: name-dominated with published-article strong evidence
 /// (beta = 0.2, t_rv = 0.1 per the paper).
 class VenueSimilarity : public ClassSimilarity {
  public:
-  explicit VenueSimilarity(const SimParams& params) : params_(params) {}
   double Compute(const EvidenceSummary& evidence) const override;
-
- private:
-  SimParams params_;
 };
 
 /// Builds the similarity function for `class_name` ("Person", "Article",
 /// "Venue"). Aborts on unknown classes.
-std::unique_ptr<ClassSimilarity> MakeClassSimilarity(
-    const char* class_name, const SimParams& params);
+std::unique_ptr<ClassSimilarity> MakeClassSimilarity(const char* class_name);
 
 }  // namespace recon
 

@@ -1,11 +1,12 @@
-// All tunable similarity parameters in one place (paper §5.2).
+// The similarity parameters, in one place (paper §5.2).
 //
-// The paper's published settings are the defaults: merge-threshold 0.85 for
+// Every run uses the paper's published settings: merge-threshold 0.85 for
 // reference similarities and 1.0 for attribute similarities; beta = 0.1
 // (0.2 for Venue); gamma = 0.05; t_rv = 0.7 for Person and Article and 0.1
 // for Venue. The S_rv leaf weights (the per-class decision trees) follow
-// the template of §4 and live here so experiments and the tuner can vary
-// them.
+// the template of §4. They are one constant, kSimParams, read directly by
+// the similarity functions, the channel table, the graph build, the solver
+// and query scoring.
 
 #ifndef RECON_SIM_PARAMS_H_
 #define RECON_SIM_PARAMS_H_
@@ -27,7 +28,7 @@ struct BooleanEvidenceParams {
   int max_weak_rewarded = 3;
 };
 
-/// Every tunable of the similarity system.
+/// Every parameter of the similarity system.
 struct SimParams {
   // ---- Global thresholds (§5.2) ----------------------------------------
   /// Reference pairs at or above this similarity are reconciled.
@@ -97,6 +98,9 @@ struct SimParams {
   /// contradiction (must stay below merge_threshold).
   double venue_year_mismatch_cap = 0.80;
 };
+
+/// The parameters every run uses.
+inline constexpr SimParams kSimParams{};
 
 }  // namespace recon
 

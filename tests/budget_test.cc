@@ -243,6 +243,29 @@ TEST(BudgetTest, UnbudgetedRunReportsConvergence) {
   EXPECT_GT(result.stats.num_budget_probes, 0);
 }
 
+TEST(BudgetTest, GenerousBudgetLeavesOutputUnchanged) {
+  // perf_fixedpoint's budget guard: every limit set, none reachable, so
+  // each probe does its full checks (counter bumps, strided clock reads,
+  // the memory estimate) and never stops the run.
+  datagen::PimConfig config = datagen::PimConfigB();
+  const Dataset dataset =
+      datagen::GeneratePim(datagen::ScaleConfig(config, 0.10));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    const ReconcileResult unbudgeted = Reconciler(options).Run(dataset);
+    options.budget.deadline_ms = 3.6e6;
+    options.budget.max_solver_iterations = int64_t{1} << 60;
+    options.budget.max_merges = int64_t{1} << 60;
+    options.budget.soft_max_memory_bytes = int64_t{1} << 60;
+    const ReconcileResult generous = Reconciler(options).Run(dataset);
+    EXPECT_EQ(generous.stats.stop_reason, StopReason::kConverged);
+    EXPECT_EQ(unbudgeted.cluster, generous.cluster);
+    EXPECT_EQ(unbudgeted.merged_pairs, generous.merged_pairs);
+  }
+}
+
 // ---- Determinism and anytime monotonicity ----------------------------------
 
 TEST(BudgetDeterminismTest, IterationAndMergeStopsAreThreadInvariant) {

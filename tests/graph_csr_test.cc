@@ -33,6 +33,7 @@
 #include "model/dataset.h"
 #include "sim/class_sim.h"
 #include "sim/evidence.h"
+#include "sim/params.h"
 #include "sim/value_store.h"
 #include "util/fault_injection.h"
 
@@ -454,21 +455,20 @@ TEST_F(StagingTest, IndepDecScoresTitlesThroughTheMemoFloat) {
   const RefId a = Article(title_a, "2000");
   const RefId b = Article(title_b, "2000");
 
-  const SimParams params;
   const double title = FeaturePairSimilarity(
       kEvArticleTitle, AnalyzeValue(title_a, FeatureKind::kTitle),
       AnalyzeValue(title_b, FeatureKind::kTitle));
   EXPECT_EQ(title, 11.0 / 14.0);
   const auto sims = MakeClassSimilarities(
-      data_.schema(), SchemaBinding::Resolve(data_.schema()), params);
+      data_.schema(), SchemaBinding::Resolve(data_.schema()));
   const auto article_sim = [&](double title_sim) {
     EvidenceSummary evidence;
     evidence.Offer(kEvArticleTitle, title_sim);
     evidence.Offer(kEvArticleYear, 1.0);
     return sims[article_]->Compute(evidence);
   };
-  EXPECT_EQ(article_sim(title), params.merge_threshold);
-  EXPECT_LT(article_sim(static_cast<float>(title)), params.merge_threshold);
+  EXPECT_EQ(article_sim(title), kSimParams.merge_threshold);
+  EXPECT_LT(article_sim(static_cast<float>(title)), kSimParams.merge_threshold);
 
   const ReconcileResult result =
       Reconciler(ReconcilerOptions::IndepDec()).Run(data_);

@@ -223,6 +223,19 @@ TEST_F(ServiceSmokeTest, IngestMalformedJsonReportsByteOffset) {
       << res.value().body;
 }
 
+// ---- Binding -----------------------------------------------------------------
+
+TEST(HttpServerTest, StartRejectsPortOutsideTcpRange) {
+  // A port past 65535 must not wrap to another port when it is narrowed to
+  // the 16-bit socket field.
+  HttpServer server([](const HttpRequest&) { return HttpResponse{}; },
+                    HttpServerOptions{});
+  const Status status = server.Start(65536);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(server.port(), 0);
+  EXPECT_EQ(server.Start(-1).code(), StatusCode::kInvalidArgument);
+}
+
 // ---- Overload shedding (DESIGN.md §15) -------------------------------------
 
 TEST(HttpOverloadTest, ShedsWith503AndRetryAfterWhenSaturated) {

@@ -9,13 +9,38 @@
 namespace recon {
 namespace {
 
-SimParams Params() { return SimParams{}; }
-
 EvidenceSummary WithEvidence(
     std::initializer_list<std::pair<Evidence, double>> items) {
   EvidenceSummary ev;
   for (const auto& [type, sim] : items) ev.Offer(type, sim);
   return ev;
+}
+
+// ---- Parameters -------------------------------------------------------------
+
+TEST(SimTest, ParamsAreThePapersPublishedSettings) {
+  // §5.2: merge-threshold 0.85 for references and 1.0 for attribute values;
+  // beta = 0.1 (0.2 for Venue), gamma = 0.05, t_rv = 0.7 for Person and
+  // Article and 0.1 for Venue.
+  EXPECT_EQ(kSimParams.merge_threshold, 0.85);
+  EXPECT_EQ(kSimParams.value_merge_threshold, 1.0);
+  const struct {
+    const char* name;
+    const BooleanEvidenceParams& params;
+    double beta;
+    double gamma;
+    double t_rv;
+  } kClasses[] = {
+      {"Person", kSimParams.person, 0.1, 0.05, 0.7},
+      {"Article", kSimParams.article, 0.1, 0.05, 0.7},
+      {"Venue", kSimParams.venue, 0.2, 0.05, 0.1},
+  };
+  for (const auto& c : kClasses) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.params.beta, c.beta);
+    EXPECT_EQ(c.params.gamma, c.gamma);
+    EXPECT_EQ(c.params.t_rv, c.t_rv);
+  }
 }
 
 // ---- EvidenceSummary --------------------------------------------------------
@@ -39,7 +64,7 @@ TEST(EvidenceSummaryTest, OfferKeepsMax) {
 // ---- Person similarity ---------------------------------------------------------
 
 TEST(PersonSimilarityTest, EmailIsKeyAttribute) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   // Identical emails merge even with dissimilar names (paper §4).
   EvidenceSummary ev = WithEvidence({{kEvPersonEmail, 1.0},
                                      {kEvPersonName, 0.1}});
@@ -47,27 +72,27 @@ TEST(PersonSimilarityTest, EmailIsKeyAttribute) {
 }
 
 TEST(PersonSimilarityTest, IdenticalFullNamesMergeAlone) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   EvidenceSummary ev = WithEvidence({{kEvPersonName, 1.0}});
-  EXPECT_GE(sim.Compute(ev), Params().merge_threshold);
+  EXPECT_GE(sim.Compute(ev), kSimParams.merge_threshold);
 }
 
 TEST(PersonSimilarityTest, AbbreviatedNameAloneDoesNotMerge) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   // "Wong, E." vs "Eugene Wong" style evidence, capped at 0.8.
   EvidenceSummary ev = WithEvidence({{kEvPersonName, kAbbreviatedNameCap}});
-  EXPECT_LT(sim.Compute(ev), Params().merge_threshold);
+  EXPECT_LT(sim.Compute(ev), kSimParams.merge_threshold);
 }
 
 TEST(PersonSimilarityTest, AbbreviatedNamePlusArticleMerges) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   EvidenceSummary ev = WithEvidence({{kEvPersonName, kAbbreviatedNameCap}});
   ev.strong_merged = 1;  // One merged authored-article pair.
-  EXPECT_GE(sim.Compute(ev), Params().merge_threshold);
+  EXPECT_GE(sim.Compute(ev), kSimParams.merge_threshold);
 }
 
 TEST(PersonSimilarityTest, BooleanEvidenceGatedOnTrv) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   EvidenceSummary ev = WithEvidence({{kEvPersonName, 0.5}});
   ev.strong_merged = 5;
   ev.weak_merged = 5;
@@ -76,16 +101,16 @@ TEST(PersonSimilarityTest, BooleanEvidenceGatedOnTrv) {
 }
 
 TEST(PersonSimilarityTest, WeakEvidenceAccumulates) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   EvidenceSummary base = WithEvidence({{kEvPersonName, 0.75}});
   const double s0 = sim.Compute(base);
   base.weak_merged = 2;
   const double s2 = sim.Compute(base);
-  EXPECT_NEAR(s2 - s0, 2 * Params().person.gamma, 1e-9);
+  EXPECT_NEAR(s2 - s0, 2 * kSimParams.person.gamma, 1e-9);
 }
 
 TEST(PersonSimilarityTest, NameEmailEvidenceHelpsWithoutEmail) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   const double without =
       sim.Compute(WithEvidence({{kEvPersonName, 0.6}}));
   const double with = sim.Compute(
@@ -94,12 +119,12 @@ TEST(PersonSimilarityTest, NameEmailEvidenceHelpsWithoutEmail) {
 }
 
 TEST(PersonSimilarityTest, NoEvidenceScoresZero) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   EXPECT_DOUBLE_EQ(sim.Compute(EvidenceSummary()), 0.0);
 }
 
 TEST(PersonSimilarityTest, MonotoneInEachChannel) {
-  PersonSimilarity sim(Params());
+  const PersonSimilarity sim;
   // Property: raising any single evidence value never lowers the score.
   const Evidence channels[] = {kEvPersonName, kEvPersonEmail,
                                kEvPersonNameEmail};
@@ -119,20 +144,20 @@ TEST(PersonSimilarityTest, MonotoneInEachChannel) {
 // ---- Article similarity ---------------------------------------------------------
 
 TEST(ArticleSimilarityTest, TitleRequired) {
-  ArticleSimilarity sim(Params());
+  const ArticleSimilarity sim;
   EvidenceSummary ev = WithEvidence({{kEvArticleYear, 1.0},
                                      {kEvArticlePages, 1.0}});
   EXPECT_DOUBLE_EQ(sim.Compute(ev), 0.0);
 }
 
 TEST(ArticleSimilarityTest, IdenticalTitleAloneMerges) {
-  ArticleSimilarity sim(Params());
+  const ArticleSimilarity sim;
   EXPECT_GE(sim.Compute(WithEvidence({{kEvArticleTitle, 1.0}})),
-            Params().merge_threshold);
+            kSimParams.merge_threshold);
 }
 
 TEST(ArticleSimilarityTest, AuxEvidenceLiftsNoisyTitle) {
-  ArticleSimilarity sim(Params());
+  const ArticleSimilarity sim;
   const double alone = sim.Compute(WithEvidence({{kEvArticleTitle, 0.85}}));
   const double supported = sim.Compute(
       WithEvidence({{kEvArticleTitle, 0.85},
@@ -140,11 +165,11 @@ TEST(ArticleSimilarityTest, AuxEvidenceLiftsNoisyTitle) {
                     {kEvArticleVenue, 1.0},
                     {kEvArticlePages, 1.0}}));
   EXPECT_GT(supported, alone);
-  EXPECT_GE(supported, Params().merge_threshold);
+  EXPECT_GE(supported, kSimParams.merge_threshold);
 }
 
 TEST(ArticleSimilarityTest, ConflictingAuxLowersScore) {
-  ArticleSimilarity sim(Params());
+  const ArticleSimilarity sim;
   const double match = sim.Compute(
       WithEvidence({{kEvArticleTitle, 0.9}, {kEvArticleYear, 1.0}}));
   const double clash = sim.Compute(
@@ -155,28 +180,28 @@ TEST(ArticleSimilarityTest, ConflictingAuxLowersScore) {
 // ---- Venue similarity -----------------------------------------------------------
 
 TEST(VenueSimilarityTest, NameRequired) {
-  VenueSimilarity sim(Params());
+  const VenueSimilarity sim;
   EXPECT_DOUBLE_EQ(sim.Compute(WithEvidence({{kEvVenueYear, 1.0}})), 0.0);
 }
 
 TEST(VenueSimilarityTest, ExactNameMergesAlone) {
-  VenueSimilarity sim(Params());
+  const VenueSimilarity sim;
   EXPECT_GE(sim.Compute(WithEvidence({{kEvVenueName, 1.0}})),
-            Params().merge_threshold);
+            kSimParams.merge_threshold);
 }
 
 TEST(VenueSimilarityTest, ArticlesBridgeDissimilarNames) {
-  VenueSimilarity sim(Params());
+  const VenueSimilarity sim;
   // Venue t_rv is 0.1 and beta is 0.2: weak name evidence plus a few
   // merged articles crosses the merge threshold (the SIGMOD example).
   EvidenceSummary ev = WithEvidence({{kEvVenueName, 0.3}});
-  EXPECT_LT(sim.Compute(ev), Params().merge_threshold);
+  EXPECT_LT(sim.Compute(ev), kSimParams.merge_threshold);
   ev.strong_merged = 3;
-  EXPECT_GE(sim.Compute(ev), Params().merge_threshold);
+  EXPECT_GE(sim.Compute(ev), kSimParams.merge_threshold);
 }
 
 TEST(VenueSimilarityTest, BelowTrvGetsNoArticleBoost) {
-  VenueSimilarity sim(Params());
+  const VenueSimilarity sim;
   EvidenceSummary ev = WithEvidence({{kEvVenueName, 0.05}});
   ev.strong_merged = 10;
   EXPECT_LT(sim.Compute(ev), 0.1);
@@ -185,9 +210,9 @@ TEST(VenueSimilarityTest, BelowTrvGetsNoArticleBoost) {
 // ---- Factory ----------------------------------------------------------------------
 
 TEST(ClassSimilarityFactoryTest, BuildsAllKnownClasses) {
-  EXPECT_NE(MakeClassSimilarity("Person", Params()), nullptr);
-  EXPECT_NE(MakeClassSimilarity("Article", Params()), nullptr);
-  EXPECT_NE(MakeClassSimilarity("Venue", Params()), nullptr);
+  EXPECT_NE(MakeClassSimilarity("Person"), nullptr);
+  EXPECT_NE(MakeClassSimilarity("Article"), nullptr);
+  EXPECT_NE(MakeClassSimilarity("Venue"), nullptr);
 }
 
 // ---- Comparators (policy wrappers) --------------------------------------------------

@@ -412,9 +412,8 @@ class CacheInvalidationTest : public ::testing::Test {
     options_.propagation = false;
     built_.graph = std::make_unique<DependencyGraph>(data_.num_references());
     built_.class_sims.resize(data_.schema().num_classes());
-    built_.class_sims[person_] = MakeClassSimilarity("Person", options_.params);
-    built_.class_sims[article_] =
-        MakeClassSimilarity("Article", options_.params);
+    built_.class_sims[person_] = MakeClassSimilarity("Person");
+    built_.class_sims[article_] = MakeClassSimilarity("Article");
     solver_ = std::make_unique<FixedPointSolver>(data_, built_, options_,
                                                  &stats_);
   }

@@ -217,7 +217,7 @@ std::vector<int> EvidenceOf(std::span<const AtomicChannel> rows) {
 
 TEST(AtomicChannelsTest, RowsInTableOrderWithUnboundAndHigherLevelsOmitted) {
   const SchemaBinding pim = SchemaBinding::Resolve(BuildPimSchema());
-  const std::vector<AtomicChannel> table = AtomicChannels(pim, SimParams{});
+  const std::vector<AtomicChannel> table = AtomicChannels(pim);
   EXPECT_EQ(EvidenceOf(table),
             (std::vector<int>{kEvPersonName, kEvPersonEmail,
                               kEvPersonNameEmail, kEvArticleTitle,
@@ -235,7 +235,7 @@ TEST(AtomicChannelsTest, RowsInTableOrderWithUnboundAndHigherLevelsOmitted) {
   EXPECT_TRUE(ne.cross());
   EXPECT_EQ(ne.level, EvidenceLevel::kNameEmail);
   EXPECT_EQ(EvidenceOf(ClassChannels(
-                AtomicChannels(pim, SimParams{}, EvidenceLevel::kAttrWise),
+                AtomicChannels(pim, EvidenceLevel::kAttrWise),
                 pim.person)),
             (std::vector<int>{kEvPersonName, kEvPersonEmail}));
   // Only names carry the zero rule and only venue names propagate merges;
@@ -250,8 +250,7 @@ TEST(AtomicChannelsTest, RowsInTableOrderWithUnboundAndHigherLevelsOmitted) {
   }
   // Cora binds no Person.email: its rows and the cross row go.
   const SchemaBinding cora = SchemaBinding::Resolve(BuildCoraSchema());
-  EXPECT_EQ(EvidenceOf(ClassChannels(AtomicChannels(cora, SimParams{}),
-                                     cora.person)),
+  EXPECT_EQ(EvidenceOf(ClassChannels(AtomicChannels(cora), cora.person)),
             (std::vector<int>{kEvPersonName}));
 }
 
@@ -304,8 +303,7 @@ void ExpectComparatorEquivalence(const Dataset& dataset,
   SCOPED_TRACE(label);
   const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
   const ValueKindSchema kinds = MakeValueKindSchema(binding);
-  const std::vector<AtomicChannel> table =
-      AtomicChannels(binding, SimParams{});
+  const std::vector<AtomicChannel> table = AtomicChannels(binding);
   ASSERT_FALSE(table.empty());
   for (const AtomicChannel& row : table) {
     SCOPED_TRACE(EvidenceName(row.evidence));

@@ -378,9 +378,7 @@ int main(int argc, char** argv) {
     const Reconciler reconciler(options);
     result = reconciler.Run(data);
   } else if (algo == "fs") {
-    FellegiSunterOptions fs_options;
-    fs_options.blocking = options;
-    const FellegiSunter reconciler(fs_options);
+    const FellegiSunter reconciler(options);
     result = reconciler.Run(data);
   } else {
     std::cerr << "unknown algorithm " << algo << "\n";

@@ -78,12 +78,19 @@ void PrintUsage(std::ostream& out) {
          "  --version          print version and exit\n";
 }
 
-bool ParseInt(const char* flag, const char* value, int min, int* out) {
+/// The largest TCP port, the HTTP worker-thread cap (reconcile_cli's
+/// --threads limit), and the cap on every other count or duration flag.
+constexpr int kMaxPort = 65535;
+constexpr int kMaxThreads = 1024;
+constexpr int kMaxFlagValue = 1 << 30;
+
+bool ParseInt(const char* flag, const char* value, int min, int* out,
+              int max = kMaxFlagValue) {
   char* end = nullptr;
   const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < min || v > 1 << 30) {
-    std::cerr << flag << " needs an integer >= " << min << ", got \"" << value
-              << "\"\n";
+  if (end == value || *end != '\0' || v < min || v > max) {
+    std::cerr << flag << " needs an integer in [" << min << ", " << max
+              << "], got \"" << value << "\"\n";
     return false;
   }
   *out = static_cast<int>(v);
@@ -117,9 +124,11 @@ int main(int argc, char** argv) {
     if (arg == "--demo") {
       demo = true;
     } else if (arg == "--port" && i + 1 < argc) {
-      if (!ParseInt("--port", argv[++i], 0, &port)) return kExitUsage;
+      if (!ParseInt("--port", argv[++i], 0, &port, kMaxPort)) return kExitUsage;
     } else if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseInt("--threads", argv[++i], 1, &threads)) return kExitUsage;
+      if (!ParseInt("--threads", argv[++i], 1, &threads, kMaxThreads)) {
+        return kExitUsage;
+      }
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       int ms = 0;
       if (!ParseInt("--deadline-ms", argv[++i], 1, &ms)) return kExitUsage;
