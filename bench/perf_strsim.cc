@@ -55,30 +55,6 @@ void BM_LevenshteinBitParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinBitParallel);
 
-void BM_BoundedLevenshteinScalar(benchmark::State& state) {
-  const std::string a =
-      "Distributed query processing in a relational data base system";
-  const std::string b =
-      "Distributed query procesing in relational database systems";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        recon::strsim::ScalarBoundedLevenshteinDistance(a, b, 6));
-  }
-}
-BENCHMARK(BM_BoundedLevenshteinScalar);
-
-void BM_BoundedLevenshteinBitParallel(benchmark::State& state) {
-  const std::string a =
-      "Distributed query processing in a relational data base system";
-  const std::string b =
-      "Distributed query procesing in relational database systems";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        recon::strsim::MyersBoundedLevenshteinDistance(a, b, 6));
-  }
-}
-BENCHMARK(BM_BoundedLevenshteinBitParallel);
-
 void BM_JaroWinkler(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(

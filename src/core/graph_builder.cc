@@ -167,7 +167,7 @@ class GraphBuilder {
     const int64_t last =
         std::min(static_cast<int64_t>(pairs.size()), first + kStageWindow);
     StageWindow(pairs, first, last, window);
-    // A lane that saw a cancel or the deadline left pairs unstaged.
+    // A lane that saw the deadline left pairs unstaged.
     if (budget_->stopped()) return false;
     graph_->ReserveBuild(GrowthOf(*window));
     window_bytes_ = window->bytes();
@@ -388,7 +388,7 @@ class GraphBuilder {
   /// `first`, one pair at a time (§3.1 step 1): the class's ungated rows,
   /// the person constraints, and the gated rows only for a pair that
   /// already has evidence. The budget is checked every 64 pairs; an
-  /// abandon (cancel / deadline already decided the run) leaves the rest
+  /// abandon (the deadline already decided the run) leaves the rest
   /// of the span unstaged, and StageWindow's ResolveAsyncStop then records
   /// the stop, so SeedWindow never applies that window.
   void StageSpan(const CandidateList& pairs, int64_t first, int64_t begin,
@@ -572,7 +572,7 @@ class GraphBuilder {
           static_cast<int16_t>(std::min(32000, before + shared));
       // Static weak counts are a base term of the cached summary; absorb
       // the increase so the cache stays valid.
-      if (mutable_m.cache.valid) {
+      if (mutable_m.cache_valid) {
         mutable_m.cache.weak_merged += mutable_m.static_weak - before;
       }
     }

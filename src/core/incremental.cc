@@ -41,8 +41,7 @@ void IncrementalReconciler::Flush() {
 
   // Per-flush budget epoch: the options' deadline / iteration / merge
   // limits apply to this flush alone.
-  BudgetTracker tracker(options_.budget, options_.cancel,
-                        options_.probe_hook);
+  BudgetTracker tracker(options_.budget, options_.probe_hook);
   solver_->set_budget(&tracker);
 
   Timer timer;

@@ -110,11 +110,6 @@ class IncrementalReconciler {
   /// The solver over the current graph (its Closure() recomputes from
   /// scratch what clusters() keeps).
   const FixedPointSolver& solver() const { return *solver_; }
-  /// The cached partition, or nullptr when it is stale (staged references
-  /// or an invalidated closure). Unlike clusters(), never flushes.
-  const std::vector<int>* clusters_if_current() const {
-    return closure_valid_ && num_staged() == 0 ? &clusters_ : nullptr;
-  }
 
  private:
   Dataset dataset_;

@@ -101,11 +101,6 @@ struct ReconcilerOptions {
   /// wall-clock-dependent by nature.
   Budget budget;
 
-  /// Optional cooperative cancellation: the caller keeps the token and may
-  /// RequestCancel() from any thread; the run degrades to a valid partial
-  /// partition at its next probe point (StopReason::kCancelled).
-  std::shared_ptr<CancellationToken> cancel;
-
   /// Test-only seam: observes every budget probe and may inject stops
   /// deterministically (util/fault_injection.h). Leave null in production.
   std::shared_ptr<ProbeHook> probe_hook;

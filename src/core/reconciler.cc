@@ -66,8 +66,7 @@ std::vector<std::vector<RefId>> ReconcileResult::PartitionsOfClass(
 ReconcileResult Reconciler::Run(const Dataset& dataset) const {
   // One tracker for the whole run: the deadline covers candidate
   // generation, graph build, and the solve together (DESIGN.md §10).
-  BudgetTracker tracker(options_.budget, options_.cancel,
-                        options_.probe_hook);
+  BudgetTracker tracker(options_.budget, options_.probe_hook);
   if (options_.premerge_equal_emails) {
     const SchemaBinding binding = SchemaBinding::Resolve(dataset.schema());
     // Both ends of a "distinct" pair stay out of the email groups, so the
@@ -120,8 +119,7 @@ ReconcileResult Reconciler::Run(const Dataset& dataset) const {
 
 ReconcileResult Reconciler::RunOnGraph(const Dataset& dataset,
                                        BuiltGraph& built) const {
-  BudgetTracker tracker(options_.budget, options_.cancel,
-                        options_.probe_hook);
+  BudgetTracker tracker(options_.budget, options_.probe_hook);
   return RunOnGraph(dataset, built, &tracker);
 }
 

@@ -47,8 +47,7 @@ class Reconciler {
       : options_(std::move(options)) {}
 
   /// Builds the dependency graph and runs the algorithm to its fixed
-  /// point — or to the options' budget / cancellation limit, whichever
-  /// comes first. A degraded stop still enforces constraints and computes
+  /// point — or to the options' budget limit, whichever comes first. A degraded stop still enforces constraints and computes
   /// the transitive closure, so the result is always a valid partition;
   /// stats.stop_reason says which exit was taken (DESIGN.md §10).
   ReconcileResult Run(const Dataset& dataset) const;

@@ -98,7 +98,7 @@ struct ReconcileStats {
   // Budget / graceful-degradation accounting (ReconcilerOptions::budget,
   // DESIGN.md §10).
   /// Why the run stopped: kConverged on a full fixed point, the exhausted
-  /// budget (or kCancelled) on a degraded — but still valid — stop. On an
+  /// budget on a degraded — but still valid — stop. On an
   /// incremental reconciler this is the latest flush's reason.
   StopReason stop_reason = StopReason::kConverged;
   /// Fixed-point iterations (queue pops) actually executed; cumulative

@@ -165,36 +165,30 @@ void FixedPointSolver::Enqueue(NodeId id, bool front) {
 
 double FixedPointSolver::CachedSimilarity(NodeId id, Node& node) {
   if (node.forced_merge) return 1.0;  // User-confirmed match.
-  if (!node.cache.valid) {
+  if (!node.cache_valid) {
     BuildCacheSummary(id, &node.cache, &stats_->num_inedge_scans);
+    node.cache_valid = true;
     ++stats_->num_cache_rebuilds;
   } else {
     stats_->num_inedge_scans_avoided += graph_.in_degree(id);
   }
-  return ScoreFromCache(node, node.cache);
+  return ScoreFromCache(node);
 }
 
-double FixedPointSolver::ScoreFromCache(const Node& node,
-                                        const EvidenceCache& cache) const {
+double FixedPointSolver::ScoreFromCache(const Node& node) const {
   if (!node.IsRefPair()) {
-    return cache.strong_merged > 0 ? 1.0 : node.sim;
+    return node.cache.strong_merged > 0 ? 1.0 : node.sim;
   }
-  EvidenceSummary evidence;
-  for (int e = 0; e < kNumEvidence; ++e) {
-    evidence.best[e] = cache.best[e];
-  }
-  evidence.strong_merged = cache.strong_merged;
-  evidence.weak_merged = cache.weak_merged;
   const ClassSimilarity* sim_fn = built_.class_sims[node.class_id].get();
   RECON_CHECK(sim_fn != nullptr)
       << "No similarity function for class " << node.class_id;
-  return sim_fn->Compute(evidence);
+  return sim_fn->Compute(node.cache);
 }
 
-void FixedPointSolver::BuildCacheSummary(NodeId id, EvidenceCache* cache,
+void FixedPointSolver::BuildCacheSummary(NodeId id, EvidenceSummary* cache,
                                          int64_t* scans) const {
   const Node& node = graph_.node(id);
-  cache->Reset();
+  *cache = EvidenceSummary();
   if (!node.IsRefPair()) {
     // Value pairs: initial string similarity, lifted to 1 when a merged
     // strong-boolean neighbor certifies the values denote one entity
@@ -208,7 +202,6 @@ void FixedPointSolver::BuildCacheSummary(NodeId id, EvidenceCache* cache,
         break;
       }
     }
-    cache->valid = true;
     return;
   }
   for (const StaticReal& entry : graph_.static_real(id)) {
@@ -234,15 +227,14 @@ void FixedPointSolver::BuildCacheSummary(NodeId id, EvidenceCache* cache,
         break;
     }
   }
-  cache->valid = true;
 }
 
 void FixedPointSolver::PushSimDelta(NodeId id, const Node& node) {
   for (const Edge& e : graph_.out_edges(id)) {
     if (e.kind != DependencyKind::kRealValued) continue;
-    EvidenceCache& cache = graph_.mutable_node(e.node).cache;
-    if (!cache.valid) continue;  // The eventual rebuild reads node.sim.
-    cache.Offer(e.evidence, node.sim);
+    Node& dep = graph_.mutable_node(e.node);
+    if (!dep.cache_valid) continue;  // The eventual rebuild reads node.sim.
+    dep.cache.Offer(e.evidence, node.sim);
     ++stats_->num_delta_pushes;
   }
 }
@@ -250,12 +242,12 @@ void FixedPointSolver::PushSimDelta(NodeId id, const Node& node) {
 void FixedPointSolver::PushMergeDelta(NodeId id) {
   for (const Edge& e : graph_.out_edges(id)) {
     if (e.kind == DependencyKind::kRealValued) continue;
-    EvidenceCache& cache = graph_.mutable_node(e.node).cache;
-    if (!cache.valid) continue;
+    Node& dep = graph_.mutable_node(e.node);
+    if (!dep.cache_valid) continue;
     if (e.kind == DependencyKind::kStrongBoolean) {
-      ++cache.strong_merged;
+      ++dep.cache.strong_merged;
     } else {
-      ++cache.weak_merged;
+      ++dep.cache.weak_merged;
     }
     ++stats_->num_delta_pushes;
   }
@@ -354,12 +346,12 @@ int64_t FixedPointSolver::RecheckNegativeEvidence() {
 int64_t FixedPointSolver::RecheckEvidenceCaches() const {
   int64_t differing = 0;
   int64_t scans = 0;
-  EvidenceCache fresh;
+  EvidenceSummary fresh;
   for (NodeId id = 0; id < graph_.num_nodes(); ++id) {
     const Node& node = graph_.node(id);
-    if (node.dead || !node.cache.valid) continue;
+    if (node.dead || !node.cache_valid) continue;
     BuildCacheSummary(id, &fresh, &scans);
-    const EvidenceCache& kept = node.cache;
+    const EvidenceSummary& kept = node.cache;
     // A value pair's push path counts every merged neighbor while the
     // rescan stops at the first, so only "any merged" must agree.
     const bool same =

@@ -47,11 +47,11 @@ class FixedPointSolver {
   /// Drains the queue to the fixed point (§3.2), one node at a time in
   /// queue order (FIFO plus strong-boolean queue jumps).
   ///
-  /// Budget exhaustion or cancellation (DESIGN.md §10) never aborts: the
-  /// current pop finishes (merge, enrichment, and propagation pushes
-  /// included), then the drain freezes — no further pops — leaving the
-  /// pending queue intact, so a later Run() with a fresh budget resumes
-  /// exactly where this one stopped. Iteration and merge budgets stop
+  /// Budget exhaustion (DESIGN.md §10) never aborts: the current pop
+  /// finishes (merge, enrichment, and propagation pushes included), then
+  /// the drain freezes — no further pops — leaving the pending queue
+  /// intact, so a later Run() with a fresh budget resumes exactly where
+  /// this one stopped. Iteration and merge budgets stop
   /// after a prefix of the canonical pop sequence, so their results are
   /// identical at every thread count.
   void Run();
@@ -153,24 +153,24 @@ class FixedPointSolver {
   void Enqueue(NodeId id, bool front);
 
   // ---- Delta-propagated evidence caching ----
-  // Each node's EvidenceCache is born valid (empty node, empty summary)
-  // and kept equal to what a full in-edge rescan would produce: the graph
-  // layer absorbs additive mutations (new edges, statics), Step() pushes a
-  // node's raised sim along its real-valued out-edges and bumps merged-
-  // neighbor counts along boolean out-edges at the merge transition, and
-  // subtractive surgery (non-merge demotion, lost fold inputs) invalidates
-  // the affected caches so they rescan exactly once on their next
-  // recomputation. See DESIGN.md, "Delta-propagated evidence caching".
+  // Each node's cached EvidenceSummary is born valid (empty node, empty
+  // summary) and kept equal to what a full in-edge rescan would produce:
+  // the graph layer absorbs additive mutations (new edges, statics), Step()
+  // pushes a node's raised sim along its real-valued out-edges and bumps
+  // merged-neighbor counts along boolean out-edges at the merge
+  // transition, and subtractive surgery (non-merge demotion, lost fold
+  // inputs) invalidates the affected caches so they rescan exactly once on
+  // their next recomputation. See DESIGN.md, "Delta-propagated evidence caching".
 
   /// The node's similarity (§3.2), served from its cache, rebuilding it
   /// first when invalid.
   double CachedSimilarity(NodeId id, Node& node);
   /// Full in-edge rescan into `*cache` (the one-time fallback); in-edge
-  /// reads land in `*scans`. Leaves it valid.
-  void BuildCacheSummary(NodeId id, EvidenceCache* cache,
+  /// reads land in `*scans`.
+  void BuildCacheSummary(NodeId id, EvidenceSummary* cache,
                          int64_t* scans) const;
-  /// The similarity a given (valid) evidence summary yields for `node`.
-  double ScoreFromCache(const Node& node, const EvidenceCache& cache) const;
+  /// The similarity `node`'s (valid) cached summary yields.
+  double ScoreFromCache(const Node& node) const;
   /// Offers `node.sim` to every real-valued dependent's valid cache.
   void PushSimDelta(NodeId id, const Node& node);
   /// Bumps merged-neighbor counts in boolean dependents' valid caches.

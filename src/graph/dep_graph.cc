@@ -167,7 +167,7 @@ void DependencyGraph::AddEdge(NodeId from, NodeId to, DependencyKind kind,
   // stays valid: this is exactly what a rescan would read for this edge
   // right now, and later source changes arrive as solver deltas (sim
   // raises, merge transitions) or cache invalidations (demotions, folds).
-  if (dst.cache.valid) {
+  if (dst.cache_valid) {
     switch (kind) {
       case DependencyKind::kRealValued:
         if (!src.dead && src.state != NodeState::kNonMerge) {
@@ -229,28 +229,28 @@ bool DependencyGraph::Transition(NodeId id, NodeState state, bool derived) {
   const bool is_merged = state == NodeState::kMerged;
   const float node_sim = node.sim;
   for (const Edge& e : out_pool_.span(id)) {
-    EvidenceCache& cache = nodes_[e.node].cache;
-    if (!cache.valid) continue;
+    Node& dep = nodes_[e.node];
+    if (!dep.cache_valid) continue;
     if (e.kind == DependencyKind::kRealValued) {
       if (state == NodeState::kNonMerge) {
         // Rescans now exclude this node; if the cached channel max could
         // come from it, the dependent must rescan. A strictly greater max
         // is supported by another (still included) contributor.
-        if (cache.best[e.evidence] <= node_sim) cache.valid = false;
+        if (dep.cache.best[e.evidence] <= node_sim) dep.cache_valid = false;
       } else if (old == NodeState::kNonMerge) {
-        cache.Offer(e.evidence, node_sim);  // Contribution restored.
+        dep.cache.Offer(e.evidence, node_sim);  // Contribution restored.
       }
     } else if (e.kind == DependencyKind::kStrongBoolean) {
       if (is_merged && !was_merged) {
-        ++cache.strong_merged;
+        ++dep.cache.strong_merged;
       } else if (was_merged && !is_merged) {
-        cache.valid = false;  // Un-merge (feedback): count must drop.
+        dep.cache_valid = false;  // Un-merge (feedback): count must drop.
       }
     } else {
       if (is_merged && !was_merged) {
-        ++cache.weak_merged;
+        ++dep.cache.weak_merged;
       } else if (was_merged && !is_merged) {
-        cache.valid = false;
+        dep.cache_valid = false;
       }
     }
   }
@@ -259,18 +259,13 @@ bool DependencyGraph::Transition(NodeId id, NodeState state, bool derived) {
 
 void DependencyGraph::InvalidateDependentCaches(NodeId id) {
   for (const Edge& e : out_pool_.span(id)) {
-    nodes_[e.node].cache.valid = false;
+    nodes_[e.node].cache_valid = false;
   }
 }
 
 NodeId DependencyGraph::FindRefPair(RefId r1, RefId r2) const {
   if (r1 == r2) return kInvalidNode;
   return ref_pair_index_.Find(PairKey(r1, r2));
-}
-
-NodeId DependencyGraph::FindValuePair(ValueId v1, ValueId v2) const {
-  if (v1 == v2) return kInvalidNode;
-  return value_pair_index_.Find(PairKey(v1, v2));
 }
 
 void DependencyGraph::DetachEdge(NodeId source, NodeId target,
@@ -357,13 +352,13 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   Node& src = nodes_[from];
   Node& dst = nodes_[into];
   if (src.static_strong > dst.static_strong) {
-    if (dst.cache.valid) {
+    if (dst.cache_valid) {
       dst.cache.strong_merged += src.static_strong - dst.static_strong;
     }
     dst.static_strong = src.static_strong;
   }
   if (src.static_weak > dst.static_weak) {
-    if (dst.cache.valid) {
+    if (dst.cache_valid) {
       dst.cache.weak_merged += src.static_weak - dst.static_weak;
     }
     dst.static_weak = src.static_weak;
@@ -395,7 +390,7 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
   // Every dst mutation above was cache-maintained (AddEdge pushed gained
   // contributions, statics were offered / delta-bumped), except a direct
   // src -> dst input disappearing with the fold.
-  if (dst_lost_input) dst.cache.valid = false;
+  if (dst_lost_input) dst.cache_valid = false;
   if (dst.state == NodeState::kNonMerge) {
     // Rescans exclude a non-merge dst, but dependents may cache the
     // folded node's (or, on a fresh demotion, dst's own) contributions.
@@ -407,8 +402,8 @@ bool DependencyGraph::FoldInto(NodeId from, NodeId into) {
     const float dst_sim = dst.sim;
     for (const Edge& e : out_pool_.span(into)) {
       if (e.kind != DependencyKind::kRealValued) continue;
-      EvidenceCache& cache = nodes_[e.node].cache;
-      if (cache.valid) cache.Offer(e.evidence, dst_sim);
+      Node& dep = nodes_[e.node];
+      if (dep.cache_valid) dep.cache.Offer(e.evidence, dst_sim);
     }
   }
   return gained;

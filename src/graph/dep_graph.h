@@ -126,7 +126,6 @@ class DependencyGraph {
   // ---- Lookup -----------------------------------------------------------
 
   NodeId FindRefPair(RefId r1, RefId r2) const;
-  NodeId FindValuePair(ValueId v1, ValueId v2) const;
 
   const Node& node(NodeId id) const { return nodes_[id]; }
   Node& mutable_node(NodeId id) { return nodes_[id]; }

@@ -5,7 +5,6 @@
 #ifndef RECON_GRAPH_NODE_H_
 #define RECON_GRAPH_NODE_H_
 
-#include <array>
 #include <cstdint>
 
 #include "sim/evidence.h"
@@ -48,42 +47,6 @@ struct Edge {
   int16_t evidence;
 };
 
-/// Delta-maintained summary of a node's incoming evidence, kept by the
-/// fixed-point solver (DESIGN.md §8). Mirrors sim/class_sim.h's
-/// EvidenceSummary but stores floats: every contribution is a float
-/// (neighbor sims, static evidence), so float channel maxima lose nothing
-/// against the rescan's doubles.
-///
-/// Invariant while `valid`: the summary equals what a full in-edge rescan
-/// would build at this instant. A fresh node has no in-edges and no static
-/// evidence, so the empty summary is exact and caches are born valid.
-/// Monotone mutations maintain the summary in place — AddEdge pushes the
-/// new source's current contribution, AddStaticReal offers the static
-/// value, and the solver pushes sim raises and merge transitions along
-/// out-edges. Only non-monotone surgery (node folding, non-merge demotion,
-/// which can *remove* contributions) clears `valid`, making the next
-/// recomputation rescan once.
-struct EvidenceCache {
-  EvidenceCache() { best.fill(-1.0f); }
-
-  /// Best similarity per real-valued evidence channel; -1 = no evidence.
-  std::array<float, kNumEvidence> best;
-  /// Merged strong-/weak-boolean incoming neighbors (statics included).
-  int32_t strong_merged = 0;
-  int32_t weak_merged = 0;
-  bool valid = true;
-
-  void Offer(int evidence, float sim) {
-    if (sim > best[evidence]) best[evidence] = sim;
-  }
-  void Reset() {
-    best.fill(-1.0f);
-    strong_merged = 0;
-    weak_merged = 0;
-    valid = false;
-  }
-};
-
 /// One similarity node. Element ids are RefIds for kReferencePair nodes and
 /// ValueIds for kValuePair nodes, stored with a < b.
 struct Node {
@@ -119,9 +82,23 @@ struct Node {
   int16_t static_strong = 0;
   int16_t static_weak = 0;
 
-  /// Cached evidence summary (see EvidenceCache). Only the solver reads
-  /// it; graph surgery and the mutators below keep `valid` honest.
-  EvidenceCache cache;
+  /// The node's evidence summary, maintained by deltas (DESIGN.md §8).
+  /// Only the solver reads it; graph surgery and the solver's pushes keep
+  /// `cache_valid` honest.
+  ///
+  /// Invariant while `cache_valid`: the summary equals what a full in-edge
+  /// rescan would build at this instant. A fresh node has no in-edges and
+  /// no static evidence, so the empty summary is exact and caches are born
+  /// valid. Monotone mutations maintain the summary in place — AddEdge
+  /// pushes the new source's current contribution, AddStaticReal offers the
+  /// static value, and the solver pushes sim raises and merge transitions
+  /// along out-edges. Only non-monotone surgery (node folding, non-merge
+  /// demotion, which can *remove* contributions) clears `cache_valid`,
+  /// making the next recomputation rescan once.
+  EvidenceSummary cache;
+  /// Sits in the padding after the summary. Moving it into the bitfield
+  /// above would shrink Node, and with it every soft-memory budget stop.
+  bool cache_valid = true;
 
   bool IsRefPair() const { return kind == NodeKind::kReferencePair; }
   int32_t Other(int32_t element) const { return element == a ? b : a; }

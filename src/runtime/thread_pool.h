@@ -31,8 +31,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
   /// Enqueues `task` for execution on some worker (or on any thread that
   /// calls RunOneTask before a worker gets to it).
   void Submit(std::function<void()> task);

@@ -206,25 +206,20 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         bool offered = false;
         for (size_t q = 0; q < query_values.size(); ++q) {
           for (size_t v = 0; v < profile_values.size(); ++v) {
-            double sim;
-            if (query_values[q] == profile_values[v]) {
-              // Equal values are one graph element, scored here in double
-              // although the graph stores its static as a float.
-              sim = FeaturePairSimilarity(row.evidence, query_features[q],
-                                          profile_features[v]);
-            } else {
-              // Non-equal pairs round through float, exactly as the batch
-              // path's similarity memo stores them.
-              sim = static_cast<float>(FeaturePairSimilarity(
-                  row.evidence, query_features[q], profile_features[v]));
-              if (sim < row.seed) continue;
+            // Every pair rounds through float, exactly as the batch path's
+            // similarity memo and static evidence store it. Equal values
+            // are one graph element and skip the seed check.
+            const float sim = static_cast<float>(FeaturePairSimilarity(
+                row.evidence, query_features[q], profile_features[v]));
+            if (sim < row.seed && query_values[q] != profile_values[v]) {
+              continue;
             }
             summary.Offer(row.evidence, sim);
             offered = true;
           }
         }
         if (row.zero_when_dissimilar && !offered && !profile_values.empty()) {
-          summary.Offer(row.evidence, 0.0);
+          summary.Offer(row.evidence, 0.0f);
         }
       }
       for (const AssocChannel& assoc : assoc_channels) {
@@ -232,7 +227,7 @@ QueryResult Snapshot::Query(const ReconQuery& query,
         for (const EntityId target : linked(candidate, assoc.assoc_attr)) {
           for (const ValueFeatures& pf :
                entities_[target]->features[name.attr_a]) {
-            const double sim = static_cast<float>(
+            const float sim = static_cast<float>(
                 FeaturePairSimilarity(name.evidence, assoc.features, pf));
             if (sim >= name.seed) summary.Offer(assoc.evidence, sim);
           }

@@ -25,11 +25,6 @@ double ApplyBooleanEvidence(double s_rv, const EvidenceSummary& evidence,
 
 }  // namespace
 
-void EvidenceSummary::Offer(int evidence, double sim) {
-  RECON_DCHECK(evidence >= 0 && evidence < kNumEvidence);
-  if (sim > best[evidence]) best[evidence] = sim;
-}
-
 double PersonSimilarity::Compute(const EvidenceSummary& evidence) const {
   const bool has_name = evidence.Has(kEvPersonName);
   const bool has_email = evidence.Has(kEvPersonEmail);

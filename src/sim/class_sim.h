@@ -7,32 +7,11 @@
 #ifndef RECON_SIM_CLASS_SIM_H_
 #define RECON_SIM_CLASS_SIM_H_
 
-#include <array>
 #include <memory>
 
 #include "sim/evidence.h"
 
 namespace recon {
-
-/// Inputs to a class similarity function, assembled by the reconciler from
-/// a node's incoming dependencies (MAX per evidence type over real-valued
-/// neighbors, per Eq. 1's multi-valued-attribute rule) plus the node's
-/// static evidence.
-struct EvidenceSummary {
-  EvidenceSummary() { best.fill(-1.0); }
-
-  /// Best similarity per real-valued evidence channel; -1 when the channel
-  /// has no evidence at all (which is different from evidence of value 0).
-  std::array<double, kNumEvidence> best;
-  /// Number of merged strong-boolean incoming neighbors.
-  int strong_merged = 0;
-  /// Number of merged weak-boolean incoming neighbors.
-  int weak_merged = 0;
-
-  bool Has(Evidence e) const { return best[e] >= 0.0; }
-  double Get(Evidence e) const { return best[e]; }
-  void Offer(int evidence, double sim);
-};
 
 /// A reference-pair similarity function for one class.
 class ClassSimilarity {

@@ -115,7 +115,6 @@ double FeaturePairSimilarity(int evidence, const ValueFeatures& a,
 }
 
 void SimMemo::set_max_bytes(int64_t max_bytes) {
-  max_bytes_ = max_bytes;
   per_shard_cap_ = max_bytes / kNumShards;
   // A cap too small to hold even a handful of entries per shard would
   // thrash; serve lookups as a pass-through instead.

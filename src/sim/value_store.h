@@ -182,8 +182,6 @@ class SimMemo {
   /// a handful of entries per shard puts the memo in bypass mode.
   void set_max_bytes(int64_t max_bytes);
 
-  int64_t max_bytes() const { return max_bytes_; }
-
   /// Returns the memoized similarity for (evidence, v1, v2), computing it
   /// via `compute` (a double() callable) on first sight. Returns float, so
   /// a result rounds the same whether it was memoized, computed or
@@ -252,7 +250,6 @@ class SimMemo {
   };
 
   Shard shards_[kNumShards];
-  int64_t max_bytes_ = 0;
   int64_t per_shard_cap_ = 0;
   bool bypass_ = true;  ///< Until set_max_bytes grants a usable bound.
   std::atomic<int64_t> bytes_{0};

@@ -36,12 +36,8 @@ inline int ColumnStep(uint64_t eq, int hin, uint64_t* pv, uint64_t* mv,
   return hout;
 }
 
-// Single-word core (pattern length 1..64). When `bound` >= 0, returns
-// bound + 1 as soon as the final distance provably exceeds it: after
-// column j the distance can still drop by at most (n - j), so
-// score_j - (n - j) is a valid lower bound on the result.
-int MyersOneWord(std::string_view pattern, std::string_view text,
-                 int bound) {
+// Single-word core (pattern length 1..64).
+int MyersOneWord(std::string_view pattern, std::string_view text) {
   uint64_t peq[256] = {};
   const int m = static_cast<int>(pattern.size());
   for (int i = 0; i < m; ++i) {
@@ -55,7 +51,6 @@ int MyersOneWord(std::string_view pattern, std::string_view text,
   for (int j = 0; j < n; ++j) {
     score += ColumnStep(peq[static_cast<unsigned char>(text[j])], 1, &pv,
                         &mv, score_mask);
-    if (bound >= 0 && score - (n - 1 - j) > bound) return bound + 1;
   }
   return score;
 }
@@ -66,8 +61,7 @@ int MyersOneWord(std::string_view pattern, std::string_view text,
 // (carries in the XH addition only propagate low-to-high). Thread-local
 // scratch keeps the PEQ table and delta vectors allocation-free in
 // steady state.
-int MyersBlocked(std::string_view pattern, std::string_view text,
-                 int bound) {
+int MyersBlocked(std::string_view pattern, std::string_view text) {
   const int m = static_cast<int>(pattern.size());
   const int n = static_cast<int>(text.size());
   const int words = (m + 63) / 64;
@@ -100,7 +94,6 @@ int MyersBlocked(std::string_view pattern, std::string_view text,
     }
     score += ColumnStep(eq[words - 1], hin, &pv[words - 1], &mv[words - 1],
                         score_mask);
-    if (bound >= 0 && score - (n - 1 - j) > bound) return bound + 1;
   }
   return score;
 }
@@ -110,22 +103,8 @@ int MyersBlocked(std::string_view pattern, std::string_view text,
 int MyersLevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return static_cast<int>(b.size());
-  if (a.size() <= 64) return MyersOneWord(a, b, -1);
-  return MyersBlocked(a, b, -1);
-}
-
-int MyersBoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                                    int bound) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const int n = static_cast<int>(a.size());
-  const int m = static_cast<int>(b.size());
-  // Matches the scalar reference on nonsense negative bounds too: the
-  // length gap (>= 0) always "exceeds" them, so the answer is bound + 1.
-  if (m - n > bound) return bound + 1;
-  if (n == 0) return std::min(m, bound + 1);
-  const int d = a.size() <= 64 ? MyersOneWord(a, b, bound)
-                               : MyersBlocked(a, b, bound);
-  return std::min(d, bound + 1);
+  if (a.size() <= 64) return MyersOneWord(a, b);
+  return MyersBlocked(a, b);
 }
 
 }  // namespace recon::strsim

@@ -5,7 +5,7 @@
 // via word-packed PEQ match masks and carry-propagating column deltas
 // (Myers 1999; multi-word carries after Hyyrö 2003 / edlib). The
 // differential suite in tests/strsim_kernel_test.cc pins the equivalence
-// over randomized ASCII/UTF-8/empty/long/near-bound inputs.
+// over randomized ASCII/UTF-8/empty/long inputs.
 
 #ifndef RECON_STRSIM_BITPARALLEL_H_
 #define RECON_STRSIM_BITPARALLEL_H_
@@ -18,14 +18,6 @@ namespace recon::strsim {
 /// shorter string becomes the word-packed pattern; a multi-word block
 /// path covers patterns > 64 bytes using thread-local scratch).
 int MyersLevenshteinDistance(std::string_view a, std::string_view b);
-
-/// Bounded variant: returns `bound + 1` as soon as the distance provably
-/// exceeds `bound` (length gap pre-check, then a per-column lower bound
-/// of score_j - remaining_columns), otherwise the exact distance. Agrees
-/// with ScalarBoundedLevenshteinDistance on every input, including
-/// negative bounds (always "exceeded": returns bound + 1).
-int MyersBoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                                    int bound);
 
 }  // namespace recon::strsim
 

@@ -47,40 +47,8 @@ int ScalarLevenshteinDistance(std::string_view a, std::string_view b) {
   return row[n];
 }
 
-int ScalarBoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                                     int bound) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const int n = static_cast<int>(a.size());
-  const int m = static_cast<int>(b.size());
-  if (m - n > bound) return bound + 1;
-  if (n == 0) return m;
-
-  int stack_row[kStackRow];
-  int* row = RowScratch(n, stack_row);
-  for (int j = 0; j <= n; ++j) row[j] = j;
-  for (int i = 1; i <= m; ++i) {
-    int diagonal = row[0];
-    row[0] = i;
-    int row_min = row[0];
-    for (int j = 1; j <= n; ++j) {
-      int above = row[j];
-      int cost = (b[i - 1] == a[j - 1]) ? 0 : 1;
-      row[j] = std::min({above + 1, row[j - 1] + 1, diagonal + cost});
-      diagonal = above;
-      row_min = std::min(row_min, row[j]);
-    }
-    if (row_min > bound) return bound + 1;
-  }
-  return std::min(row[n], bound + 1);
-}
-
 int LevenshteinDistance(std::string_view a, std::string_view b) {
   return MyersLevenshteinDistance(a, b);
-}
-
-int BoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                               int bound) {
-  return MyersBoundedLevenshteinDistance(a, b, bound);
 }
 
 double EditSimilarity(std::string_view a, std::string_view b) {

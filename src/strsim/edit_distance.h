@@ -1,7 +1,7 @@
 // Levenshtein edit distance and derived normalized similarity.
 //
-// The public entry points run the Myers bit-parallel kernels (DESIGN.md
-// §16). The Scalar* row-DP variants are exported as the reference the
+// The public entry point runs the Myers bit-parallel kernels (DESIGN.md
+// §16). The Scalar row-DP variant is exported as the reference the
 // differential tests and microbenches pin the kernels against.
 
 #ifndef RECON_STRSIM_EDIT_DISTANCE_H_
@@ -14,17 +14,10 @@ namespace recon::strsim {
 /// Levenshtein distance (unit-cost insert / delete / substitute).
 int LevenshteinDistance(std::string_view a, std::string_view b);
 
-/// Levenshtein distance with early exit: returns `bound + 1` as soon as the
-/// distance provably exceeds `bound`. Useful for candidate filtering.
-int BoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                               int bound);
-
-/// Reference row-DP implementations (allocation-free: stack row for short
-/// strings, thread-local scratch beyond); the kernels must agree with
-/// these bit-for-bit.
+/// Reference row-DP implementation (allocation-free: stack row for short
+/// strings, thread-local scratch beyond); the kernels must agree with it
+/// bit-for-bit.
 int ScalarLevenshteinDistance(std::string_view a, std::string_view b);
-int ScalarBoundedLevenshteinDistance(std::string_view a, std::string_view b,
-                                     int bound);
 
 /// Normalized edit similarity: 1 - distance / max(|a|, |b|); 1.0 when both
 /// strings are empty. Always in [0, 1].

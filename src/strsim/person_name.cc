@@ -146,28 +146,6 @@ bool PersonName::IsFullName() const {
   return !last.empty() && HasFullGivenName();
 }
 
-std::string PersonName::InitialKey() const {
-  std::string key;
-  if (!given.empty()) key.push_back(given[0].text[0]);
-  if (!last.empty()) {
-    if (!key.empty()) key.push_back(' ');
-    key.append(last);
-  }
-  return key;
-}
-
-std::string PersonName::DebugString() const {
-  std::string out;
-  for (const auto& g : given) {
-    if (!out.empty()) out.push_back(' ');
-    out.append(g.text);
-    if (g.is_initial) out.push_back('.');
-  }
-  out.append(" / ");
-  out.append(last);
-  return out;
-}
-
 PersonName ParsePersonName(std::string_view raw) {
   PersonName name;
   const std::string_view trimmed = TrimView(raw);

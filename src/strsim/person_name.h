@@ -36,11 +36,6 @@ struct PersonName {
   bool HasFullGivenName() const;
   /// True if both a full given name and a last name are present.
   bool IsFullName() const;
-  /// Canonical "first-initial + last" key, e.g. "r epstein"; empty
-  /// components omitted.
-  std::string InitialKey() const;
-  /// Debug form "given1 given2 / last".
-  std::string DebugString() const;
 };
 
 /// Parses a raw name string. Supported forms:

@@ -54,6 +54,10 @@ double OverlapCoefficient(const std::vector<std::string>& a,
   return static_cast<double>(c.intersection) / static_cast<double>(smaller);
 }
 
+namespace {
+
+// Monge-Elkan in one direction: mean over tokens of `a` of the best
+// Jaro-Winkler match in `b`.
 double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
   if (a.empty() && b.empty()) return 1.0;
@@ -68,6 +72,8 @@ double MongeElkanSimilarity(const std::vector<std::string>& a,
   }
   return total / static_cast<double>(a.size());
 }
+
+}  // namespace
 
 double SymmetricMongeElkan(const std::vector<std::string>& a,
                            const std::vector<std::string>& b) {

@@ -22,10 +22,8 @@ double DiceSimilarity(const std::vector<std::string>& a,
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b);
 
-/// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
-/// `b`. Asymmetric; SymmetricMongeElkan averages both directions.
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b);
+/// Monge-Elkan, both directions averaged: each direction is the mean over
+/// tokens of one side of the best Jaro-Winkler match on the other.
 double SymmetricMongeElkan(const std::vector<std::string>& a,
                            const std::vector<std::string>& b);
 

@@ -14,8 +14,6 @@ const char* StopReasonToString(StopReason reason) {
       return "merge-budget";
     case StopReason::kMemoryBudget:
       return "memory-budget";
-    case StopReason::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }

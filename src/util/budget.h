@@ -1,16 +1,14 @@
-// Execution budgets and cooperative cancellation for the reconciliation
-// pipeline (DESIGN.md §10).
+// Execution budgets for the reconciliation pipeline (DESIGN.md §10).
 //
 // The fixed point is naturally *anytime*: similarities only rise toward the
 // fixed point, so freezing the solve early and still running constraint
 // enforcement plus transitive closure yields a valid — merely less
 // complete — partition. A Budget bounds a run (wall-clock deadline, solver
-// iterations, merges, soft memory estimate) and a CancellationToken lets
-// another thread request a stop; both are observed cooperatively at cheap,
-// deterministic probe points (candidate batches, graph-builder staging
-// chunks, the solver drain and each queue pop). On exhaustion the pipeline
-// never aborts: it finishes the current deterministic unit, freezes the
-// solve, and degrades gracefully, reporting a StopReason in
+// iterations, merges, soft memory estimate), observed cooperatively at
+// cheap, deterministic probe points (candidate batches, graph-builder
+// staging chunks, the solver drain and each queue pop). On exhaustion the
+// pipeline never aborts: it finishes the current deterministic unit,
+// freezes the solve, and degrades gracefully, reporting a StopReason in
 // ReconcileStats.
 
 #ifndef RECON_UTIL_BUDGET_H_
@@ -31,7 +29,6 @@ enum class StopReason {
   kIterationBudget,     ///< Solver iteration budget (or safety cap) spent.
   kMergeBudget,         ///< Merge budget spent.
   kMemoryBudget,        ///< Soft memory estimate exceeded the budget.
-  kCancelled,           ///< CancellationToken fired.
 };
 
 /// Short stable name ("converged", "deadline", ...).
@@ -74,31 +71,12 @@ struct Budget {
   bool HasIterationLimit() const { return max_solver_iterations > 0; }
   bool HasMergeLimit() const { return max_merges > 0; }
   bool HasMemoryLimit() const { return soft_max_memory_bytes > 0; }
-  bool Unlimited() const {
-    return !HasDeadline() && !HasIterationLimit() && !HasMergeLimit() &&
-           !HasMemoryLimit();
-  }
-};
-
-/// Thread-safe cancellation flag. The party that wants to stop a run keeps
-/// a shared_ptr and calls RequestCancel() from any thread; the pipeline
-/// polls cancelled() at its probe points. Sticky: once cancelled, always
-/// cancelled.
-class CancellationToken {
- public:
-  void RequestCancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
 };
 
 /// Test seam: observes every budget probe, in probe order, and may inject
 /// a simulated stop. Production runs leave it unset; the deterministic
 /// fault-injection harness (util/fault_injection.h, tests only) implements
-/// it to fire "budget exhausted" / "cancel" at the Nth probe of a phase.
+/// it to fire "budget exhausted" at the Nth probe of a phase.
 /// Called only from serial probe sites, never concurrently.
 class ProbeHook {
  public:
@@ -120,11 +98,8 @@ class BudgetTracker {
   using Clock = std::chrono::steady_clock;
 
   explicit BudgetTracker(const Budget& budget,
-                         std::shared_ptr<const CancellationToken> cancel =
-                             nullptr,
                          std::shared_ptr<ProbeHook> hook = nullptr)
       : budget_(budget),
-        cancel_(std::move(cancel)),
         hook_(std::move(hook)),
         start_(Clock::now()) {
     if (budget_.HasDeadline()) {
@@ -153,10 +128,6 @@ class BudgetTracker {
         return true;
       }
     }
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-      ForceStop(StopReason::kCancelled);
-      return true;
-    }
     if (budget_.HasMemoryLimit() &&
         memory_estimate_.load(std::memory_order_relaxed) >
             budget_.soft_max_memory_bytes) {
@@ -180,7 +151,7 @@ class BudgetTracker {
                                          std::memory_order_acq_rel);
   }
 
-  /// True once any budget fired or cancellation was requested and seen.
+  /// True once any budget fired.
   bool stopped() const {
     return stop_reason_.load(std::memory_order_acquire) !=
            StopReason::kConverged;
@@ -199,21 +170,15 @@ class BudgetTracker {
   /// affects wall time only, never output.
   bool ShouldAbandonParallelWork() const {
     if (stopped()) return true;
-    if (cancel_ != nullptr && cancel_->cancelled()) return true;
-    if (budget_.HasDeadline() && Clock::now() >= deadline_) return true;
-    return false;
+    return budget_.HasDeadline() && Clock::now() >= deadline_;
   }
 
   /// Serial follow-up to a true ShouldAbandonParallelWork(): records the
-  /// stop reason (cancellation wins over deadline) so the pipeline freezes
-  /// deterministically after the parallel phase. No-op when neither holds
-  /// or a reason is already set.
+  /// deadline stop so the pipeline freezes deterministically after the
+  /// parallel phase. No-op when the deadline has not passed or a reason is
+  /// already set.
   void ResolveAsyncStop() {
     if (stopped()) return;
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-      ForceStop(StopReason::kCancelled);
-      return;
-    }
     if (budget_.HasDeadline() && Clock::now() >= deadline_) {
       ForceStop(StopReason::kDeadline);
     }
@@ -228,10 +193,6 @@ class BudgetTracker {
   const Budget& budget() const { return budget_; }
   /// Total probes across all points.
   int64_t num_probes() const { return num_probes_; }
-  /// Probes at one point.
-  int64_t probes_at(ProbePoint point) const {
-    return probes_[static_cast<int>(point)];
-  }
   /// Milliseconds since the tracker (= run) started.
   double ElapsedMillis() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
@@ -245,7 +206,6 @@ class BudgetTracker {
   static constexpr int64_t kDeadlineStride = 16;
 
   const Budget budget_;
-  const std::shared_ptr<const CancellationToken> cancel_;
   const std::shared_ptr<ProbeHook> hook_;
   const Clock::time_point start_;
   Clock::time_point deadline_{};

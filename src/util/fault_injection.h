@@ -1,7 +1,7 @@
 // Deterministic fault injection.
 //
 // Two layers share this header:
-//   * The budget/cancellation layer (FaultInjector / ProbeRecorder):
+//   * The budget layer (FaultInjector / ProbeRecorder):
 //     tests-only, installed via ReconcilerOptions::probe_hook, fires a
 //     chosen StopReason at a chosen pipeline probe (DESIGN.md §10).
 //   * The durable-I/O layer (IoFaultHook / IoFaultInjector): threaded

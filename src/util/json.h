@@ -56,7 +56,6 @@ class Value {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const {
     return kind_ == Kind::kInt || kind_ == Kind::kDouble;
   }

@@ -22,11 +22,6 @@ int Random::NextWeighted(const std::vector<double>& weights) {
   return static_cast<int>(weights.size()) - 1;
 }
 
-int Random::NextZipf(int n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler.Sample(*this);
-}
-
 ZipfSampler::ZipfSampler(int n, double s) {
   RECON_CHECK_GT(n, 0);
   cdf_.resize(n);

@@ -83,11 +83,6 @@ class Random {
   /// Requires a non-empty vector with a positive total weight.
   int NextWeighted(const std::vector<double>& weights);
 
-  /// Samples from a (truncated) Zipf distribution over [0, n) with
-  /// exponent s: P(k) proportional to 1 / (k + 1)^s. Linear-time setup per
-  /// call is avoided by callers caching a ZipfSampler instead where hot.
-  int NextZipf(int n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

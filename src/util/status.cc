@@ -10,12 +10,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "INVALID_ARGUMENT";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

@@ -19,9 +19,7 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
   kInternal,
 };
 
@@ -43,14 +41,8 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

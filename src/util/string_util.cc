@@ -117,22 +117,6 @@ bool IsDigits(std::string_view s) {
   return true;
 }
 
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(s);
-  std::string out;
-  size_t pos = 0;
-  for (;;) {
-    size_t hit = s.find(from, pos);
-    if (hit == std::string_view::npos) break;
-    out.append(s.substr(pos, hit - pos));
-    out.append(to);
-    pos = hit + from.size();
-  }
-  out.append(s.substr(pos));
-  return out;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -39,10 +39,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// True if every character is an ASCII digit (and the string is non-empty).
 bool IsDigits(std::string_view s);
 
-/// Replaces all occurrences of `from` (non-empty) with `to`.
-std::string ReplaceAll(std::string_view s, std::string_view from,
-                       std::string_view to);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -249,12 +249,12 @@ TEST(GraphCsrTest, BuildStopInSecondWindowIsValidAndDeterministic) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     options.num_threads = threads;
     auto injector = std::make_shared<FaultInjector>(
-        ProbePoint::kBuild, fire_at, StopReason::kCancelled);
+        ProbePoint::kBuild, fire_at, StopReason::kDeadline);
     options.probe_hook = injector;
     runs.push_back(Reconciler(options).Run(dataset));
     const ReconcileResult& run = runs.back();
     EXPECT_EQ(injector->fired(), 1);
-    EXPECT_EQ(run.stats.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(run.stats.stop_reason, StopReason::kDeadline);
     EXPECT_EQ(invariants::CheckPartition(dataset, options, run),
               std::vector<std::string>{});
     EXPECT_GT(run.stats.num_nodes, 0);
@@ -446,10 +446,10 @@ TEST_F(StagingTest, NameEmailRowComparesBothDirections) {
 
 TEST_F(StagingTest, IndepDecScoresTitlesThroughTheMemoFloat) {
   // A pair from PIM A 0.3x (generator seed 13). The titles score 11/14 and
-  // the years are equal, so in double precision the article S_rv is
-  // exactly the merge threshold. The graph scores non-equal values through
-  // the similarity memo, which stores a float, and that puts the pair
-  // just below the threshold: IndepDec keeps the two articles apart.
+  // the years are equal, so with the title score in double the article
+  // S_rv is exactly the merge threshold. The evidence summary holds it as
+  // a float, as the similarity memo stores it, and that puts the pair just
+  // below the threshold: IndepDec keeps the two articles apart.
   const std::string title_a = "Scalable with indexing views";
   const std::string title_b = "Scalable with indexing";
   const RefId a = Article(title_a, "2000");
@@ -461,14 +461,10 @@ TEST_F(StagingTest, IndepDecScoresTitlesThroughTheMemoFloat) {
   EXPECT_EQ(title, 11.0 / 14.0);
   const auto sims = MakeClassSimilarities(
       data_.schema(), SchemaBinding::Resolve(data_.schema()));
-  const auto article_sim = [&](double title_sim) {
-    EvidenceSummary evidence;
-    evidence.Offer(kEvArticleTitle, title_sim);
-    evidence.Offer(kEvArticleYear, 1.0);
-    return sims[article_]->Compute(evidence);
-  };
-  EXPECT_EQ(article_sim(title), kSimParams.merge_threshold);
-  EXPECT_LT(article_sim(static_cast<float>(title)), kSimParams.merge_threshold);
+  EvidenceSummary evidence;
+  evidence.Offer(kEvArticleTitle, static_cast<float>(title));
+  evidence.Offer(kEvArticleYear, 1.0f);
+  EXPECT_LT(sims[article_]->Compute(evidence), kSimParams.merge_threshold);
 
   const ReconcileResult result =
       Reconciler(ReconcilerOptions::IndepDec()).Run(data_);

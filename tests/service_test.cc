@@ -3,8 +3,11 @@
 // isolation, and — the part worth running under TSan (`ctest -L tsan`) —
 // concurrent query threads racing a live ingest/flush loop.
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <bit>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -12,11 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/graph_builder.h"
 #include "core/reconciler.h"
+#include "core/schema_binding.h"
 #include "datagen/pim_generator.h"
 #include "service/handlers.h"
 #include "service/service.h"
 #include "service/snapshot.h"
+#include "sim/params.h"
+#include "util/json.h"
 
 namespace recon::service {
 namespace {
@@ -244,7 +251,75 @@ TEST(ServiceTest, QueryScoringGolden) {
   EXPECT_EQ(queries.size(), 175u);
   EXPECT_EQ(scored, 525);
   EXPECT_EQ(matches, 160);
-  EXPECT_EQ(h, 0x300e4fa084ca71b5ull);
+  EXPECT_EQ(h, 0x4c331b8ea244bd0bull);
+}
+
+// Queries score at the graph's precision. An equal value is one graph
+// element, whose comparator score the graph holds as a float static: for
+// two references with one name, the query's score for either entity
+// equals what the graph computes from the pair node's evidence summary,
+// bit for bit ("Wong, E." merges, the two "Eugene"s stay apart).
+TEST(ServiceTest, QueryScoresAtTheGraphsPrecision) {
+  const struct {
+    const char* name;
+    double graph_score;
+  } kCases[] = {
+      {"Wong, E.", 0.87999999523162842},
+      {"Eugene", 0.69999998807907104},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    Dataset data(BuildPimSchema());
+    const int person = data.schema().RequireClass("Person");
+    const int name = data.schema().RequireAttribute(person, "name");
+    for (int entity = 0; entity < 2; ++entity) {
+      const RefId r = data.NewReference(person, entity);
+      data.mutable_reference(r).AddAtomicValue(name, c.name);
+    }
+    const ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    BuiltGraph built = BuildDependencyGraph(data, options);
+    const ReconcileResult run = Reconciler(options).RunOnGraph(data, built);
+    const NodeId pair = built.graph->FindRefPair(0, 1);
+    ASSERT_NE(pair, kInvalidNode);
+    const Node& node = built.graph->node(pair);
+    ASSERT_TRUE(node.cache_valid);
+    const double graph_score = built.class_sims[person]->Compute(node.cache);
+    EXPECT_EQ(graph_score, c.graph_score);
+
+    ReconQuery query;
+    query.text = c.name;
+    query.type = "Person";
+    const QueryResult result =
+        BuildSnapshot(data, run.cluster, options, 0)->Query(query);
+    ASSERT_EQ(result.candidates.size(),
+              run.cluster[0] == run.cluster[1] ? 1u : 2u);
+    for (const ScoredCandidate& candidate : result.candidates) {
+      EXPECT_EQ(candidate.score, graph_score);
+      EXPECT_EQ(candidate.match, graph_score >= kSimParams.merge_threshold);
+    }
+  }
+
+  // Titles scoring 11/14 with equal years reach the merge threshold only
+  // in double; the graph's float keeps the pair apart (see
+  // StagingTest.IndepDecScoresTitlesThroughTheMemoFloat), and so does a
+  // query.
+  Dataset data(BuildPimSchema());
+  const int article = data.schema().RequireClass("Article");
+  const RefId r = data.NewReference(article, 0);
+  data.mutable_reference(r).AddAtomicValue(
+      data.schema().RequireAttribute(article, "title"),
+      "Scalable with indexing views");
+  data.mutable_reference(r).AddAtomicValue(
+      data.schema().RequireAttribute(article, "year"), "2000");
+  ReconQuery query;
+  query.text = "Scalable with indexing";
+  query.type = "Article";
+  query.properties.emplace_back("year", "2000");
+  const ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  const QueryResult result = BuildSnapshot(data, {0}, options, 0)->Query(query);
+  ASSERT_EQ(result.candidates.size(), 1u);
+  EXPECT_LT(result.candidates[0].score, kSimParams.merge_threshold);
+  EXPECT_FALSE(result.candidates[0].match);
 }
 
 // Name~email evidence is a kNameEmail channel: a kAttrWise service must not
@@ -494,6 +569,202 @@ TEST(ServiceTest, ConcurrentQueriesVsIngestFlushLoop) {
   query.type = "Person";
   const BatchAnswer answer = service.Reconcile({query});
   ASSERT_FALSE(answer.results[0].candidates.empty());
+}
+
+// ---- Handler traffic: oracle and durability equivalence --------------------
+
+HttpRequest PostJson(const std::string& path, std::string body) {
+  HttpRequest req;
+  req.method = "POST";
+  req.path = path;
+  req.body = std::move(body);
+  return req;
+}
+
+/// The /reconcile body of a batch, its queries named q0, q1, ...
+std::string ReconcileBody(const std::vector<ReconQuery>& queries) {
+  json::Value doc = json::Value::Object();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    json::Value entry = json::Value::Object();
+    entry.Set("query", queries[q].text);
+    entry.Set("type", queries[q].type);
+    entry.Set("limit", queries[q].limit);
+    if (!queries[q].properties.empty()) {
+      json::Value props = json::Value::Array();
+      for (const auto& [pid, v] : queries[q].properties) {
+        json::Value prop = json::Value::Object();
+        prop.Set("pid", pid);
+        prop.Set("v", v);
+        props.Append(std::move(prop));
+      }
+      entry.Set("properties", std::move(props));
+    }
+    doc.Set("q" + std::to_string(q), std::move(entry));
+  }
+  return doc.Dump();
+}
+
+/// The /ingest body (flush=true) for references [begin, end) of `full`.
+std::string IngestBody(const Dataset& full, RefId begin, RefId end) {
+  json::Value refs = json::Value::Array();
+  for (RefId id = begin; id < end; ++id) {
+    const Reference& src = full.reference(id);
+    const ClassDef& class_def = full.schema().class_def(src.class_id());
+    json::Value values = json::Value::Object();
+    json::Value links = json::Value::Object();
+    for (int attr = 0; attr < src.num_attributes(); ++attr) {
+      json::Value list = json::Value::Array();
+      if (class_def.attributes[attr].kind == AttrKind::kAtomic) {
+        for (const std::string& v : src.atomic_values(attr)) list.Append(v);
+        if (list.size() > 0) {
+          values.Set(class_def.attributes[attr].name, std::move(list));
+        }
+      } else {
+        for (const RefId target : src.associations(attr)) {
+          list.Append(target);
+        }
+        if (list.size() > 0) {
+          links.Set(class_def.attributes[attr].name, std::move(list));
+        }
+      }
+    }
+    json::Value ref = json::Value::Object();
+    ref.Set("class", class_def.name);
+    ref.Set("values", std::move(values));
+    ref.Set("links", std::move(links));
+    ref.Set("gold", full.gold_entity(id));
+    refs.Append(std::move(ref));
+  }
+  json::Value doc = json::Value::Object();
+  doc.Set("references", std::move(refs));
+  doc.Set("flush", true);
+  return doc.Dump();
+}
+
+// The service's machine-independent gates: on a small PIM A corpus whose
+// last tenth arrives through /ingest (8 references per flush), every
+// response is a 200, the handler renders exactly what Snapshot::Query plus
+// RenderReconcileBody give on the same snapshot, and a durable service
+// (WAL fsynced every flush, a checkpoint every 16) renders the same bytes
+// as an in-memory one.
+TEST(ServiceTest, HandlerTrafficMatchesOracleAndDurableService) {
+  const Dataset generated = datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigA(), 0.05));
+  const SchemaBinding binding = SchemaBinding::Resolve(generated.schema());
+  const RefId split = generated.num_references() * 9 / 10;
+  // A reference cannot link to one that does not exist yet: links into
+  // the held-out tail are dropped, from the initial and the held-out
+  // references alike.
+  Dataset full(generated.schema());
+  for (RefId id = 0; id < generated.num_references(); ++id) {
+    const Reference& src = generated.reference(id);
+    Reference ref(src.class_id(), src.num_attributes());
+    for (int attr = 0; attr < src.num_attributes(); ++attr) {
+      for (const std::string& v : src.atomic_values(attr)) {
+        ref.AddAtomicValue(attr, v);
+      }
+      for (const RefId target : src.associations(attr)) {
+        if (target < split) ref.AddAssociation(attr, target);
+      }
+    }
+    full.AddReference(std::move(ref), generated.gold_entity(id),
+                      generated.provenance(id));
+  }
+  auto initial = [&] {
+    Dataset data(full.schema());
+    for (RefId id = 0; id < split; ++id) {
+      data.AddReference(full.reference(id), full.gold_entity(id),
+                        full.provenance(id));
+    }
+    return data;
+  };
+
+  // Two queries per batch over every 17th initial reference: its name or
+  // title, plus the email of a person that has one.
+  std::vector<std::string> batches;
+  std::vector<ReconQuery> pending;
+  for (RefId id = 0; id < split; id += 17) {
+    const Reference& ref = full.reference(id);
+    ReconQuery query;
+    query.limit = 5;
+    if (ref.class_id() == binding.person) {
+      query.type = "Person";
+      query.text = ref.FirstValue(binding.person_name);
+      if (!ref.FirstValue(binding.person_email).empty()) {
+        query.properties.emplace_back("email",
+                                      ref.FirstValue(binding.person_email));
+      }
+    } else if (ref.class_id() == binding.article) {
+      query.type = "Article";
+      query.text = ref.FirstValue(binding.article_title);
+    } else {
+      query.type = "Venue";
+      query.text = ref.FirstValue(binding.venue_name);
+    }
+    if (query.text.empty()) continue;
+    pending.push_back(query);
+    if (pending.size() == 2) {
+      batches.push_back(ReconcileBody(pending));
+      pending.clear();
+    }
+  }
+  ASSERT_GT(batches.size(), 4u);
+
+  constexpr RefId kIngestBatch = 8;
+  auto ingest_all = [&](const ServiceHandler& handler) {
+    int flushes = 0;
+    for (RefId id = split; id < full.num_references(); id += kIngestBatch) {
+      const RefId end = std::min<RefId>(id + kIngestBatch,
+                                        full.num_references());
+      const HttpResponse res =
+          handler.Handle(PostJson("/ingest", IngestBody(full, id, end)));
+      EXPECT_EQ(res.status, 200) << res.body;
+      ++flushes;
+    }
+    return flushes;
+  };
+
+  ReconService service(initial(), DefaultOptions());
+  const ServiceHandler handler(&service);
+  const int flushes = ingest_all(handler);
+  EXPECT_GT(flushes, 16);
+  EXPECT_EQ(service.snapshot()->generation(),
+            static_cast<uint64_t>(flushes));
+
+  char dir_template[] = "/tmp/recon-service-test-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string data_dir = dir_template;
+  {
+    ServiceOptions durable_options = DefaultOptions();
+    durable_options.durability.data_dir = data_dir;
+    durable_options.durability.fsync = FsyncPolicy::kEveryFlush;
+    durable_options.durability.checkpoint_every = 16;
+    auto opened = ReconService::Open(initial(), durable_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ReconService& durable = *opened.value();
+    const ServiceHandler durable_handler(&durable);
+    EXPECT_EQ(ingest_all(durable_handler), flushes);
+    EXPECT_GT(durable.durability_stats().checkpoints_written, 0);
+
+    for (const std::string& body : batches) {
+      SCOPED_TRACE(body);
+      const HttpResponse served = handler.Handle(PostJson("/reconcile", body));
+      EXPECT_EQ(served.status, 200);
+      const StatusOr<QueryBatch> batch = ParseQueryBatch(body);
+      ASSERT_TRUE(batch.ok());
+      BatchAnswer direct;
+      direct.snapshot = service.snapshot();
+      for (const auto& [id, query] : batch.value()) {
+        direct.results.push_back(direct.snapshot->Query(query));
+      }
+      EXPECT_EQ(served.body, RenderReconcileBody(batch.value(), direct));
+      const HttpResponse durable_served =
+          durable_handler.Handle(PostJson("/reconcile", body));
+      EXPECT_EQ(durable_served.status, 200);
+      EXPECT_EQ(durable_served.body, served.body);
+    }
+  }
+  std::filesystem::remove_all(data_dir);
 }
 
 }  // namespace

@@ -107,13 +107,13 @@ TEST(SolverCacheTest, RecheckDetectsACorruptCache) {
   NodeId victim = kInvalidNode;
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
-    if (!node.dead && node.IsRefPair() && node.cache.valid) {
+    if (!node.dead && node.IsRefPair() && node.cache_valid) {
       victim = id;
       break;
     }
   }
   ASSERT_NE(victim, kInvalidNode);
-  EvidenceCache& cache = graph.mutable_node(victim).cache;
+  EvidenceSummary& cache = graph.mutable_node(victim).cache;
   cache.best[0] += 0.5f;
   EXPECT_EQ(solver.RecheckEvidenceCaches(), 1);
   cache.best[0] -= 0.5f;

@@ -98,11 +98,6 @@ TEST(StringUtilTest, IsDigits) {
   EXPECT_FALSE(IsDigits("19a"));
 }
 
-TEST(StringUtilTest, ReplaceAll) {
-  EXPECT_EQ(ReplaceAll("a--b--c", "--", "-"), "a-b-c");
-  EXPECT_EQ(ReplaceAll("aaa", "aa", "b"), "ba");
-}
-
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.3f/%d", 0.5, 7), "0.500/7");
   EXPECT_EQ(StrFormat("%s", ""), "");
